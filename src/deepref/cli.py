@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codec, flow, generator, metrics, training, video_io
 from .config import RunConfig, load_run_config
-from .errors import DeepRefError
+from .errors import ConfigError, DeepRefError, FormatError
 from .fileio import read_csv, write_csv, write_plane_pgm
 
 RD_HEADER = ["scheme", "q", "bits_per_frame", "psnr_db"]
@@ -84,6 +84,13 @@ def _override(cfg_obj, **updates):
     return dataclasses.replace(cfg_obj, **updates) if updates else cfg_obj
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+
+
 def _resolve(args) -> RunConfig:
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
     threads = args.threads if getattr(args, "threads", None) is not None else _threads_default()
@@ -137,7 +144,7 @@ def _resolve(args) -> RunConfig:
     if a.get("height") is not None:
         cfg.height = a["height"]
     if a.get("q_set"):
-        cfg.q_set = [int(q) for q in a["q_set"].split(",")]
+        cfg.q_set = _int_list(a["q_set"], "--q-set")
     return cfg
 
 
@@ -274,7 +281,11 @@ def _load_curve(path, scheme: str | None):
             seen.add(row[scheme_col])
             if scheme is not None and row[scheme_col] != scheme:
                 continue
-        points.append(metrics.RDPoint(float(row[bits_col]), float(row[psnr_col])))
+        try:
+            bits, quality = float(row[bits_col]), float(row[psnr_col])
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{path}: missing or non-numeric RD value in row {row}") from exc
+        points.append(metrics.RDPoint(bits, quality))
     if scheme is not None and scheme_col is None:
         raise DeepRefError(f"{path}: no scheme column to select {scheme!r} from")
     if not points:
@@ -319,7 +330,7 @@ def cmd_metrics(args) -> int:
 def cmd_block_sweep(args) -> int:
     cfg = _resolve(args)
     frames = _read_frames(cfg)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _int_list(args.sizes, "--sizes")
     name = Path(cfg.input_path).stem
     rows = training.block_size_sweep(
         frames, sizes, cfg.train, extraction=cfg.extraction, sequence_name=name

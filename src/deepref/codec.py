@@ -6,6 +6,12 @@ bits) followed by half- then quarter-pel refinement, scalar-quantizes the
 spatial residual, and prices everything with signed exp-Golomb code lengths.
 It is deterministic and dependency-free; its bits are a ranking proxy, not
 VVC bits.
+
+Per frame, each reference is interpolated once into its 16 quarter-pel phase
+planes (`interp.subpel_planes`), padded by search_range + 1 samples. The
+integer search of a whole row of blocks, every fractional candidate and the
+final prediction are then slices of those planes, with the same samples
+`interp.interpolate_block` gives for one block.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .generator import GeneratorNet, generate_reference
-from .interp import MotionVectorQ, interpolate_block
+from .interp import MotionVectorQ, subpel_planes
 from .metrics import RDPoint, psnr
 
 
@@ -52,15 +58,14 @@ def signed_exp_golomb_bits(v: int) -> int:
     return 2 * (code + 1).bit_length() - 1
 
 
-_SE_TABLE = np.array([2 * (c + 1).bit_length() - 1 for c in range(2048)], dtype=np.int64)
-
-
 def _se_bits_array(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=np.int64)
-    code = np.where(v > 0, 2 * v - 1, -2 * v)
-    if np.any(code >= len(_SE_TABLE)):
-        return np.array([signed_exp_golomb_bits(x) for x in v.ravel()]).reshape(v.shape)
-    return _SE_TABLE[code]
+    """Vectorised `signed_exp_golomb_bits`: 2 * bit_length(|v|) + 1, exact for every int64."""
+    mag = np.abs(np.asarray(values, dtype=np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
+    hi, lo = mag >> np.uint64(32), mag & np.uint64(0xFFFFFFFF)
+    # frexp's exponent is the bit length of a positive integer below 2**53
+    bit_length = np.where(hi > 0, np.frexp(hi.astype(np.float64))[1] + 32,
+                          np.frexp(lo.astype(np.float64))[1])
+    return 2 * bit_length.astype(np.int64) + 1
 
 
 def mv_bits(mv: MotionVectorQ) -> int:
@@ -74,6 +79,81 @@ def _check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
         raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
 
 
+class _Match(NamedTuple):
+    mv: MotionVectorQ
+    cost: float
+    sad: int
+    pred: np.ndarray | None  # a view into the phase planes
+
+
+def _integer_search(plane: np.ndarray, cur_rows: np.ndarray, origin, starts,
+                    cfg: SearchConfig) -> list[_Match]:
+    """Full integer-pel search of every block of a horizontal run of blocks.
+
+    `cur_rows` holds the run's rows of the current frame from column origin[0]
+    on, and the blocks start at columns `starts` within it. `plane` is the
+    integer phase of the reference padded by search_range + 1. Per block, the
+    best offset has the least cost, then the least |mv|_1, then comes first in
+    raster order. The matches carry no prediction.
+    """
+    x0, y0 = origin
+    h, width = cur_rows.shape
+    radius = cfg.search_range
+    n = 2 * radius + 1
+    top, left = y0 + 1, x0 + 1  # offset -radius in a plane padded by radius + 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        plane[top : top + h + n - 1, left : left + width + n - 1], (h, width))
+    sad = np.empty((n, n, len(starts)), dtype=np.int64)
+    for dy in range(n):  # one row of offsets at a time keeps the temporaries small
+        col_sads = np.abs(windows[dy] - cur_rows).sum(axis=1, dtype=np.int32)
+        sad[dy] = np.add.reduceat(col_sads, starts, axis=1, dtype=np.int64)
+
+    offsets = np.arange(-radius, radius + 1)
+    comp_bits = _se_bits_array(4 * offsets)
+    cost = sad + (cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :]))[:, :, None]
+    l1 = 4 * (np.abs(offsets)[:, None] + np.abs(offsets)[None, :])
+    keys = (np.repeat(l1.reshape(-1, 1), len(starts), axis=1), cost.reshape(n * n, -1))
+    firsts = np.lexsort(keys, axis=0)[0]  # stable: raster order breaks ties
+    found = []
+    for j, flat in enumerate(firsts.tolist()):
+        dy, dx = divmod(flat, n)
+        mv = MotionVectorQ(4 * (dx - radius), 4 * (dy - radius))
+        found.append(_Match(mv, float(cost[dy, dx, j]), int(sad[dy, dx, j]), None))
+    return found
+
+
+def _refine(planes: np.ndarray, cur_blk: np.ndarray, origin, coarse: _Match,
+            cfg: SearchConfig) -> _Match:
+    """Half- then quarter-pel refinement of one block's integer match, on the
+    phase planes of one reference built with margin search_range + 1.
+
+    Every candidate's integer part lies within the margin, so each prediction
+    is a slice of the planes; see `subpel_planes`.
+    """
+    x0, y0 = origin
+    h, w = cur_blk.shape
+    margin = cfg.search_range + 1
+
+    def block(mv: MotionVectorQ) -> np.ndarray:
+        top, left = margin + y0 + (mv.y4 >> 2), margin + x0 + (mv.x4 >> 2)
+        return planes[mv.y4 & 3, mv.x4 & 3, top : top + h, left : left + w]
+
+    best_mv, best_cost, best_sad, _ = coarse
+    best_l1 = abs(best_mv.x4) + abs(best_mv.y4)
+    for step in (2, 1):  # half-pel then quarter-pel neighbors, in raster order
+        cx, cy = best_mv
+        cands = [MotionVectorQ(cx + ddx, cy + ddy)
+                 for ddy in (-step, 0, step) for ddx in (-step, 0, step) if ddx or ddy]
+        preds = np.stack([block(cand) for cand in cands])
+        sads = np.abs(preds - cur_blk).sum(axis=(1, 2), dtype=np.int64).tolist()
+        for cand, cand_sad in zip(cands, sads):
+            cand_cost = cand_sad + cfg.lambda_mv * mv_bits(cand)
+            cand_l1 = abs(cand.x4) + abs(cand.y4)
+            if (cand_cost, cand_l1) < (best_cost, best_l1):
+                best_mv, best_cost, best_l1, best_sad = cand, cand_cost, cand_l1, cand_sad
+    return _Match(best_mv, float(best_cost), best_sad, block(best_mv))
+
+
 def motion_search(
     ref: np.ndarray,
     cur: np.ndarray,
@@ -85,6 +165,8 @@ def motion_search(
 
     Cost = SAD + lambda_mv * mv_bits. Ties broken by smaller |mv|_1, then by
     raster order of candidates (incumbents win against later equal candidates).
+    Each call builds the phase planes of the whole reference; to search many
+    blocks of one frame, `encode_frame_proxy` builds them once and shares them.
     """
     ref = np.asarray(ref)
     cur = np.asarray(cur)
@@ -93,46 +175,11 @@ def motion_search(
     _check_block(cur, x0, y0, w, h)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
-
-    radius = cfg.search_range
-    cur_blk = cur[y0 : y0 + h, x0 : x0 + w].astype(np.int32)
-
-    margin = radius + 1
-    padded = np.pad(ref, margin, mode="edge")
-    sub = padded[
-        margin + y0 - radius : margin + y0 + h + radius,
-        margin + x0 - radius : margin + x0 + w + radius,
-    ]
-    windows = np.lib.stride_tricks.sliding_window_view(sub, (h, w))
-    sad = np.abs(windows.astype(np.int32) - cur_blk).sum(axis=(2, 3), dtype=np.int64)
-
-    offsets = np.arange(-radius, radius + 1)
-    comp_bits = _se_bits_array(4 * offsets)
-    cost = sad + cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :])
-    l1 = 4 * (np.abs(offsets)[:, None] + np.abs(offsets)[None, :])
-    flat = np.lexsort((l1.ravel(), cost.ravel()))[0]  # stable: raster order breaks ties
-    dy, dx = divmod(int(flat), 2 * radius + 1)
-    best_mv = MotionVectorQ(4 * (dx - radius), 4 * (dy - radius))
-    best_cost = float(cost[dy, dx])
-    best_l1 = int(l1[dy, dx])
-
-    def candidate_cost(cand: MotionVectorQ) -> float:
-        pred = interpolate_block(ref, origin, (w, h), cand).astype(np.int32)
-        cand_sad = int(np.abs(pred - cur_blk).sum())
-        return cand_sad + cfg.lambda_mv * mv_bits(cand)
-
-    for step in (2, 1):  # half-pel then quarter-pel neighbors
-        cx, cy = best_mv
-        for ddy in (-step, 0, step):
-            for ddx in (-step, 0, step):
-                if ddx == 0 and ddy == 0:
-                    continue
-                cand = MotionVectorQ(cx + ddx, cy + ddy)
-                cand_cost = candidate_cost(cand)
-                cand_l1 = abs(cand.x4) + abs(cand.y4)
-                if (cand_cost, cand_l1) < (best_cost, best_l1):
-                    best_mv, best_cost, best_l1 = cand, cand_cost, cand_l1
-    return best_mv, float(best_cost)
+    planes = subpel_planes(ref, cfg.search_range + 1)
+    cur_blk = cur[y0 : y0 + h, x0 : x0 + w].astype(np.int16)
+    (coarse,) = _integer_search(planes[0, 0], cur_blk, origin, [0], cfg)
+    match = _refine(planes, cur_blk, origin, coarse, cfg)
+    return match.mv, match.cost
 
 
 def substitute_reference(ref_list, generated: np.ndarray):
@@ -154,10 +201,12 @@ def encode_frame_proxy(
 ) -> tuple[float, np.ndarray, list[MVRecord]]:
     """Inter-code one frame against a reference list at quantizer step q.
 
-    Per block: best (reference, mv) by motion_search cost, prediction by
-    interpolation, residual quantized as round(r/q), bits = mv bits +
-    reference-index bits + signed exp-Golomb lengths of the quantized
-    residual. Returns (frame bits, reconstruction, mv field).
+    The 16 quarter-pel phase planes of each reference are built once. Per
+    block: best (reference, mv) by `motion_search` cost (the first reference
+    wins ties), with the prediction sliced from the planes; residual
+    quantized as round(r/q); bits = mv bits + reference-index bits + signed
+    exp-Golomb lengths of the quantized residual. Returns (frame bits,
+    reconstruction, mv field).
     """
     refs = list(refs)
     cur = np.asarray(cur)
@@ -173,32 +222,33 @@ def encode_frame_proxy(
             )
     fh, fw = cur.shape
     bs = cfg.block_size
-    ref_idx_bits = (len(refs) - 1).bit_length()
+    planes = [subpel_planes(ref, cfg.search_range + 1) for ref in refs]
+    cur_i16 = cur.astype(np.int16)  # 8-bit samples; their differences fit too
+    starts = np.arange(0, fw, bs)
 
-    recon = np.empty_like(cur, dtype=np.uint8)
+    pred = np.empty(cur.shape, dtype=np.int64)
     mv_field: list[MVRecord] = []
-    total_bits = 0
+    side_bits = 0
     for by in range(0, fh, bs):
-        h = min(bs, fh - by)
-        for bx in range(0, fw, bs):
-            w = min(bs, fw - bx)
+        cur_rows = cur_i16[by : by + bs]
+        row_matches = [_integer_search(p[0, 0], cur_rows, (0, by), starts, cfg) for p in planes]
+        for j, bx in enumerate(starts.tolist()):
+            cur_blk = cur_rows[:, bx : bx + bs]
             best = None
-            for ri, ref in enumerate(refs):
-                mv, cost = motion_search(ref, cur, (bx, by), cfg, size=(w, h))
-                if best is None or cost < best[0]:
-                    best = (cost, ri, mv)
-            _, ri, mv = best
-            pred = interpolate_block(refs[ri], (bx, by), (w, h), mv).astype(np.int64)
-            cur_blk = cur[by : by + h, bx : bx + w].astype(np.int64)
-            resid = cur_blk - pred
-            qidx = np.rint(resid / q).astype(np.int64)
-            recon[by : by + h, bx : bx + w] = np.clip(pred + qidx * q, 0, 255).astype(np.uint8)
-            total_bits += (
-                mv_bits(mv) + ref_idx_bits + int(_se_bits_array(qidx).sum())
-            )
-            mv_field.append(
-                MVRecord(bx, by, ri, mv.x4, mv.y4, int(np.abs(pred - cur_blk).sum()))
-            )
+            for ri, ref_planes in enumerate(planes):
+                match = _refine(ref_planes, cur_blk, (bx, by), row_matches[ri][j], cfg)
+                if best is None or match.cost < best[1].cost:
+                    best = (ri, match)
+            ri, match = best
+            pred[by : by + bs, bx : bx + bs] = match.pred
+            side_bits += mv_bits(match.mv)
+            mv_field.append(MVRecord(bx, by, ri, match.mv.x4, match.mv.y4, match.sad))
+    # every block's residual is quantized and priced on its own, so doing it
+    # once for the whole frame gives the same samples and the same bit sum
+    qidx = np.rint((cur.astype(np.int64) - pred) / q).astype(np.int64)
+    recon = np.clip(pred + qidx * q, 0, 255).astype(np.uint8)
+    ref_idx_bits = (len(refs) - 1).bit_length()
+    total_bits = side_bits + ref_idx_bits * len(mv_field) + int(_se_bits_array(qidx).sum())
     return float(total_bits), recon, mv_field
 
 

@@ -353,9 +353,12 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, offset)
             offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
             if len(data) < offset + name_len:
                 raise FormatError("truncated weight file inside tensor name")
+            try:
+                name = data[offset : offset + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"tensor name at byte {offset} is not UTF-8") from exc
             offset += name_len
             (ndim,) = struct.unpack_from("<B", data, offset)
             offset += 1

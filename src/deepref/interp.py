@@ -156,3 +156,45 @@ def interpolate_block(
         out = (acc + (1 << (2 * shift - 1))) >> (2 * shift)
 
     return np.clip(out, 0, 255).astype(np.uint8)
+
+
+def subpel_planes(ref: np.ndarray, margin: int) -> np.ndarray:
+    """All 16 quarter-pel phases of an edge-padded reference, as one array.
+
+    ``planes[fy, fx]`` has shape (H + 2*margin, W + 2*margin), and sample
+    (Y, X) of it is the reference sampled at (Y - margin + fy/4,
+    X - margin + fx/4) with the arithmetic and edge replication of
+    `interpolate_block`. The block `interpolate_block` returns at origin
+    (x0, y0) for mv (x4, y4) is therefore the slice
+    ``planes[y4 & 3, x4 & 3, margin + y0 + (y4 >> 2) :, margin + x0 + (x4 >> 2) :]``
+    of its size, whenever the integer parts x4 >> 2 and y4 >> 2 lie in
+    [-margin, margin].
+    """
+    ref = np.asarray(ref)
+    m = int(margin)
+    if m < 0:
+        raise ConfigError(f"margin must be >= 0, got {margin}")
+    fh, fw = ref.shape
+    ph, pw = fh + 2 * m, fw + 2 * m
+    # 8-bit samples times taps summed twice stay far inside int32
+    src = np.pad(ref, ((m + _MARGIN_LO, m + _MARGIN_HI),) * 2, mode="edge").astype(np.int32)
+    shift = LUMA_FILTERS.norm_shift
+    planes = np.empty((4, 4, ph, pw), dtype=np.uint8)
+    planes[0, 0] = gather_block(ref, -m, -m, pw, ph)
+    for fx in range(4):
+        if fx == 0:
+            mid = src[:, _MARGIN_LO : _MARGIN_LO + pw]
+        else:
+            taps, start = LUMA_FILTERS.phase(fx)
+            mid = _filter_cols(src, taps.astype(np.int32), _MARGIN_LO + start, pw)
+        for fy in range(4):
+            if fy == 0:
+                if fx == 0:
+                    continue
+                acc, s = mid[_MARGIN_LO : _MARGIN_LO + ph], shift
+            else:
+                taps, start = LUMA_FILTERS.phase(fy)
+                acc = _filter_rows(mid, taps.astype(np.int32), _MARGIN_LO + start, ph)
+                s = shift if fx == 0 else 2 * shift
+            planes[fy, fx] = np.clip((acc + (1 << (s - 1))) >> s, 0, 255)
+    return planes

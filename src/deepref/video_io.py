@@ -68,6 +68,13 @@ def _read_raw_yuv(path, width, height) -> FrameSequence:
     return FrameSequence(width, height, frames)
 
 
+def _header_int(value: str, tag: str, path) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise FormatError(f"{path}: Y4M {tag} field {value!r} is not an integer") from exc
+
+
 def _read_y4m(path) -> FrameSequence:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -84,9 +91,9 @@ def _read_y4m(path) -> FrameSequence:
             continue
         tag, value = chr(token[0]), token[1:].decode("ascii", "replace")
         if tag == "W":
-            width = int(value)
+            width = _header_int(value, tag, path)
         elif tag == "H":
-            height = int(value)
+            height = _header_int(value, tag, path)
         elif tag == "C":
             colorspace = value
         # F (rate), I (interlacing), A (aspect), X (extensions) are ignored

@@ -46,6 +46,20 @@ class TestArgHandling:
         assert code == 1
         assert "error:" in err and err.count("\n") == 1
 
+    def test_non_integer_q_set_rejected(self, capsys, clip, tmp_path):
+        code, _, err = run(
+            ["sweep", "--input", str(clip), "--weights", str(tmp_path / "w.drpg"),
+             "--q-set", "8,x", "--output", str(tmp_path / "rd.csv")], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "--q-set" in err
+
+    def test_non_integer_sizes_rejected(self, capsys, clip, tmp_path):
+        code, _, err = run(
+            ["block-sweep", "--input", str(clip), "--sizes", "16,x",
+             "--output", str(tmp_path / "t.csv")], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "--sizes" in err
+
     def test_bad_threads_rejected(self, capsys, clip, tmp_path):
         code, _, err = run(
             ["extract", "--input", str(clip), "--threads", "0",
@@ -142,6 +156,16 @@ class TestBdrateCommand:
         write_csv([[1, 2]], path, header=["x", "y"])
         code, _, err = run(["bdrate", str(path)], capsys)
         assert code == 1 and "bits_per_frame" in err
+
+    def test_non_numeric_cell_rejected(self, tmp_path, capsys):
+        from deepref.fileio import write_csv
+
+        path = tmp_path / "bad.csv"
+        write_csv([[8, 8000, 41.0], [16, "lots", 36.0]], path,
+                  header=["q", "bits_per_frame", "psnr_db"])
+        code, _, err = run(["bdrate", str(path), str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "lots" in err
 
 
 class TestEncodeCommand:

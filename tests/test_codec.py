@@ -4,6 +4,7 @@ import pytest
 from deepref.codec import (
     MVRecord,
     SearchConfig,
+    _se_bits_array,
     encode_frame_proxy,
     intra_frame_proxy,
     motion_search,
@@ -37,6 +38,21 @@ class TestExpGolomb:
         lengths = [signed_exp_golomb_bits(v) for v in range(0, 200)]
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
+    def test_array_form_matches_scalar_over_all_int64(self, rng):
+        edges = [0, 1, -1, 2, -2, 1023, 1024, -1024, 2**31, -(2**31), 2**32 - 1, 2**32,
+                 2**53 + 1, -(2**53) - 1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+        values = np.concatenate([
+            np.array(edges, dtype=np.int64),
+            rng.integers(-(2**63), 2**63 - 1, 2000, dtype=np.int64, endpoint=True),
+            rng.integers(-5000, 5000, 2000),
+        ])
+        want = [signed_exp_golomb_bits(int(v)) for v in values]
+        assert _se_bits_array(values).tolist() == want
+        for v in edges:  # each alone, so no other element picks the code path
+            assert _se_bits_array(np.array([v], dtype=np.int64)).tolist() == [
+                signed_exp_golomb_bits(v)]
+        assert _se_bits_array(values.reshape(2, -1)).shape == (2, values.size // 2)
+
     def test_mv_bits_sums_components(self):
         assert mv_bits(MotionVectorQ(0, 0)) == 2
         assert mv_bits(MotionVectorQ(1, -2)) == 3 + 5
@@ -67,6 +83,16 @@ class TestMotionSearch:
         assert cost == 0.0
         assert abs(mv.x4) == 8 and mv.y4 == 0
         assert mv.x4 == -8  # raster order visits dx=-2 before dx=+2
+
+    def test_refinement_tie_keeps_first_candidate_in_raster_order(self):
+        # alternating columns: both half-pel x phases give exactly 100 everywhere,
+        # so (-2, 0) and (+2, 0) tie on cost and |mv|_1; the earlier one stays
+        ref = np.tile(np.array([0, 200], dtype=np.uint8), (24, 12))
+        cur = np.full((24, 24), 100, dtype=np.uint8)
+        cfg = SearchConfig(search_range=2, lambda_mv=4.0, block_size=8)
+        mv, cost = motion_search(ref, cur, (8, 8), cfg)
+        assert mv == MotionVectorQ(-2, 0)
+        assert cost == cfg.lambda_mv * mv_bits(mv)
 
     def test_quarter_pel_refinement_improves_on_integer(self):
         tex = SinusoidTexture.random(3, min_freq=0.05, max_freq=0.18)
@@ -201,6 +227,80 @@ class TestEncodeFrameProxy:
         bits, recon, field = encode_frame_proxy([ref], cur, cfg, q=8)
         assert recon.shape == cur.shape
         assert len(field) == 3 * 4  # ceil(42/16) rows x ceil(50/16) cols
+
+
+def naive_encode_frame(refs, cur, cfg, q):
+    """The proxy as a plain per-block loop on interpolate_block: every integer
+    and fractional candidate interpolated on its own, ties kept by the
+    incumbent in raster order, then the winner interpolated again."""
+    h_img, w_img = cur.shape
+    bs, r = cfg.block_size, cfg.search_range
+    recon = np.empty_like(cur)
+    field, bits = [], 0
+    for by in range(0, h_img, bs):
+        for bx in range(0, w_img, bs):
+            w, h = min(bs, w_img - bx), min(bs, h_img - by)
+            blk = cur[by : by + h, bx : bx + w].astype(np.int64)
+            best = None
+            for ri, ref in enumerate(refs):
+                def cost_of(mv):
+                    pred = interpolate_block(ref, (bx, by), (w, h), mv).astype(np.int64)
+                    return int(np.abs(pred - blk).sum()) + cfg.lambda_mv * mv_bits(mv)
+
+                key = None
+                for dy in range(-r, r + 1):
+                    for dx in range(-r, r + 1):
+                        mv = MotionVectorQ(4 * dx, 4 * dy)
+                        cand = (cost_of(mv), abs(mv.x4) + abs(mv.y4), mv)
+                        if key is None or cand[:2] < key[:2]:
+                            key = cand
+                for step in (2, 1):
+                    cx, cy = key[2]
+                    for dy in (-step, 0, step):
+                        for dx in (-step, 0, step):
+                            if dx or dy:
+                                mv = MotionVectorQ(cx + dx, cy + dy)
+                                cand = (cost_of(mv), abs(mv.x4) + abs(mv.y4), mv)
+                                if cand[:2] < key[:2]:
+                                    key = cand
+                if best is None or key[0] < best[0]:
+                    best = (key[0], ri, key[2])
+            _, ri, mv = best
+            pred = interpolate_block(refs[ri], (bx, by), (w, h), mv).astype(np.int64)
+            qidx = np.rint((blk - pred) / q).astype(np.int64)
+            recon[by : by + h, bx : bx + w] = np.clip(pred + qidx * q, 0, 255)
+            bits += mv_bits(mv) + (len(refs) - 1).bit_length()
+            bits += sum(signed_exp_golomb_bits(int(v)) for v in qidx.ravel())
+            field.append(MVRecord(bx, by, ri, mv.x4, mv.y4, int(np.abs(pred - blk).sum())))
+    return float(bits), recon, field
+
+
+class TestEncodeFrameProxyGolden:
+    @pytest.mark.parametrize("q", [1, 8, 64])
+    @pytest.mark.parametrize("n_refs", [1, 2])
+    def test_matches_naive_per_block_loop(self, q, n_refs):
+        tex = SinusoidTexture.random(21, min_freq=0.05, max_freq=0.3)
+        cur = tex.render(37, 29, offset=(1.6, -0.9))  # partial blocks on both edges
+        refs = [tex.render(37, 29), tex.render(37, 29, offset=(1.2, -1.1))][:n_refs]
+        cfg = SearchConfig(search_range=3, lambda_mv=2.5, block_size=8)
+        got_bits, got_recon, got_field = encode_frame_proxy(refs, cur, cfg, q)
+        want_bits, want_recon, want_field = naive_encode_frame(refs, cur, cfg, q)
+        assert got_bits == want_bits
+        np.testing.assert_array_equal(got_recon, want_recon)
+        assert got_field == want_field
+        if n_refs == 2:
+            assert {rec.ref_idx for rec in got_field} == {0, 1}
+
+    def test_blocky_frame_with_ties_matches_naive(self, rng):
+        # flat areas and lambda 0 make many candidates tie on cost
+        ref = np.repeat(rng.integers(0, 256, (5, 6)), 4, axis=0).repeat(4, axis=1)
+        ref = ref.astype(np.uint8)[:18, :22]
+        cur = np.roll(ref, (1, -2), axis=(0, 1))
+        cfg = SearchConfig(search_range=2, lambda_mv=0.0, block_size=6)
+        got = encode_frame_proxy([ref], cur, cfg, 4)
+        want = naive_encode_frame([ref], cur, cfg, 4)
+        assert got[0] == want[0] and got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestRdSweep:

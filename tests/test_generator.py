@@ -208,6 +208,15 @@ class TestWeightFile:
         with pytest.raises(FormatError, match="truncated|trailing"):
             load_weights(tmp_path / "cut.drpg")
 
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "w.drpg"
+        save_weights(build_network(TINY), path)
+        data = bytearray(path.read_bytes())
+        data[14] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_weights(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.drpg").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(FormatError, match="magic"):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepref.errors import ConfigError, ShapeMismatchError
-from deepref.interp import LUMA_FILTERS, InterpFilterSet, MotionVectorQ, interpolate_block
+from deepref.interp import (
+    LUMA_FILTERS,
+    InterpFilterSet,
+    MotionVectorQ,
+    interpolate_block,
+    subpel_planes,
+)
 
 HALF = (-1, 4, -11, 40, 40, -11, 4, -1)
 QUARTER = (-1, 4, -10, 58, 17, -5, 1)
@@ -143,3 +151,45 @@ def test_mirror_symmetry_between_quarter_phases(rng):
     x0m = ref.shape[1] - (8 + 8)  # mirrored block origin
     back = interpolate_block(mirrored, (x0m, 2), (8, 8), MotionVectorQ(3 - 4, 0))
     np.testing.assert_array_equal(fwd, back[:, ::-1])
+
+
+class TestSubpelPlanes:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_slices_match_interpolate_block(self, data):
+        # any frame size, a block at a frame edge or anywhere, every phase, and
+        # integer mv parts over the whole margin, as the codec's search uses them
+        h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        margin = data.draw(st.integers(0, 9))
+        bh, bw = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        y0 = data.draw(st.sampled_from([0, h - bh]) | st.integers(0, h - bh))
+        x0 = data.draw(st.sampled_from([0, w - bw]) | st.integers(0, w - bw))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ref = np.random.default_rng(seed).integers(0, 256, (h, w)).astype(np.uint8)
+        planes = subpel_planes(ref, margin)
+        assert planes.shape == (4, 4, h + 2 * margin, w + 2 * margin)
+        assert planes.dtype == np.uint8
+        for _ in range(4):
+            ix, iy = (data.draw(st.integers(-margin, margin)) for _ in range(2))
+            fx, fy = (data.draw(st.integers(0, 3)) for _ in range(2))
+            mv = MotionVectorQ(4 * ix + fx, 4 * iy + fy)
+            top, left = margin + y0 + iy, margin + x0 + ix
+            got = planes[fy, fx, top : top + bh, left : left + bw]
+            np.testing.assert_array_equal(got, interpolate_block(ref, (x0, y0), (bw, bh), mv))
+
+    def test_every_phase_at_every_corner(self, rng):
+        ref = rng.integers(0, 256, (13, 11)).astype(np.uint8)
+        margin = 3
+        planes = subpel_planes(ref, margin)
+        for x0, y0 in [(0, 0), (7, 0), (0, 9), (7, 9)]:
+            for x4 in range(-4 * margin, 4 * margin + 4):
+                for y4 in (-4 * margin, -3, 0, 2, 4 * margin + 3):
+                    mv = MotionVectorQ(x4, y4)
+                    top, left = margin + y0 + (y4 >> 2), margin + x0 + (x4 >> 2)
+                    got = planes[y4 & 3, x4 & 3, top : top + 4, left : left + 4]
+                    np.testing.assert_array_equal(
+                        got, interpolate_block(ref, (x0, y0), (4, 4), mv))
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ConfigError, match="margin"):
+            subpel_planes(np.zeros((8, 8), dtype=np.uint8), -1)

@@ -78,6 +78,13 @@ class TestY4m:
         with pytest.raises(FormatError, match="magic"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("header", [b"W16 Habc", b"Wabc H16"])
+    def test_non_integer_dims_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.y4m"
+        path.write_bytes(b"YUV4MPEG2 " + header + b" C420\nFRAME\n" + b"\x00" * 384)
+        with pytest.raises(FormatError, match="abc"):
+            read_sequence(path)
+
     def test_non_420_rejected(self, tmp_path):
         path = tmp_path / "bad.y4m"
         path.write_bytes(b"YUV4MPEG2 W16 H16 C444\n")
