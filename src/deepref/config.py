@@ -67,6 +67,8 @@ def load_run_config(path) -> RunConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     unknown = set(doc) - _SCALARS - set(_SECTIONS)

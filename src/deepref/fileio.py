@@ -89,6 +89,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if not rows:

@@ -4,8 +4,15 @@ Provides exactly the layers the reference-picture generator needs: standard
 and dilated 2-D convolution with explicit analytic backward passes, ReLU,
 channel concatenation, and the Adadelta update rule. Arrays are laid out
 (batch, channel, height, width). All functions are pure (state is passed
-explicitly) and single-threaded with a fixed summation order, so repeated
-calls are bit-identical.
+explicitly).
+
+Convolution is im2col + GEMM (Chellapilla et al., 2006): the k*k dilated
+taps of the zero-padded input are copied into one (c*k*k, b*oh*ow) matrix,
+so the forward pass, the weight gradient and the input gradient are each
+one ``np.matmul`` over the whole batch; col2im scatters the input gradient
+back with k*k slice-adds. The summation order is fixed by the BLAS kernels
+and the operand layouts, so repeated calls are bit-identical on one machine
+with OpenBLAS at one thread.
 """
 
 from __future__ import annotations
@@ -77,11 +84,49 @@ def _check_4d(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _windows(x_pad: np.ndarray, kernel: int, dilation: int) -> np.ndarray:
-    """Strided view (b, c, oh, ow, k, k) of all dilated kernel footprints."""
-    span = dilation * (kernel - 1) + 1
-    win = np.lib.stride_tricks.sliding_window_view(x_pad, (span, span), axis=(2, 3))
-    return win[..., ::dilation, ::dilation]
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad both spatial axes by p per side."""
+    if not p:
+        return x
+    b, c, h, w = x.shape
+    x_pad = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    x_pad[:, :, p : p + h, p : p + w] = x
+    return x_pad
+
+
+def _cols(x_pad: np.ndarray, k: int, d: int, oh: int, ow: int) -> np.ndarray:
+    """im2col: the (c*k*k, b*oh*ow) matrix of every dilated kernel tap.
+
+    Row ch*k*k + i*k + j holds tap (i, j) of channel ch, matching
+    ``weights.reshape(out_ch, -1)``; column n*oh*ow + y*ow + x is output
+    pixel (y, x) of batch item n. For a 1x1 kernel it is a reshape, free
+    when x_pad is stored channel-major, as conv outputs are.
+    """
+    b, c = x_pad.shape[:2]
+    xt = x_pad.transpose(1, 0, 2, 3)
+    if k == 1:
+        return xt.reshape(c, b * oh * ow)
+    cols = np.empty((c, k, k, b, oh, ow), dtype=x_pad.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xt[:, :, i * d : i * d + oh, j * d : j * d + ow]
+    return cols.reshape(c * k * k, b * oh * ow)
+
+
+def _rows(x_pad: np.ndarray, k: int, d: int, oh: int, ow: int) -> np.ndarray:
+    """The (b*oh*ow, c*k*k) transpose of :func:`_cols`, for the weight gradient.
+
+    Its memory layout is part of the result: a transposed GEMM operand
+    selects another OpenBLAS kernel, which rounds differently. A 1x1 kernel
+    takes numpy's reshape (a strided view of a channel-major x_pad, else a
+    C-ordered copy); larger kernels take a C-ordered copy. Keep these
+    layouts: with them, training reproduces the losses recorded in
+    perfbench/reference bit for bit.
+    """
+    if k == 1:
+        b, c = x_pad.shape[:2]
+        return x_pad.transpose(0, 2, 3, 1).reshape(b * oh * ow, c)
+    return np.ascontiguousarray(_cols(x_pad, k, d, oh, ow).T)
 
 
 def conv_output_hw(h: int, w: int, params: ConvParams) -> tuple[int, int]:
@@ -99,7 +144,8 @@ def conv_output_hw(h: int, w: int, params: ConvParams) -> tuple[int, int]:
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """out[b,o,y,x] = bias[o] + sum_{c,i,j} w[o,c,i,j] * in[b,c,y+d(i-(k-1)/2),x+d(j-(k-1)/2)]
 
-    with zero padding outside bounds. "Same" padding preserves H and W.
+    with zero padding outside bounds. "Same" padding preserves H and W. The
+    result is a channel-major view: out.transpose(1, 0, 2, 3) is contiguous.
     """
     x = _check_4d(x, "conv input")
     if x.shape[1] != params.in_ch:
@@ -109,13 +155,12 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("conv input contains NaN or Inf")
-    p = params.padding
+    b = x.shape[0]
     oh, ow = conv_output_hw(x.shape[2], x.shape[3], params)
-    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    win = _windows(x_pad, params.kernel_size, params.dilation)
-    out = np.einsum("bchwij,ocij->bohw", win, params.weights, optimize=True)
+    cols = _cols(_pad(x, params.padding), params.kernel_size, params.dilation, oh, ow)
+    out = np.matmul(params.weights.reshape(params.out_ch, -1), cols)
+    out = out.reshape(params.out_ch, b, oh, ow).transpose(1, 0, 2, 3)
     out += params.bias[None, :, None, None]
-    assert out.shape[2:] == (oh, ow)
     return out
 
 
@@ -136,16 +181,24 @@ def conv2d_backward(
     b, c, h, w = x.shape
     k, d, p = params.kernel_size, params.dilation, params.padding
 
-    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    win = _windows(x_pad, k, d)
+    g = grad_out.transpose(1, 0, 2, 3).reshape(params.out_ch, b * oh * ow)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    grad_weights = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
+    # the im2col matrix is rebuilt rather than kept from the forward pass:
+    # keeping it for every layer would hold k*k copies of each activation
+    grad_weights = np.matmul(g, _rows(_pad(x, p), k, d, oh, ow))
+    grad_weights = grad_weights.reshape(params.weights.shape)
 
-    grad_pad = np.zeros_like(x_pad)
-    for i in range(k):
-        for j in range(k):
-            tap = np.einsum("bohw,oc->bchw", grad_out, params.weights[:, :, i, j], optimize=True)
-            grad_pad[:, :, i * d : i * d + oh, j * d : j * d + ow] += tap
+    grad_cols = np.matmul(params.weights.reshape(params.out_ch, -1).T, g)
+    if k == 1:
+        grad_pad = grad_cols.reshape(c, b, oh, ow).transpose(1, 0, 2, 3)
+    else:
+        # col2im: each tap's gradient lands on the input pixels it read
+        grad_cols = grad_cols.reshape(c, k, k, b, oh, ow)
+        grad_pad = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
+        grad_t = grad_pad.transpose(1, 0, 2, 3)
+        for i in range(k):
+            for j in range(k):
+                grad_t[:, :, i * d : i * d + oh, j * d : j * d + ow] += grad_cols[:, i, j]
     grad_input = grad_pad[:, :, p : p + h, p : p + w] if p else grad_pad
     return np.ascontiguousarray(grad_input), grad_weights, grad_bias
 

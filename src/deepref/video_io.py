@@ -68,11 +68,14 @@ def _read_raw_yuv(path, width, height) -> FrameSequence:
     return FrameSequence(width, height, frames)
 
 
-def _header_int(value: str, tag: str, path) -> int:
+def _header_dim(value: str, tag: str, path) -> int:
     try:
-        return int(value)
+        dim = int(value)
     except ValueError as exc:
         raise FormatError(f"{path}: Y4M {tag} field {value!r} is not an integer") from exc
+    if dim < 1:
+        raise FormatError(f"{path}: Y4M {tag} field {value!r} must be >= 1")
+    return dim
 
 
 def _read_y4m(path) -> FrameSequence:
@@ -91,9 +94,9 @@ def _read_y4m(path) -> FrameSequence:
             continue
         tag, value = chr(token[0]), token[1:].decode("ascii", "replace")
         if tag == "W":
-            width = _header_int(value, tag, path)
+            width = _header_dim(value, tag, path)
         elif tag == "H":
-            height = _header_int(value, tag, path)
+            height = _header_dim(value, tag, path)
         elif tag == "C":
             colorspace = value
         # F (rate), I (interlacing), A (aspect), X (extensions) are ignored

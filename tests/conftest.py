@@ -1,4 +1,5 @@
-"""Shared oracles: finite-difference gradients and a brute-force convolution."""
+"""Shared oracles: finite-difference gradients and a brute-force convolution
+with its brute-force gradients."""
 
 import numpy as np
 import pytest
@@ -66,6 +67,31 @@ def naive_conv2d(x, weights, bias, dilation, padding):
                                     acc += weights[oi, ci, i, j] * x[bi, ci, yy, xj]
                     out[bi, oi, y, xx] = acc
     return out
+
+
+def naive_conv2d_backward(x, weights, dilation, padding, grad_out):
+    """Loop-based gradients of :func:`naive_conv2d`: (grad_x, grad_w, grad_b)."""
+    b, c, h, w = x.shape
+    o, _, k, _ = weights.shape
+    _, _, oh, ow = grad_out.shape
+    grad_x = np.zeros(x.shape, dtype=np.float64)
+    grad_w = np.zeros(weights.shape, dtype=np.float64)
+    grad_b = np.zeros(o, dtype=np.float64)
+    for bi in range(b):
+        for oi in range(o):
+            for y in range(oh):
+                for xx in range(ow):
+                    g = float(grad_out[bi, oi, y, xx])
+                    grad_b[oi] += g
+                    for ci in range(c):
+                        for i in range(k):
+                            for j in range(k):
+                                yy = y + dilation * i - padding
+                                xj = xx + dilation * j - padding
+                                if 0 <= yy < h and 0 <= xj < w:
+                                    grad_x[bi, ci, yy, xj] += weights[oi, ci, i, j] * g
+                                    grad_w[oi, ci, i, j] += x[bi, ci, yy, xj] * g
+    return grad_x, grad_w, grad_b
 
 
 @pytest.fixture

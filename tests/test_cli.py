@@ -167,6 +167,13 @@ class TestBdrateCommand:
         assert code == 1
         assert err.startswith("error:") and "lots" in err
 
+    def test_non_utf8_csv_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"q,bits_per_frame,psnr_db\n8,8000,\xff\xfe\n")
+        code, _, err = run(["bdrate", str(path), str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
+
 
 class TestEncodeCommand:
     def test_prints_bits_and_psnr_and_dumps_mv(self, clip, tmp_path, capsys):

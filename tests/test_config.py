@@ -69,6 +69,13 @@ def test_invalid_json_rejected(tmp_path):
         load_run_config(path)
 
 
+def test_non_utf8_json_rejected(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_run_config(path)
+
+
 def test_bad_q_set_rejected():
     with pytest.raises(ConfigError):
         RunConfig(q_set=[])

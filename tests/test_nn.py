@@ -17,7 +17,7 @@ from deepref.nn import (
     split_channels,
 )
 
-from conftest import central_diff_grad, max_rel_err, naive_conv2d
+from conftest import central_diff_grad, max_rel_err, naive_conv2d, naive_conv2d_backward
 
 
 def make_params(rng, cout, cin, k, dilation=1, dtype=np.float64):
@@ -127,6 +127,61 @@ class TestConvBackward:
         assert max_rel_err(gx, central_diff_grad(loss, x)) < 1e-6
         assert max_rel_err(gw, central_diff_grad(loss, p.weights)) < 1e-6
         assert max_rel_err(gb, central_diff_grad(loss, p.bias)) < 1e-6
+
+
+@st.composite
+def conv_cases(draw):
+    """Kernel, dilation, padding (none, "same" or wider) and odd non-square
+    input sizes that leave at least one output pixel."""
+    k = draw(st.sampled_from([1, 3]))
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    same = same_padding(k, d)
+    pad = draw(st.sampled_from([0, same, same + draw(st.integers(1, 3))]))
+    lo = max(1, d * (k - 1) - 2 * pad + 1) | 1
+    h = lo + 2 * draw(st.integers(0, 4))
+    w = lo + 2 * draw(st.integers(0, 4).filter(lambda n: lo + 2 * n != h))
+    return dict(k=k, d=d, pad=pad, h=h, w=w, batch=draw(st.integers(1, 3)),
+                cin=draw(st.integers(1, 4)), cout=draw(st.integers(1, 4)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConvAgainstOracles:
+    @given(conv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_backward_match_naive_loops(self, case):
+        rng = np.random.default_rng(case["seed"])
+        x = rng.standard_normal((case["batch"], case["cin"], case["h"], case["w"]))
+        p = ConvParams(rng.standard_normal((case["cout"], case["cin"], case["k"], case["k"])),
+                       rng.standard_normal(case["cout"]), dilation=case["d"], padding=case["pad"])
+        out = conv2d_forward(x, p)
+        # atol only guards terms that cancel to ~0; float64 rounding is ~1e-15
+        tol = dict(rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out, naive_conv2d(x, p.weights, p.bias, p.dilation, p.padding),
+                                   **tol)
+        g = rng.standard_normal(out.shape)
+        want = naive_conv2d_backward(x, p.weights, p.dilation, p.padding, g)
+        for got, ref in zip(conv2d_backward(x, p, g), want):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, **tol)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_1x1_fast_path_matches_general_path(self, rng, d):
+        # the same 1x1 conv as the centre tap of a zero 3x3 kernel with "same"
+        # padding: one skips im2col and col2im, the other runs both
+        wide = rng.standard_normal((2, 5, 9, 7))
+        x = wide[:, 1:4]  # a channel-slice view, as split_channels hands out
+        p1 = make_params(rng, 4, 3, 1)
+        w3 = np.zeros((4, 3, 3, 3))
+        w3[:, :, 1, 1] = p1.weights[:, :, 0, 0]
+        p3 = ConvParams(w3, p1.bias, dilation=d)
+        np.testing.assert_allclose(conv2d_forward(x, p1), conv2d_forward(x, p3),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal((2, 4, 9, 7))
+        gx1, gw1, gb1 = conv2d_backward(x, p1, g)
+        gx3, gw3, gb3 = conv2d_backward(x, p3, g)
+        np.testing.assert_allclose(gx1, gx3, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw1[:, :, 0, 0], gw3[:, :, 1, 1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(gb1, gb3)
 
 
 class TestRelu:

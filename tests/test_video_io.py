@@ -85,6 +85,14 @@ class TestY4m:
         with pytest.raises(FormatError, match="abc"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("header,match", [(b"W-16 H16", "W field '-16'"),
+                                              (b"W16 H0", "H field '0'")])
+    def test_non_positive_dims_rejected(self, tmp_path, header, match):
+        path = tmp_path / "bad.y4m"
+        path.write_bytes(b"YUV4MPEG2 " + header + b" C420\nFRAME\n" + b"\x00" * 384)
+        with pytest.raises(FormatError, match=match):
+            read_sequence(path)
+
     def test_non_420_rejected(self, tmp_path):
         path = tmp_path / "bad.y4m"
         path.write_bytes(b"YUV4MPEG2 W16 H16 C444\n")
