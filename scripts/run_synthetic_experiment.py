@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from deepref.codec import SearchConfig, encode_frame_proxy, intra_frame_proxy, rd_sweep
+from deepref.codec import SearchConfig, encode_sequence, rd_sweep
 from deepref.flow import ExtractionConfig, extract_pairs
 from deepref.generator import ModelConfig, build_network, generate_reference, save_weights
 from deepref.metrics import bd_rate, psnr
@@ -66,11 +66,7 @@ def main():
     bd = bd_rate(baseline, with_net)
     print(f"BD-rate (net vs baseline): {bd:+.2f}%")
 
-    _, recon = intra_frame_proxy(frames[0], 8)
-    recons = [recon]
-    for t in range(1, len(frames)):
-        _, recon, _ = encode_frame_proxy([recons[-1]], frames[t], search, 8)
-        recons.append(recon)
+    recons = encode_sequence(frames, None, search, 8).recons
     wins = 0
     holdout = range(args.train_frames, len(frames))
     for t in holdout:

@@ -9,6 +9,7 @@ with PSNR, SSIM, and BD-rate.
 from .codec import (
     SearchConfig,
     encode_frame_proxy,
+    encode_sequence,
     motion_search,
     rd_sweep,
     substitute_reference,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -25,18 +24,9 @@ QUALITY_HEADER = ["frame_index", "psnr_db", "ssim"]
 MV_HEADER = ["block_x", "block_y", "ref_idx", "mv_x_q4", "mv_y_q4", "sad"]
 
 
-def _threads_default() -> int:
-    return int(os.environ.get("DEEPREF_THREADS", "1"))
-
-
 def _add_common(parser):
     parser.add_argument("--config", help="JSON run configuration; flags override it")
     parser.add_argument("--seed", type=int, help="seed for init and shuffling")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="thread budget (env DEEPREF_THREADS); 1 is the deterministic "
-        "sequential reference path, which this implementation always uses",
-    )
 
 
 def _add_input(parser):
@@ -93,13 +83,9 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _resolve(args) -> RunConfig:
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    threads = args.threads if getattr(args, "threads", None) is not None else _threads_default()
-    if threads < 1:
-        raise DeepRefError(f"--threads must be >= 1, got {threads}")
     a = vars(args)
 
     if a.get("seed") is not None:
-        cfg.seed = a["seed"]
         cfg.model = dataclasses.replace(cfg.model, seed=a["seed"])
         cfg.train = dataclasses.replace(cfg.train, shuffle_seed=a["seed"])
     cfg.model = _override(
@@ -217,34 +203,18 @@ def cmd_dump_features(args) -> int:
     return 0
 
 
-def _encode_chain(frames, net, search, q, mv_csv_dir=None):
-    bits0, recon = codec.intra_frame_proxy(frames[0], q)
-    frame_bits = [bits0]
-    frame_psnr = [metrics.psnr(recon, frames[0])]
-    prev = recon
-    for t in range(1, len(frames)):
-        refs = [prev]
-        if net is not None:
-            refs = codec.substitute_reference(refs, generator.generate_reference(net, prev))
-        bits, recon, field = codec.encode_frame_proxy(refs, frames[t], search, q)
-        if mv_csv_dir is not None:
-            write_csv(field, Path(mv_csv_dir) / f"mv_f{t:04d}.csv", header=MV_HEADER)
-        frame_bits.append(bits)
-        frame_psnr.append(metrics.psnr(recon, frames[t]))
-        prev = recon
-    return float(np.mean(frame_bits)), float(np.mean(frame_psnr))
-
-
 def cmd_encode(args) -> int:
     cfg = _resolve(args)
     frames = _read_frames(cfg)
-    if len(frames) < 2:
-        raise DeepRefError("encoding needs at least 2 frames")
     net = generator.load_weights(args.weights) if args.weights else None
+    run = codec.encode_sequence(frames, net, cfg.search, args.q)
     if args.mv_csv_dir:
-        Path(args.mv_csv_dir).mkdir(parents=True, exist_ok=True)
-    bits, quality = _encode_chain(frames, net, cfg.search, args.q, args.mv_csv_dir)
+        mv_dir = Path(args.mv_csv_dir)
+        mv_dir.mkdir(parents=True, exist_ok=True)
+        for t in range(1, len(frames)):
+            write_csv(run.mv_fields[t], mv_dir / f"mv_f{t:04d}.csv", header=MV_HEADER)
     scheme = "net" if net is not None else "baseline"
+    bits, quality = float(np.mean(run.bits)), float(np.mean(run.psnr))
     print(f"{scheme} Q={args.q}: {bits:.1f} bits/frame, {quality:.3f} dB "
           f"({len(frames)} frames)")
     return 0

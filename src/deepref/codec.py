@@ -1,5 +1,5 @@
-"""Quarter-pel block motion search, a simplified P-frame codec proxy, and
-reference-list substitution.
+"""Quarter-pel block motion search, a simplified P-frame codec proxy,
+reference-list substitution, and the closed encoding loop.
 
 The proxy codes each block by full integer-pel search (SAD + lambda * mv
 bits) followed by half- then quarter-pel refinement, scalar-quantizes the
@@ -12,6 +12,10 @@ planes (`interp.subpel_planes`), padded by search_range + 1 samples. The
 integer search of a whole row of blocks, every fractional candidate and the
 final prediction are then slices of those planes, with the same samples
 `interp.interpolate_block` gives for one block.
+
+`encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
+against the previous reconstruction or the generated picture made from it.
+`rd_sweep` and the `encode` command both run it.
 """
 
 from __future__ import annotations
@@ -263,29 +267,43 @@ def intra_frame_proxy(frame: np.ndarray, q: int) -> tuple[float, np.ndarray]:
     return bits, recon
 
 
-def rd_sweep(sequence, net: GeneratorNet | None, cfg: SearchConfig, q_set) -> list[RDPoint]:
-    """One RD point per quantizer step: (mean bits/frame, mean luma PSNR).
+class EncodedSequence(NamedTuple):
+    """Per-frame results of one closed-loop run; frame 0 has an empty mv field."""
 
-    Frame 0 is intra-coded; every later frame is inter-coded against the
-    previous reconstruction, or against the generator output fed with that
-    reconstruction when a network is supplied.
+    bits: list[float]
+    psnr: list[float]
+    recons: list[np.ndarray]
+    mv_fields: list[list[MVRecord]]
+
+
+def encode_sequence(frames, net: GeneratorNet | None, cfg: SearchConfig, q: int) -> EncodedSequence:
+    """Low-delay P loop at quantizer step q: frame 0 is intra-coded, and every
+    later frame is inter-coded against the previous reconstruction, or against
+    the generator output fed with that reconstruction when a network is given.
     """
-    frames = [np.asarray(f) for f in sequence]
+    frames = [np.asarray(f) for f in frames]
     if len(frames) < 2:
-        raise ShapeMismatchError(f"rd_sweep needs at least 2 frames, got {len(frames)}")
+        raise ShapeMismatchError(f"encoding needs at least 2 frames, got {len(frames)}")
+    bits0, prev = intra_frame_proxy(frames[0], q)
+    run = EncodedSequence([bits0], [psnr(prev, frames[0])], [prev], [[]])
+    for cur in frames[1:]:
+        refs = [prev]
+        if net is not None:
+            refs = substitute_reference(refs, generate_reference(net, prev))
+        bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
+        run.bits.append(bits)
+        run.psnr.append(psnr(prev, cur))
+        run.recons.append(prev)
+        run.mv_fields.append(field)
+    return run
+
+
+def rd_sweep(sequence, net: GeneratorNet | None, cfg: SearchConfig, q_set) -> list[RDPoint]:
+    """One RD point per quantizer step of `encode_sequence`: (mean bits/frame,
+    mean luma PSNR)."""
+    frames = list(sequence)
     points = []
     for q in q_set:
-        bits0, recon = intra_frame_proxy(frames[0], q)
-        frame_bits = [bits0]
-        frame_psnr = [psnr(recon, frames[0])]
-        prev = recon
-        for cur in frames[1:]:
-            ref_list = [prev]
-            if net is not None:
-                ref_list = substitute_reference(ref_list, generate_reference(net, prev))
-            bits, recon, _ = encode_frame_proxy(ref_list, cur, cfg, q)
-            frame_bits.append(bits)
-            frame_psnr.append(psnr(recon, cur))
-            prev = recon
-        points.append(RDPoint(float(np.mean(frame_bits)), float(np.mean(frame_psnr))))
+        run = encode_sequence(frames, net, cfg, q)
+        points.append(RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr))))
     return points

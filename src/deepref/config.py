@@ -25,8 +25,6 @@ class RunConfig:
     input_format: str | None = None  # "yuv" | "y4m" | None = by extension
     width: int | None = None
     height: int | None = None
-    output_dir: str = "out"
-    seed: int = 0
     q_set: list[int] = field(default_factory=lambda: list(DEFAULT_Q_SET))
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -34,14 +32,16 @@ class RunConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        if not self.q_set or any(int(q) < 1 for q in self.q_set):
+        try:
+            q_set = [] if isinstance(self.q_set, str) else [int(q) for q in self.q_set]
+        except (TypeError, ValueError, OverflowError):
+            q_set = []
+        if not q_set or min(q_set) < 1:
             raise ConfigError(f"q_set must be non-empty positive integers, got {self.q_set}")
-        self.q_set = [int(q) for q in self.q_set]
+        self.q_set = q_set
 
 
 def _build_section(cls, doc: dict, label: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{label}: expected an object, got {type(doc).__name__}")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - known
     if unknown:
@@ -58,7 +58,7 @@ _SECTIONS = {
     "train": TrainConfig,
     "search": SearchConfig,
 }
-_SCALARS = {"input_path", "input_format", "width", "height", "output_dir", "seed", "q_set"}
+_SCALARS = {"input_path", "input_format", "width", "height", "q_set"}
 
 
 def load_run_config(path) -> RunConfig:
@@ -71,13 +71,17 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - _SCALARS - set(_SECTIONS)
+    # "seed" is no field of its own: it fills model.seed and train.shuffle_seed
+    unknown = set(doc) - _SCALARS - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
 
     kwargs = {k: doc[k] for k in _SCALARS if k in doc}
     for name, cls in _SECTIONS.items():
-        section = dict(doc.get(name, {}))
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
+        section = dict(section)
         if name == "train" and "model" in section:
             raise ConfigError("train.model is derived from the model section; do not set it")
         # the top-level seed feeds every stage that was not given its own seed

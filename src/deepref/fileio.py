@@ -67,6 +67,8 @@ def read_plane_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"{path}: bad PGM header tokens {tokens}") from exc
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: PGM dims {w}x{h} must be >= 1")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
     if len(data) - pos < w * h:

@@ -15,6 +15,7 @@ of any size >= the kernel size to a plane of identical size.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -181,24 +182,35 @@ def copy_network(net: GeneratorNet) -> GeneratorNet:
     return copied
 
 
-def branch_forward(branch: BranchSpec, x: np.ndarray) -> np.ndarray:
-    for layer in branch.layers:
-        x = relu(conv2d_forward(x, layer))
+def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """conv + ReLU per layer; appends (input, pre-activation) to `cache` if given."""
+    for layer in layers:
+        z = conv2d_forward(x, layer)
+        if cache is not None:
+            cache.append((x, z))
+        x = relu(z)
     return x
+
+
+def _conv_relu_stack_backward(layers, cache, g, grads, names):
+    """Backward through `_conv_relu_stack`; stores each layer's (grad_w, grad_b)
+    under its name and returns the gradient w.r.t. the stack input."""
+    for li in reversed(range(len(layers))):
+        h_in, z = cache[li]
+        g, gw, gb = conv2d_backward(h_in, layers[li], relu_backward(z, g))
+        grads[names[li]] = (gw, gb)
+    return g
+
+
+def branch_forward(branch: BranchSpec, x: np.ndarray) -> np.ndarray:
+    return _conv_relu_stack(branch.layers, x)
 
 
 def block_forward(block: DilatedInceptionBlock, x: np.ndarray, want_cache: bool = False):
     """out = ReLU(k * fuse(concat(branches(x))) + skip(x)); spatial dims preserved."""
-    branch_outs, branch_caches = [], []
-    for branch in block.branches:
-        h, cache = x, []
-        for layer in branch.layers:
-            z = conv2d_forward(h, layer)
-            cache.append((h, z))
-            h = relu(z)
-        branch_outs.append(h)
-        branch_caches.append(cache)
-    phi = concat_channels(branch_outs)
+    branch_caches = [[] if want_cache else None for _ in block.branches]
+    phi = concat_channels([_conv_relu_stack(branch.layers, x, cache)
+                           for branch, cache in zip(block.branches, branch_caches)])
     pre = block.k * conv2d_forward(phi, block.fuse) + conv2d_forward(x, block.skip)
     out = relu(pre)
     if want_cache:
@@ -215,29 +227,32 @@ def _block_backward(block, cache, grad_out, grads, prefix):
     grads[f"{prefix}.skip"] = (gw, gb)
     parts = split_channels(g_phi, [b.layers[-1].out_ch for b in block.branches])
     for ri, (branch, cache_b, g) in enumerate(zip(block.branches, branch_caches, parts), start=1):
-        for li in reversed(range(len(branch.layers))):
-            h_in, z = cache_b[li]
-            g_z = relu_backward(z, g)
-            g, gw, gb = conv2d_backward(h_in, branch.layers[li], g_z)
-            grads[f"{prefix}.branch{ri}.conv{li + 1}"] = (gw, gb)
-        g_x = g_x + g
+        names = [f"{prefix}.branch{ri}.conv{li}" for li in range(1, len(branch.layers) + 1)]
+        g_x = g_x + _conv_relu_stack_backward(branch.layers, cache_b, g, grads, names)
     return g_x
+
+
+def _trunk(net: GeneratorNet, x: np.ndarray, head_cache=None, block_caches=None):
+    """Head and blocks, lazily: yields (stage name, activation) after each head
+    conv and each block, so a caller can stop at any `FEATURE_SELECTORS` stage.
+    Backward caches go to the given lists."""
+    for i, layer in enumerate(net.head, start=1):
+        x = _conv_relu_stack([layer], x, head_cache)
+        yield f"head{i}", x
+    for i, blk in enumerate(net.blocks, start=1):
+        if block_caches is None:
+            x = block_forward(blk, x)
+        else:
+            x, cache = block_forward(blk, x, want_cache=True)
+            block_caches.append(cache)
+        yield f"block{i}", x
 
 
 def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain."""
-    head_cache, h = [], x
-    for layer in net.head:
-        z = conv2d_forward(h, layer)
-        head_cache.append((h, z))
-        h = relu(z)
-    block_caches = []
-    for blk in net.blocks:
-        if want_cache:
-            h, cache = block_forward(blk, h, want_cache=True)
-            block_caches.append(cache)
-        else:
-            h = block_forward(blk, h)
+    head_cache, block_caches = ([], []) if want_cache else (None, None)
+    for _, h in _trunk(net, x, head_cache, block_caches):
+        pass
     out = conv2d_forward(h, net.tail)
     if want_cache:
         return out, (head_cache, block_caches, h)
@@ -252,11 +267,8 @@ def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray):
     grads["tail"] = (gw, gb)
     for bi in reversed(range(len(net.blocks))):
         g = _block_backward(net.blocks[bi], block_caches[bi], g, grads, f"block{bi + 1}")
-    for hi in reversed(range(len(net.head))):
-        h_in, z = head_cache[hi]
-        g_z = relu_backward(z, g)
-        g, gw, gb = conv2d_backward(h_in, net.head[hi], g_z)
-        grads[f"head{hi + 1}"] = (gw, gb)
+    names = [f"head{i}" for i in range(1, len(net.head) + 1)]
+    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, names)
     return grads, g
 
 
@@ -288,18 +300,6 @@ def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
 FEATURE_SELECTORS = ("head1", "head2", "block1", "block2", "block3")
 
 
-def forward_activations(net: GeneratorNet, x: np.ndarray) -> dict[str, np.ndarray]:
-    acts, h = {}, x
-    for i, layer in enumerate(net.head, start=1):
-        h = relu(conv2d_forward(h, layer))
-        acts[f"head{i}"] = h
-    for i, blk in enumerate(net.blocks, start=1):
-        h = block_forward(blk, h)
-        acts[f"block{i}"] = h
-    acts["output"] = conv2d_forward(h, net.tail)
-    return acts
-
-
 def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str) -> list[np.ndarray]:
     """Min-max normalize every channel of the selected activation to 8-bit planes.
 
@@ -310,7 +310,7 @@ def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str)
             f"unknown feature selector {layer_selector!r}; choose from {FEATURE_SELECTORS}"
         )
     x = normalize_plane(np.asarray(frame), np.dtype(net.config.dtype))
-    act = forward_activations(net, x)[layer_selector][0]
+    act = next(h for name, h in _trunk(net, x) if name == layer_selector)[0]
     planes = []
     for chan in act:
         lo, hi = float(chan.min()), float(chan.max())
@@ -362,9 +362,11 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
             offset += name_len
             (ndim,) = struct.unpack_from("<B", data, offset)
             offset += 1
+            if ndim > 4:
+                raise FormatError(f"tensor {name!r} has {ndim} dims; at most 4 are stored")
             dims = struct.unpack_from(f"<{ndim}I", data, offset)
             offset += 4 * ndim
-            size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+            size = math.prod(dims)  # exact; an int64 product can wrap to 0
             end = offset + 4 * size
             if end > len(data):
                 raise FormatError(f"truncated weight file in tensor {name!r}")

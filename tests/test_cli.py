@@ -60,12 +60,6 @@ class TestArgHandling:
         assert code == 1
         assert err.startswith("error:") and "--sizes" in err
 
-    def test_bad_threads_rejected(self, capsys, clip, tmp_path):
-        code, _, err = run(
-            ["extract", "--input", str(clip), "--threads", "0",
-             "--output", str(tmp_path / "d.drpd")], capsys)
-        assert code == 1
-
 
 class TestSmokeChain:
     def test_full_pipeline(self, clip, tmp_path, capsys):

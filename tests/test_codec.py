@@ -6,6 +6,7 @@ from deepref.codec import (
     SearchConfig,
     _se_bits_array,
     encode_frame_proxy,
+    encode_sequence,
     intra_frame_proxy,
     motion_search,
     mv_bits,
@@ -14,8 +15,9 @@ from deepref.codec import (
     substitute_reference,
 )
 from deepref.errors import ConfigError, ShapeMismatchError
-from deepref.generator import ModelConfig, build_network, named_params
+from deepref.generator import ModelConfig, build_network, generate_reference, named_params
 from deepref.interp import MotionVectorQ, interpolate_block
+from deepref.metrics import psnr
 from deepref.synthetic import SinusoidTexture
 
 
@@ -301,6 +303,40 @@ class TestEncodeFrameProxyGolden:
         want = naive_encode_frame([ref], cur, cfg, 4)
         assert got[0] == want[0] and got[2] == want[2]
         np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestEncodeSequence:
+    @pytest.mark.parametrize("with_net", [False, True])
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_matches_explicit_closed_loop(self, with_net, q):
+        net = build_network(ModelConfig(head_channels=4, branch_reduce_channels=3,
+                                        branch_out_channels=3, trunk_channels=4,
+                                        seed=3)) if with_net else None
+        tex = SinusoidTexture.random(21)
+        frames = [tex.render(40, 36, offset=(0.6 * t, 0.3 * t)) for t in range(4)]
+        cfg = SearchConfig(search_range=4, block_size=16)
+
+        bits0, prev = intra_frame_proxy(frames[0], q)
+        want = ([bits0], [psnr(prev, frames[0])], [prev], [[]])
+        for cur in frames[1:]:
+            refs = [prev]
+            if net is not None:
+                refs = substitute_reference(refs, generate_reference(net, prev))
+            bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
+            for column, value in zip(want, (bits, psnr(prev, cur), prev, field)):
+                column.append(value)
+
+        got = encode_sequence(frames, net, cfg, q)
+        assert got.bits == want[0]
+        assert got.psnr == want[1]
+        assert len(got.recons) == len(frames)
+        for got_recon, want_recon in zip(got.recons, want[2]):
+            np.testing.assert_array_equal(got_recon, want_recon)
+        assert got.mv_fields == want[3]
+
+    def test_too_few_frames_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="at least 2 frames"):
+            encode_sequence([textured(0)], None, SearchConfig(), 8)
 
 
 class TestRdSweep:

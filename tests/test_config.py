@@ -24,7 +24,6 @@ def test_defaults():
 def test_load_full_document(tmp_path):
     path = write(tmp_path, {
         "input_path": "seq.y4m",
-        "output_dir": "results",
         "seed": 7,
         "q_set": [4, 8, 16, 32],
         "extraction": {"block_size": 16, "stride": 8},
@@ -81,6 +80,15 @@ def test_bad_q_set_rejected():
         RunConfig(q_set=[])
     with pytest.raises(ConfigError):
         RunConfig(q_set=[8, 0])
+
+
+@pytest.mark.parametrize("doc", [
+    {"q_set": "x"}, {"q_set": "88"}, {"q_set": 5}, {"q_set": [None]}, {"q_set": [1e999]},
+    {"extraction": [1]}, {"model": "ab"},
+])
+def test_malformed_values_rejected(tmp_path, doc):
+    with pytest.raises(ConfigError):
+        load_run_config(write(tmp_path, doc))
 
 
 def test_train_model_key_rejected(tmp_path):

@@ -1,0 +1,127 @@
+"""Byte-mutation fuzzing of every file reader: whatever the bytes, a reader
+returns or raises a DeepRefError, never another exception."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from deepref.config import load_run_config
+from deepref.errors import DeepRefError
+from deepref.fileio import read_csv, read_plane_pgm, write_csv, write_plane_pgm
+from deepref.flow import SamplePair, read_dataset, write_dataset
+from deepref.generator import ModelConfig, build_network, load_weights, save_weights
+from deepref.video_io import read_sequence, write_y4m
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# bytes that turn numbers negative, huge or non-numeric, and break UTF-8 or JSON
+_TOKENS = [b"-", b"0", b"9", b" ", b"\n", b"\x00", b"\xff", b"-1", b"99999999999",
+           b"1e999", b"[]", b"{}", b'""', b"null", b",", b"x"]
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """`data` after 1-4 random byte replacements, insertions, deletions or a
+    truncation."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        pos = draw(st.integers(0, max(len(out) - 1, 0)))
+        chunk = draw(st.binary(min_size=1, max_size=3) | st.sampled_from(_TOKENS))
+        if kind == "replace":
+            out[pos : pos + len(chunk)] = chunk
+        elif kind == "insert":
+            out[pos:pos] = chunk
+        elif kind == "delete":
+            del out[pos : pos + len(chunk)]
+        else:
+            del out[pos:]
+    return bytes(out)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+RUN_DOC = {
+    "input_path": "seq.y4m", "input_format": "y4m", "width": 64, "height": 64,
+    "seed": 7, "q_set": [8, 16],
+    "extraction": {"block_size": 16, "stride": 8},
+    "model": {"head_channels": 8, "k": 0.5, "dtype": "float32"},
+    "train": {"epochs": 5, "lr0": 1.0},
+    "search": {"search_range": 4, "lambda_mv": 4.0},
+}
+
+
+@pytest.fixture(scope="module")
+def samples(tmp_path_factory):
+    """One small valid file per reader, as bytes, plus a scratch directory."""
+    work = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(7)
+    tiny = ModelConfig(head_channels=2, branch_reduce_channels=2, branch_out_channels=2,
+                       trunk_channels=2, seed=1)
+    save_weights(build_network(tiny), work / "w.drpg")
+    pairs = [SamplePair(rng.integers(0, 256, (4, 4), dtype=np.uint8),
+                        rng.integers(0, 256, (4, 4), dtype=np.uint8), (4 * i, 0), (0.5, -0.25))
+             for i in range(2)]
+    write_dataset(pairs, work / "d.drpd")
+    write_y4m([rng.integers(0, 256, (4, 6), dtype=np.uint8) for _ in range(2)], work / "s.y4m")
+    write_plane_pgm(rng.integers(0, 256, (3, 5), dtype=np.uint8), work / "p.pgm")
+    write_csv([("baseline", 8, 1000.5, 38.25), ("net", 8, 900.0, 38.0)], work / "rd.csv",
+              header=["scheme", "q", "bits_per_frame", "psnr_db"])
+    (work / "run.json").write_text(json.dumps(RUN_DOC))
+    return work, {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+READERS = {
+    "w.drpg": load_weights,
+    "d.drpd": read_dataset,
+    "s.y4m": read_sequence,
+    "p.pgm": read_plane_pgm,
+    "rd.csv": read_csv,
+    "run.json": load_run_config,
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_only_deepref_errors_escape(samples, name):
+    work, originals = samples
+    path = work / f"fuzz_{name}"
+    READERS[name](work / name)  # the unmutated file reads
+
+    @FUZZ
+    @given(mutated(originals[name]))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            READERS[name](path)
+        except DeepRefError:
+            pass
+
+    check()
+
+
+@FUZZ
+@given(st.data())
+def test_config_values_of_any_json_type_raise_config_errors(tmp_path_factory, data):
+    """Value-level mutation of the run config: set 1-3 top-level keys or
+    section keys, known or not, to arbitrary JSON values."""
+    doc = json.loads(json.dumps(RUN_DOC))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = doc
+        key = data.draw(st.sampled_from(sorted(doc)) | st.text(max_size=3))
+        if isinstance(doc.get(key), dict) and data.draw(st.booleans()):
+            target = doc[key]
+            key = data.draw(st.sampled_from(sorted(target) + ["seed", "dtype", "block_size"]))
+        target[key] = data.draw(JSON_VALUES)
+    path = tmp_path_factory.getbasetemp() / "fuzz_values.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_run_config(path)
+    except DeepRefError:
+        pass

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
+from deepref.nn import conv2d_forward
 from deepref.generator import (
     FEATURE_SELECTORS,
     ModelConfig,
@@ -217,6 +220,23 @@ class TestWeightFile:
         with pytest.raises(FormatError, match="UTF-8"):
             load_weights(path)
 
+    def test_dims_whose_int64_product_wraps_rejected(self, tmp_path):
+        # 2**31 * 2**31 * 4 is 0 in int64; the exact size is far past the file end
+        name = b"head1.weight"
+        data = (b"DRPG" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+                + struct.pack("<B3I", 3, 2**31, 2**31, 4))
+        (tmp_path / "wrap.drpg").write_bytes(data)
+        with pytest.raises(FormatError, match="truncated"):
+            load_weights(tmp_path / "wrap.drpg")
+
+    def test_more_than_four_dims_rejected(self, tmp_path):
+        name = b"head1.weight"
+        data = (b"DRPG" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+                + struct.pack("<B", 100) + b"\x01\x00\x00\x00" * 100)
+        (tmp_path / "deep.drpg").write_bytes(data)
+        with pytest.raises(FormatError, match="dims"):
+            load_weights(tmp_path / "deep.drpg")
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.drpg").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(FormatError, match="magic"):
@@ -233,7 +253,44 @@ class TestWeightFile:
             load_weights(path)
 
 
+def explicit_stage_activations(net, x):
+    """Every `FEATURE_SELECTORS` stage by a plain conv/ReLU loop over the layers."""
+    acts, h = {}, x
+    for i, layer in enumerate(net.head, start=1):
+        h = np.maximum(conv2d_forward(h, layer), 0)
+        acts[f"head{i}"] = h
+    for i, blk in enumerate(net.blocks, start=1):
+        outs = []
+        for branch in blk.branches:
+            b = h
+            for layer in branch.layers:
+                b = np.maximum(conv2d_forward(b, layer), 0)
+            outs.append(b)
+        phi = np.concatenate(outs, axis=1)
+        h = np.maximum(blk.k * conv2d_forward(phi, blk.fuse) + conv2d_forward(h, blk.skip), 0)
+        acts[f"block{i}"] = h
+    return acts
+
+
 class TestFeatureDump:
+    def test_every_selector_matches_explicit_loop(self):
+        net = build_network(TINY)
+        rng = np.random.default_rng(9)
+        for _, p in named_params(net):
+            p.bias = rng.normal(0.0, 0.1, p.bias.shape)
+        frame = rng.integers(0, 256, (15, 19)).astype(np.uint8)
+        acts = explicit_stage_activations(net, (frame / 255.0)[None, None])
+        for sel in FEATURE_SELECTORS:
+            want = []
+            for chan in acts[sel][0]:
+                lo, hi = chan.min(), chan.max()
+                scaled = np.zeros(chan.shape) if hi == lo else (chan - lo) / (hi - lo) * 255.0
+                want.append(np.rint(scaled).astype(np.uint8))
+            got = dump_feature_maps(net, frame, sel)
+            assert len(got) == len(want), sel
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w, err_msg=sel)
+
     def test_head1_yields_one_plane_per_channel(self):
         net = build_network(TINY)
         frame = np.random.default_rng(5).integers(0, 256, (14, 18)).astype(np.uint8)

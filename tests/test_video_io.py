@@ -157,6 +157,12 @@ class TestPgm:
         with pytest.raises(FormatError, match="P5"):
             read_plane_pgm(path)
 
+    def test_non_positive_dims_rejected(self, tmp_path):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5\n-4 -4\n255\n" + b"\x00" * 16)
+        with pytest.raises(FormatError, match="dims"):
+            read_plane_pgm(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "cut.pgm"
         path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 10)
