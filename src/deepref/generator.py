@@ -47,6 +47,15 @@ _BRANCH_RF = (3, 9, 15)
 _NUM_BLOCKS = 3
 
 
+def check_seed(name: str, value) -> None:
+    """Seeds feed ``np.random.default_rng``, which takes non-negative integers.
+
+    A bool is refused as well: JSON ``true`` is not a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     head_channels: int = 64
@@ -66,6 +75,7 @@ class ModelConfig:
             raise ConfigError(f"k must be in [0,1], got {self.k}")
         if np.dtype(self.dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
+        check_seed("seed", self.seed)
 
 
 @dataclass
@@ -192,12 +202,14 @@ def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.nda
     return x
 
 
-def _conv_relu_stack_backward(layers, cache, g, grads, names):
+def _conv_relu_stack_backward(layers, cache, g, grads, names, want_grad_input=True):
     """Backward through `_conv_relu_stack`; stores each layer's (grad_w, grad_b)
-    under its name and returns the gradient w.r.t. the stack input."""
+    under its name and returns the gradient w.r.t. the stack input (None when
+    `want_grad_input` is false)."""
     for li in reversed(range(len(layers))):
         h_in, z = cache[li]
-        g, gw, gb = conv2d_backward(h_in, layers[li], relu_backward(z, g))
+        g, gw, gb = conv2d_backward(h_in, layers[li], relu_backward(z, g),
+                                    want_grad_input=li > 0 or want_grad_input)
         grads[names[li]] = (gw, gb)
     return g
 
@@ -259,8 +271,10 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     return out
 
 
-def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray):
-    """Backward through the fixed graph; returns {name: (grad_w, grad_b)} and grad_input."""
+def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True):
+    """Backward through the fixed graph; returns {name: (grad_w, grad_b)} and the
+    gradient w.r.t. the network input, or None for it when `want_grad_input` is
+    false (training needs only the parameter gradients)."""
     head_cache, block_caches, tail_in = cache
     grads = {}
     g, gw, gb = conv2d_backward(tail_in, net.tail, grad_out)
@@ -268,7 +282,7 @@ def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray):
     for bi in reversed(range(len(net.blocks))):
         g = _block_backward(net.blocks[bi], block_caches[bi], g, grads, f"block{bi + 1}")
     names = [f"head{i}" for i in range(1, len(net.head) + 1)]
-    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, names)
+    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, names, want_grad_input)
     return grads, g
 
 

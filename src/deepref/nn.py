@@ -9,10 +9,23 @@ explicitly).
 Convolution is im2col + GEMM (Chellapilla et al., 2006): the k*k dilated
 taps of the zero-padded input are copied into one (c*k*k, b*oh*ow) matrix,
 so the forward pass, the weight gradient and the input gradient are each
-one ``np.matmul`` over the whole batch; col2im scatters the input gradient
-back with k*k slice-adds. The summation order is fixed by the BLAS kernels
-and the operand layouts, so repeated calls are bit-identical on one machine
-with OpenBLAS at one thread.
+one ``np.matmul`` over the whole batch. The summation order is fixed by the
+BLAS kernels and the operand layouts, so repeated calls are bit-identical on
+one machine with OpenBLAS at one thread.
+
+Training is chaotic, so every kernel keeps the bits of the plain engine it
+replaced (kept in the tests as the oracle): each GEMM gets the same operands
+in the same layouts, and only the copies and adds around it are rearranged.
+The weight-gradient matrix is filled tap by tap from a channels-last copy of
+the input, so each copy runs over ow*c samples rather than ow. col2im copies
+each tap's gradient into zero-padded (hp, wp) planes, one per channel and
+item, then adds them as one contiguous run into a flat channel-major buffer,
+shifted by d*(i*wp + j). The extra adds are exact
+zeros into sums that start at +0, and the taps keep their order, so every
+input pixel sums the same values in the same order. GEMMs over padded rows
+would save the copies, but OpenBLAS computes the last columns of a GEMM with
+other kernels, chosen by the column count, and on some shapes they round
+differently: padding moves pixels across that boundary and changes their bits.
 """
 
 from __future__ import annotations
@@ -113,20 +126,31 @@ def _cols(x_pad: np.ndarray, k: int, d: int, oh: int, ow: int) -> np.ndarray:
     return cols.reshape(c * k * k, b * oh * ow)
 
 
-def _rows(x_pad: np.ndarray, k: int, d: int, oh: int, ow: int) -> np.ndarray:
-    """The (b*oh*ow, c*k*k) transpose of :func:`_cols`, for the weight gradient.
+def _rows(x: np.ndarray, k: int, d: int, p: int, oh: int, ow: int) -> np.ndarray:
+    """The (b*oh*ow, c*k*k) im2col matrix of x, for the weight gradient.
 
-    Its memory layout is part of the result: a transposed GEMM operand
-    selects another OpenBLAS kernel, which rounds differently. A 1x1 kernel
-    takes numpy's reshape (a strided view of a channel-major x_pad, else a
-    C-ordered copy); larger kernels take a C-ordered copy. Keep these
-    layouts: with them, training reproduces the losses recorded in
+    Row n*oh*ow + y*ow + x holds output pixel (y, x) of batch item n; column
+    ch*k*k + i*k + j is tap (i, j) of channel ch, matching
+    ``weights.reshape(out_ch, -1)``. Its memory layout is part of the result:
+    a transposed GEMM operand selects another OpenBLAS kernel, which rounds
+    differently, and zero rows for padding pixels would change how BLAS
+    blocks the long contraction. A 1x1 kernel takes numpy's reshape of the padded input (a
+    strided view of a channel-major x, else a C-ordered copy); larger
+    kernels take a C-ordered matrix, filled tap by tap from a channels-last
+    copy of the padded input, so that each copy runs over ow*c samples. Keep
+    these layouts: with them, training reproduces the losses recorded in
     perfbench/reference bit for bit.
     """
+    b, c, h, w = x.shape
     if k == 1:
-        b, c = x_pad.shape[:2]
-        return x_pad.transpose(0, 2, 3, 1).reshape(b * oh * ow, c)
-    return np.ascontiguousarray(_cols(x_pad, k, d, oh, ow).T)
+        return _pad(x, p).transpose(0, 2, 3, 1).reshape(b * oh * ow, c)
+    x_last = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    x_last[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    rows = np.empty((b, oh, ow, c, k, k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            rows[..., i, j] = x_last[:, i * d : i * d + oh, j * d : j * d + ow]
+    return rows.reshape(b * oh * ow, c * k * k)
 
 
 def conv_output_hw(h: int, w: int, params: ConvParams) -> tuple[int, int]:
@@ -165,12 +189,13 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
 
 def conv2d_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, want_grad_input: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of :func:`conv2d_forward`.
 
     Returns (grad_input, grad_weights, grad_bias) with the shapes of their
-    primal counterparts.
+    primal counterparts; grad_input is C-contiguous, or None when
+    `want_grad_input` is false (the first layer of a network has no use for it).
     """
     x = _check_4d(x, "conv input")
     grad_out = _check_4d(grad_out, "grad_out")
@@ -185,21 +210,38 @@ def conv2d_backward(
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     # the im2col matrix is rebuilt rather than kept from the forward pass:
     # keeping it for every layer would hold k*k copies of each activation
-    grad_weights = np.matmul(g, _rows(_pad(x, p), k, d, oh, ow))
-    grad_weights = grad_weights.reshape(params.weights.shape)
+    grad_weights = np.matmul(g, _rows(x, k, d, p, oh, ow)).reshape(params.weights.shape)
+    if not want_grad_input:
+        return None, grad_weights, grad_bias
 
-    grad_cols = np.matmul(params.weights.reshape(params.out_ch, -1).T, g)
+    weights_t = params.weights.reshape(params.out_ch, -1).T
     if k == 1:
-        grad_pad = grad_cols.reshape(c, b, oh, ow).transpose(1, 0, 2, 3)
+        grad_pad = np.matmul(weights_t, g).reshape(c, b, oh, ow).transpose(1, 0, 2, 3)
+        grad_input = grad_pad[:, :, p : p + h, p : p + w] if p else grad_pad
+        return np.ascontiguousarray(grad_input), grad_weights, grad_bias
+    if params.out_ch == 1:
+        # numpy runs a matmul with a contraction of 1 outside BLAS, ~20x
+        # slower; the broadcast multiply rounds each product once, as it does,
+        # and a -0 product is absorbed by the +0 start of col2im's sums
+        grad_cols = weights_t * g
     else:
-        # col2im: each tap's gradient lands on the input pixels it read
-        grad_cols = grad_cols.reshape(c, k, k, b, oh, ow)
-        grad_pad = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
-        grad_t = grad_pad.transpose(1, 0, 2, 3)
-        for i in range(k):
-            for j in range(k):
-                grad_t[:, :, i * d : i * d + oh, j * d : j * d + ow] += grad_cols[:, i, j]
-    grad_input = grad_pad[:, :, p : p + h, p : p + w] if p else grad_pad
+        grad_cols = np.matmul(weights_t, g)
+    # col2im: each tap's gradient lands on the input pixels it read, as one
+    # contiguous run over zero-padded planes (module docstring)
+    hp, wp = h + 2 * p, w + 2 * p
+    grad_cols = grad_cols.reshape(c, k, k, b, oh, ow)
+    size = c * b * hp * wp
+    # slack for the run at the largest tap offset
+    grad_flat = np.zeros(size + d * (k - 1) * (wp + 1), dtype=grad_cols.dtype)
+    tap_pad = np.zeros((c, b, hp, wp), dtype=grad_cols.dtype)  # the padding stays 0
+    for i in range(k):
+        for j in range(k):
+            tap_pad[:, :, :oh, :ow] = grad_cols[:, i, j]
+            off = d * (i * wp + j)
+            grad_flat[off : off + size] += tap_pad.reshape(-1)
+    del grad_cols, tap_pad
+    grad_pad = grad_flat[:size].reshape(c, b, hp, wp)
+    grad_input = grad_pad[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
     return np.ascontiguousarray(grad_input), grad_weights, grad_bias
 
 

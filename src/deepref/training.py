@@ -16,6 +16,7 @@ from .generator import (
     GeneratorNet,
     ModelConfig,
     build_network,
+    check_seed,
     copy_network,
     generate_reference,
     named_params,
@@ -51,6 +52,7 @@ class TrainConfig:
             raise ConfigError(f"lr0 must be non-negative, got {self.lr0}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        check_seed("shuffle_seed", self.shuffle_seed)
 
 
 class EpochStats(NamedTuple):
@@ -100,6 +102,20 @@ def normalize_blocks(pairs: list[SamplePair], dtype) -> tuple[np.ndarray, np.nda
     return xs, ys
 
 
+def _share_one_vector(params) -> np.ndarray:
+    """Copy every weight and bias of `params`, in order, into one flat vector
+    and make each of them a view into it; returns the vector."""
+    tensors = [(p, attr) for _, p in params for attr in ("weights", "bias")]
+    theta = np.concatenate([getattr(p, attr).ravel() for p, attr in tensors])
+    start = 0
+    for p, attr in tensors:
+        shape = getattr(p, attr).shape
+        size = math.prod(shape)
+        setattr(p, attr, theta[start : start + size].reshape(shape))
+        start += size
+    return theta
+
+
 def train(
     net: GeneratorNet, dataset: list[SamplePair], cfg: TrainConfig
 ) -> tuple[GeneratorNet, LossReport]:
@@ -114,22 +130,14 @@ def train(
 
     net = copy_network(net)
     params = named_params(net)
-    states = {
-        name: (
-            AdadeltaState.zeros_like(p.weights, rho=cfg.rho, eps=cfg.eps),
-            AdadeltaState.zeros_like(p.bias, rho=cfg.rho, eps=cfg.eps),
-        )
-        for name, p in params
-    }
+    theta = _share_one_vector(params)
+    state = AdadeltaState.zeros_like(theta, rho=cfg.rho, eps=cfg.eps)
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = LossReport()
     n = len(dataset)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        states = {
-            name: (replace(sw, lr=lr), replace(sb, lr=lr))
-            for name, (sw, sb) in states.items()
-        }
+        state = replace(state, lr=lr)
         started = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -141,13 +149,12 @@ def train(
                 raise NonFiniteError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
-            grads, _ = net_backward(net, cache, grad)
-            for name, p in params:
-                gw, gb = grads[name]
-                sw, sb = states[name]
-                p.weights, sw = adadelta_step(p.weights, gw, sw)
-                p.bias, sb = adadelta_step(p.bias, gb, sb)
-                states[name] = (sw, sb)
+            grads, _ = net_backward(net, cache, grad, want_grad_input=False)
+            # the update is elementwise, so one step over the concatenated
+            # tensors gives the bits of one step per tensor
+            grad_theta = np.concatenate([g.ravel() for name, _ in params for g in grads[name]])
+            new_theta, state = adadelta_step(theta, grad_theta, state)
+            theta[...] = new_theta
             epoch_loss += loss * len(idx)
         report.epochs.append(
             EpochStats(epoch, lr, epoch_loss / n, time.perf_counter() - started)

@@ -97,3 +97,78 @@ def naive_conv2d_backward(x, weights, dilation, padding, grad_out):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# The im2col + GEMM engine with its original copies and col2im, kept as the
+# byte-level oracle: the kernels in deepref.nn must return the same bits,
+# because training is chaotic and any change to a summation order moves the
+# recorded losses within a few dozen epochs.
+
+
+def _plain_pad(x, p):
+    if not p:
+        return x
+    b, c, h, w = x.shape
+    x_pad = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    x_pad[:, :, p : p + h, p : p + w] = x
+    return x_pad
+
+
+def _plain_cols(x_pad, k, d, oh, ow):
+    b, c = x_pad.shape[:2]
+    xt = x_pad.transpose(1, 0, 2, 3)
+    if k == 1:
+        return xt.reshape(c, b * oh * ow)
+    cols = np.empty((c, k, k, b, oh, ow), dtype=x_pad.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xt[:, :, i * d : i * d + oh, j * d : j * d + ow]
+    return cols.reshape(c * k * k, b * oh * ow)
+
+
+def _plain_rows(x_pad, k, d, oh, ow):
+    if k == 1:
+        b, c = x_pad.shape[:2]
+        return x_pad.transpose(0, 2, 3, 1).reshape(b * oh * ow, c)
+    return np.ascontiguousarray(_plain_cols(x_pad, k, d, oh, ow).T)
+
+
+def _plain_output_hw(x, params):
+    reach = params.dilation * (params.kernel_size - 1)
+    return x.shape[2] + 2 * params.padding - reach, x.shape[3] + 2 * params.padding - reach
+
+
+def plain_conv2d_forward(x, params):
+    """Forward pass of the plain im2col engine (no validation)."""
+    b = x.shape[0]
+    oh, ow = _plain_output_hw(x, params)
+    cols = _plain_cols(_plain_pad(x, params.padding), params.kernel_size, params.dilation, oh, ow)
+    out = np.matmul(params.weights.reshape(params.out_ch, -1), cols)
+    out = out.reshape(params.out_ch, b, oh, ow).transpose(1, 0, 2, 3)
+    out += params.bias[None, :, None, None]
+    return out
+
+
+def plain_conv2d_backward(x, params, grad_out):
+    """(grad_input, grad_weights, grad_bias) of the plain im2col engine."""
+    oh, ow = _plain_output_hw(x, params)
+    b, c, h, w = x.shape
+    k, d, p = params.kernel_size, params.dilation, params.padding
+
+    g = grad_out.transpose(1, 0, 2, 3).reshape(params.out_ch, b * oh * ow)
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    grad_weights = np.matmul(g, _plain_rows(_plain_pad(x, p), k, d, oh, ow))
+    grad_weights = grad_weights.reshape(params.weights.shape)
+
+    grad_cols = np.matmul(params.weights.reshape(params.out_ch, -1).T, g)
+    if k == 1:
+        grad_pad = grad_cols.reshape(c, b, oh, ow).transpose(1, 0, 2, 3)
+    else:
+        grad_cols = grad_cols.reshape(c, k, k, b, oh, ow)
+        grad_pad = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
+        grad_t = grad_pad.transpose(1, 0, 2, 3)
+        for i in range(k):
+            for j in range(k):
+                grad_t[:, :, i * d : i * d + oh, j * d : j * d + ow] += grad_cols[:, i, j]
+    grad_input = grad_pad[:, :, p : p + h, p : p + w] if p else grad_pad
+    return np.ascontiguousarray(grad_input), grad_weights, grad_bias

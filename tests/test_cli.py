@@ -53,6 +53,13 @@ class TestArgHandling:
         assert code == 1
         assert err.startswith("error:") and "--q-set" in err
 
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        code, _, err = run(
+            ["train", "--dataset", str(tmp_path / "d.drpd"), "--weights-out",
+             str(tmp_path / "w.drpg"), "--seed", "-1"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "seed" in err and err.count("\n") == 1
+
     def test_non_integer_sizes_rejected(self, capsys, clip, tmp_path):
         code, _, err = run(
             ["block-sweep", "--input", str(clip), "--sizes", "16,x",

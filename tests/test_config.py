@@ -44,6 +44,15 @@ def test_load_full_document(tmp_path):
     assert cfg.train.model is cfg.model
 
 
+@pytest.mark.parametrize("seed", ["abc", 1.5, -3, True])
+@pytest.mark.parametrize("where", ["top", "model", "train"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, seed, where):
+    doc = {"top": {"seed": seed}, "model": {"model": {"seed": seed}},
+           "train": {"train": {"shuffle_seed": seed}}}[where]
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        load_run_config(write(tmp_path, doc))
+
+
 def test_section_seed_wins_over_top_level(tmp_path):
     path = write(tmp_path, {"seed": 7, "model": {"seed": 3}})
     assert load_run_config(path).model.seed == 3

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepref.errors import NonFiniteError, ShapeMismatchError
@@ -17,7 +17,14 @@ from deepref.nn import (
     split_channels,
 )
 
-from conftest import central_diff_grad, max_rel_err, naive_conv2d, naive_conv2d_backward
+from conftest import (
+    central_diff_grad,
+    max_rel_err,
+    naive_conv2d,
+    naive_conv2d_backward,
+    plain_conv2d_backward,
+    plain_conv2d_forward,
+)
 
 
 def make_params(rng, cout, cin, k, dilation=1, dtype=np.float64):
@@ -182,6 +189,69 @@ class TestConvAgainstOracles:
         np.testing.assert_allclose(gx1, gx3, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gw1[:, :, 0, 0], gw3[:, :, 1, 1], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(gb1, gb3)
+
+
+def _channel_major(a):
+    """The same values stored channel-major, as conv outputs are."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+@st.composite
+def engine_cases(draw):
+    """`conv_cases` widened to what training and inference meet: batches up
+    to 9, one output channel (the tail) or many, both float dtypes, and
+    inputs and output gradients stored C-contiguous or channel-major."""
+    case = draw(conv_cases())
+    case.update(batch=draw(st.integers(1, 9)),
+                cout=draw(st.sampled_from([1, 2, 4, 5, 8, 64, 128])),
+                dtype=draw(st.sampled_from([np.float32, np.float64])),
+                x_channel_major=draw(st.booleans()),
+                g_channel_major=draw(st.booleans()))
+    return case
+
+
+class TestConvAgainstPlainEngine:
+    """Training is chaotic: a changed rounding anywhere moves the recorded
+    losses within a few dozen epochs. So the kernels must return the bits of
+    the plain im2col engine kept in conftest, zeros' signs included."""
+
+    @given(engine_cases())
+    # a float64 shape on which OpenBLAS rounds the last columns of the
+    # input-gradient GEMM differently once zero columns pad it to wider planes
+    @example(dict(k=3, d=2, pad=4, h=3, w=9, batch=5, cin=3, cout=128, seed=0,
+                  dtype=np.float64, x_channel_major=False, g_channel_major=False))
+    @settings(max_examples=80, deadline=None)
+    def test_outputs_and_gradients_byte_equal(self, case):
+        rng = np.random.default_rng(case["seed"])
+        dt, k, cin, cout = case["dtype"], case["k"], case["cin"], case["cout"]
+        x = rng.standard_normal((case["batch"], cin, case["h"], case["w"])).astype(dt)
+        if case["x_channel_major"]:
+            x = _channel_major(x)
+        p = ConvParams(rng.standard_normal((cout, cin, k, k)).astype(dt),
+                       rng.standard_normal(cout).astype(dt),
+                       dilation=case["d"], padding=case["pad"])
+
+        out = conv2d_forward(x, p)
+        want = plain_conv2d_forward(x, p)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+
+        g = rng.standard_normal(out.shape).astype(dt)
+        g[rng.random(g.shape) < 0.2] = 0.0  # ReLU masks pass exact zeros
+        g[rng.random(g.shape) < 0.05] = -0.0
+        if case["g_channel_major"]:
+            g = _channel_major(g)
+        got = conv2d_backward(x, p, g)
+        names = ("grad_input", "grad_weights", "grad_bias")
+        for name, a, b in zip(names, got, plain_conv2d_backward(x, p, g)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got[0].flags.c_contiguous
+
+        skipped = conv2d_backward(x, p, g, want_grad_input=False)
+        assert skipped[0] is None
+        assert skipped[1].tobytes() == got[1].tobytes()
+        assert skipped[2].tobytes() == got[2].tobytes()
 
 
 class TestRelu:

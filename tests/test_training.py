@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from deepref import generator as generator_mod
 from deepref import training as training_mod
 from deepref.errors import ConfigError, NonFiniteError, ShapeMismatchError
 from deepref.flow import ExtractionConfig, extract_pairs
 from deepref.generator import (
     ModelConfig,
     build_network,
+    copy_network,
     denormalize_plane,
     named_params,
+    net_backward,
+    net_forward,
     normalize_plane,
 )
+from deepref.nn import AdadeltaState, adadelta_step
 from deepref.synthetic import SinusoidTexture
 from deepref.training import (
     TrainConfig,
@@ -20,7 +27,7 @@ from deepref.training import (
     train,
 )
 
-from conftest import central_diff_grad, max_rel_err
+from conftest import central_diff_grad, max_rel_err, plain_conv2d_backward, plain_conv2d_forward
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, k=0.5, seed=3, dtype="float32")
@@ -162,6 +169,83 @@ class TestTrain:
         assert len(rows) == 3
         assert [r[0] for r in rows] == [0, 1, 2]
         assert all(np.isfinite(r[2]) for r in rows)
+
+
+def param_bytes(net):
+    return [np.ascontiguousarray(t).tobytes()
+            for _, p in named_params(net) for t in (p.weights, p.bias)]
+
+
+class TestFusedUpdate:
+    def test_one_vector_step_equals_one_step_per_tensor(self):
+        rng = np.random.default_rng(4)
+        net = build_network(TINY)
+        per_tensor = copy_network(net)
+        params = named_params(net)
+        theta = training_mod._share_one_vector(params)
+        for _, p in params:
+            assert np.shares_memory(p.weights, theta) and np.shares_memory(p.bias, theta)
+        state = AdadeltaState.zeros_like(theta, lr=1.0)
+        states = {}
+        for step, lr in enumerate([1.0, 1.0, 1.0, 0.5, 0.5, 0.25]):
+            state = replace(state, lr=lr)
+            grads = {name: (rng.standard_normal(p.weights.shape).astype(np.float32),
+                            rng.standard_normal(p.bias.shape).astype(np.float32))
+                     for name, p in params}
+            grads["head1"][0][...] = 0.0
+            grad_theta = np.concatenate([g.ravel() for name, _ in params for g in grads[name]])
+            new_theta, state = adadelta_step(theta, grad_theta, state)
+            theta[...] = new_theta
+            for name, p in named_params(per_tensor):
+                for attr, g in zip(("weights", "bias"), grads[name]):
+                    prior = states.get((name, attr)) or AdadeltaState.zeros_like(g)
+                    value, states[name, attr] = adadelta_step(getattr(p, attr), g,
+                                                              replace(prior, lr=lr))
+                    setattr(p, attr, value)
+            assert param_bytes(net) == param_bytes(per_tensor), f"step {step}"
+        acc = np.concatenate([states[name, attr].acc_delta_sq.ravel()
+                              for name, _ in params for attr in ("weights", "bias")])
+        assert acc.tobytes() == state.acc_delta_sq.tobytes()
+
+    def test_training_matches_plain_conv_engine(self, monkeypatch):
+        pairs = shift_pairs(n=7)
+        cfg = TrainConfig(lr0=1.0, epochs=3, batch_size=3, shuffle_seed=2)
+        net_a, rep_a = train(build_network(TINY), pairs, cfg)
+        monkeypatch.setattr(generator_mod, "conv2d_forward", plain_conv2d_forward)
+        monkeypatch.setattr(generator_mod, "conv2d_backward",
+                            lambda x, p, g, want_grad_input=True: plain_conv2d_backward(x, p, g))
+        net_b, rep_b = train(build_network(TINY), pairs, cfg)
+        assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
+        assert param_bytes(net_a) == param_bytes(net_b)
+
+
+class TestNoInputGradient:
+    def test_train_skips_the_network_input_gradient(self, monkeypatch):
+        calls = []
+        original = generator_mod.conv2d_backward
+
+        def spy(x, params, grad_out, want_grad_input=True):
+            result = original(x, params, grad_out, want_grad_input)
+            calls.append((params.in_ch, result[0]))
+            return result
+
+        monkeypatch.setattr(generator_mod, "conv2d_backward", spy)
+        train(build_network(TINY), shift_pairs(n=4), TrainConfig(lr0=1.0, epochs=1, batch_size=2))
+        head1 = [g for in_ch, g in calls if in_ch == 1]  # only head1 reads the 1-channel input
+        assert len(head1) == 2 and all(g is None for g in head1)
+        assert all(g is not None for in_ch, g in calls if in_ch != 1)
+
+    def test_net_backward_still_returns_it_by_default(self):
+        net = build_network(TINY)
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (2, 1, 8, 8)).astype(np.float32)
+        out, cache = net_forward(net, x, want_cache=True)
+        grads, grad_in = net_backward(net, cache, out)
+        assert grad_in.shape == x.shape and np.any(grad_in != 0)
+        grads_only, none = net_backward(net, cache, out, want_grad_input=False)
+        assert none is None
+        for name, _ in named_params(net):
+            for a, b in zip(grads[name], grads_only[name]):
+                assert a.tobytes() == b.tobytes(), name
 
 
 class TestOverfit:
