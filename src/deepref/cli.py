@@ -1,6 +1,11 @@
 """Command-line pipeline: extract -> train -> infer / encode / sweep ->
 bdrate / metrics, plus feature-map dumps and the block-size study.
 
+Every flag that sets a config field is declared once, in FLAG_TABLE, which
+names the RunConfig field(s) it sets; flags override the --config JSON, which
+overrides the defaults. `--seed` is taken only by `train` and `block-sweep`,
+the two subcommands that seed anything.
+
 Every run with a fixed --seed is bit-reproducible on the same machine. All
 file outputs are written atomically.
 """
@@ -24,54 +29,67 @@ QUALITY_HEADER = ["frame_index", "psnr_db", "ssim"]
 MV_HEADER = ["block_x", "block_y", "ref_idx", "mv_x_q4", "mv_y_q4", "sad"]
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON run configuration; flags override it")
-    parser.add_argument("--seed", type=int, help="seed for init and shuffling")
+# Every flag that sets a config field: group -> (flag, the RunConfig fields it
+# sets, argparse kwargs). A field is "section.field" or a top-level field.
+FLAG_TABLE = {
+    "seed": [("--seed", "model.seed train.shuffle_seed",
+              dict(type=int, help="seed for init and shuffling"))],
+    "input": [("--input", "input_path",
+               dict(required=True, help="sequence path (.y4m or raw .yuv)"))],
+    "format": [
+        ("--format", "input_format",
+         dict(choices=["yuv", "y4m"], help="override format detection")),
+        ("--width", "width", dict(type=int, help="raw .yuv width")),
+        ("--height", "height", dict(type=int, help="raw .yuv height")),
+    ],
+    "model": [
+        ("--head-channels", "model.head_channels", dict(type=int)),
+        ("--branch-reduce-channels", "model.branch_reduce_channels", dict(type=int)),
+        ("--branch-out-channels", "model.branch_out_channels", dict(type=int)),
+        ("--trunk-channels", "model.trunk_channels", dict(type=int)),
+        ("--k", "model.k", dict(type=float, help="fusion proportionality factor in [0,1]")),
+        ("--dtype", "model.dtype", dict(choices=["float32", "float64"])),
+    ],
+    "train": [
+        ("--epochs", "train.epochs", dict(type=int)),
+        ("--batch-size", "train.batch_size", dict(type=int)),
+        ("--lr", "train.lr0", dict(type=float, help="learning-rate scale for Adadelta")),
+        ("--decay-interval", "train.decay_interval_epochs",
+         dict(type=int, help="epochs between lr halvings")),
+        ("--decay-factor", "train.decay_factor", dict(type=float)),
+    ],
+    "extract": [
+        ("--block-size", "extraction.block_size", dict(type=int)),
+        ("--stride", "extraction.stride", dict(type=int)),
+        ("--lk-iterations", "extraction.lk_iterations", dict(type=int)),
+        ("--lk-eps", "extraction.lk_eps", dict(type=float)),
+        ("--mv-clamp", "extraction.mv_clamp", dict(type=float)),
+        ("--drop-degenerate", "extraction.keep_degenerate", dict(
+            action="store_const", const=False,
+            help="skip flat blocks instead of keeping them with zero motion")),
+    ],
+    "search": [
+        ("--search-range", "search.search_range", dict(type=int)),
+        ("--lambda-mv", "search.lambda_mv", dict(type=float)),
+        ("--block-size", "search.block_size", dict(type=int)),
+    ],
+    "q-set": [("--q-set", "q_set", dict(help="comma-separated quantizer steps"))],
+}
 
 
-def _add_input(parser):
-    parser.add_argument("--input", required=True, help="sequence path (.y4m or raw .yuv)")
-    parser.add_argument("--format", choices=["yuv", "y4m"], help="override format detection")
-    parser.add_argument("--width", type=int, help="raw .yuv width")
-    parser.add_argument("--height", type=int, help="raw .yuv height")
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--head-channels", type=int)
-    parser.add_argument("--branch-reduce-channels", type=int)
-    parser.add_argument("--branch-out-channels", type=int)
-    parser.add_argument("--trunk-channels", type=int)
-    parser.add_argument("--k", type=float, help="fusion proportionality factor in [0,1]")
-    parser.add_argument("--dtype", choices=["float32", "float64"])
-
-
-def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--lr", type=float, help="learning-rate scale for Adadelta")
-    parser.add_argument("--decay-interval", type=int, help="epochs between lr halvings")
-    parser.add_argument("--decay-factor", type=float)
-
-
-def _add_extract_flags(parser):
-    parser.add_argument("--block-size", type=int)
-    parser.add_argument("--stride", type=int)
-    parser.add_argument("--lk-iterations", type=int)
-    parser.add_argument("--lk-eps", type=float)
-    parser.add_argument("--mv-clamp", type=float)
-    parser.add_argument("--drop-degenerate", action="store_true",
-                        help="skip flat blocks instead of keeping them with zero motion")
-
-
-def _add_search_flags(parser):
-    parser.add_argument("--search-range", type=int)
-    parser.add_argument("--lambda-mv", type=float)
-    parser.add_argument("--block-size", type=int, dest="search_block_size")
-
-
-def _override(cfg_obj, **updates):
-    updates = {k: v for k, v in updates.items() if v is not None}
-    return dataclasses.replace(cfg_obj, **updates) if updates else cfg_obj
+def _command(sub, name, func, *groups, help):
+    """Subcommand `name` running `func`; if it takes flag `groups`, it also
+    takes --config, and remembers which fields each flag sets."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    if groups:
+        parser.add_argument("--config", help="JSON run configuration; flags override it")
+        fields = {}
+        for group in groups:
+            for flag, targets, kwargs in FLAG_TABLE[group]:
+                fields[parser.add_argument(flag, **kwargs).dest] = targets.split()
+        parser.set_defaults(config_fields=fields)
+    return parser
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -82,56 +100,22 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _resolve(args) -> RunConfig:
-    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    a = vars(args)
-
-    if a.get("seed") is not None:
-        cfg.model = dataclasses.replace(cfg.model, seed=a["seed"])
-        cfg.train = dataclasses.replace(cfg.train, shuffle_seed=a["seed"])
-    cfg.model = _override(
-        cfg.model,
-        head_channels=a.get("head_channels"),
-        branch_reduce_channels=a.get("branch_reduce_channels"),
-        branch_out_channels=a.get("branch_out_channels"),
-        trunk_channels=a.get("trunk_channels"),
-        k=a.get("k"),
-        dtype=a.get("dtype"),
-    )
-    cfg.train = _override(
-        cfg.train,
-        epochs=a.get("epochs"),
-        batch_size=a.get("batch_size"),
-        lr0=a.get("lr"),
-        decay_interval_epochs=a.get("decay_interval"),
-        decay_factor=a.get("decay_factor"),
-    )
-    cfg.train.model = cfg.model
-    cfg.extraction = _override(
-        cfg.extraction,
-        block_size=a.get("block_size"),
-        stride=a.get("stride"),
-        lk_iterations=a.get("lk_iterations"),
-        lk_eps=a.get("lk_eps"),
-        mv_clamp=a.get("mv_clamp"),
-        keep_degenerate=False if a.get("drop_degenerate") else None,
-    )
-    cfg.search = _override(
-        cfg.search,
-        search_range=a.get("search_range"),
-        lambda_mv=a.get("lambda_mv"),
-        block_size=a.get("search_block_size"),
-    )
-    if a.get("input") is not None:
-        cfg.input_path = a["input"]
-    if a.get("format") is not None:
-        cfg.input_format = a["format"]
-    if a.get("width") is not None:
-        cfg.width = a["width"]
-    if a.get("height") is not None:
-        cfg.height = a["height"]
-    if a.get("q_set"):
-        cfg.q_set = _int_list(a["q_set"], "--q-set")
-    return cfg
+    """Defaults < --config JSON < every flag given, one replace per section."""
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    updates = {"": {}}
+    for dest, targets in args.config_fields.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if dest == "q_set":
+            value = _int_list(value, "--q-set")
+        for target in targets:
+            section, _, name = target.rpartition(".")
+            updates.setdefault(section, {})[name] = value
+    top = updates.pop("")
+    for section, fields in updates.items():
+        top[section] = dataclasses.replace(getattr(cfg, section), **fields)
+    return dataclasses.replace(cfg, **top)
 
 
 def _read_frames(cfg: RunConfig):
@@ -234,7 +218,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_curve(path, scheme: str | None):
+def _load_curve(path, scheme: str | None, need_scheme: bool = True):
+    """RD points of `path`: its `scheme` rows if it has a scheme column. A file
+    without one is an error if need_scheme, else read whole."""
     header, body = read_csv(path)
     try:
         bits_col = header.index("bits_per_frame")
@@ -244,36 +230,34 @@ def _load_curve(path, scheme: str | None):
             f"{path}: RD CSV needs bits_per_frame and psnr_db columns, got {header}"
         ) from exc
     scheme_col = header.index("scheme") if "scheme" in header else None
+    if scheme_col is None and scheme is not None:
+        if need_scheme:
+            raise DeepRefError(f"{path}: no scheme column to select {scheme!r} from")
+        scheme = None
     points = []
     seen = set()
     for row in body:
+        if len(row) < len(header):
+            raise FormatError(f"{path}: RD row {row} is shorter than the header {header}")
         if scheme_col is not None:
             seen.add(row[scheme_col])
             if scheme is not None and row[scheme_col] != scheme:
                 continue
         try:
             bits, quality = float(row[bits_col]), float(row[psnr_col])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: missing or non-numeric RD value in row {row}") from exc
         points.append(metrics.RDPoint(bits, quality))
-    if scheme is not None and scheme_col is None:
-        raise DeepRefError(f"{path}: no scheme column to select {scheme!r} from")
     if not points:
         raise DeepRefError(f"{path}: no RD rows for scheme {scheme!r} (has {sorted(seen)})")
     return points
 
 
 def cmd_bdrate(args) -> int:
-    if args.test_csv is None:
-        anchor = _load_curve(args.rd_csv, args.anchor_scheme)
-        test = _load_curve(args.rd_csv, args.test_scheme)
-    else:
-        header, _ = read_csv(args.rd_csv)
-        anchor_scheme = args.anchor_scheme if "scheme" in header else None
-        header, _ = read_csv(args.test_csv)
-        test_scheme = args.test_scheme if "scheme" in header else None
-        anchor = _load_curve(args.rd_csv, anchor_scheme)
-        test = _load_curve(args.test_csv, test_scheme)
+    split = args.test_csv is None  # one CSV is split by its scheme column
+    anchor = _load_curve(args.rd_csv, args.anchor_scheme, need_scheme=split)
+    test = _load_curve(args.rd_csv if split else args.test_csv, args.test_scheme,
+                       need_scheme=split)
     value = metrics.bd_rate(anchor, test)
     print(f"BD-rate (test vs anchor): {value:.4f}%")
     return 0
@@ -303,7 +287,7 @@ def cmd_block_sweep(args) -> int:
     sizes = _int_list(args.sizes, "--sizes")
     name = Path(cfg.input_path).stem
     rows = training.block_size_sweep(
-        frames, sizes, cfg.train, extraction=cfg.extraction, sequence_name=name
+        frames, sizes, cfg.model, cfg.train, cfg.extraction, sequence_name=name
     )
     write_csv(rows, args.output, header=["block_size", "sequence", "psnr_db"])
     print(f"block-size sweep over {sizes} -> {args.output}")
@@ -319,69 +303,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="build a training dataset from consecutive frames")
-    _add_common(p); _add_input(p); _add_extract_flags(p)
+    p = _command(sub, "extract", cmd_extract, "input", "format", "extract",
+                 help="build a training dataset from consecutive frames")
     p.add_argument("--output", required=True, help="dataset file to write")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train the generator on a dataset file")
-    _add_common(p); _add_model_flags(p); _add_train_flags(p)
+    p = _command(sub, "train", cmd_train, "seed", "model", "train",
+                 help="train the generator on a dataset file")
     p.add_argument("--dataset", required=True)
     p.add_argument("--weights-out", required=True)
     p.add_argument("--loss-csv", help="per-epoch loss CSV")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="generate references from pristine frames and score them")
-    _add_common(p); _add_input(p)
+    p = _command(sub, "infer", cmd_infer, "input", "format",
+                 help="generate references from pristine frames and score them")
     p.add_argument("--weights", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--csv", help="quality CSV path (default: <output-dir>/reference_quality.csv)")
-    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("dump-features", help="write hidden-layer feature maps as PGM images")
-    _add_common(p); _add_input(p)
+    p = _command(sub, "dump-features", cmd_dump_features, "input", "format",
+                 help="write hidden-layer feature maps as PGM images")
     p.add_argument("--weights", required=True)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--layer", required=True, choices=list(generator.FEATURE_SELECTORS))
     p.add_argument("--output-dir", required=True)
-    p.set_defaults(func=cmd_dump_features)
 
-    p = sub.add_parser("encode", help="run the codec proxy at one quantizer step")
-    _add_common(p); _add_input(p); _add_search_flags(p)
+    p = _command(sub, "encode", cmd_encode, "input", "format", "search",
+                 help="run the codec proxy at one quantizer step")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--weights", help="substitute the generator output as reference")
     p.add_argument("--mv-csv-dir", help="dump per-frame motion fields as CSV")
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("sweep", help="RD sweep with and without the network")
-    _add_common(p); _add_input(p); _add_search_flags(p)
+    p = _command(sub, "sweep", cmd_sweep, "input", "format", "search", "q-set",
+                 help="RD sweep with and without the network")
     p.add_argument("--weights", required=True)
-    p.add_argument("--q-set", dest="q_set", help="comma-separated quantizer steps")
     p.add_argument("--output", required=True, help="RD CSV to write")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bdrate", help="BD-rate between two RD curves")
+    p = _command(sub, "bdrate", cmd_bdrate, help="BD-rate between two RD curves")
     p.add_argument("rd_csv", help="anchor CSV (or a sweep CSV holding both schemes)")
     p.add_argument("test_csv", nargs="?", help="test CSV; omit to split rd_csv by scheme")
     p.add_argument("--anchor-scheme", default="baseline")
     p.add_argument("--test-scheme", default="net")
-    p.set_defaults(func=cmd_bdrate)
 
-    p = sub.add_parser("metrics", help="PSNR/SSIM between two sequences")
-    _add_common(p)
+    p = _command(sub, "metrics", cmd_metrics, "format", help="PSNR/SSIM between two sequences")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--format", choices=["yuv", "y4m"])
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("block-sweep", help="train at several block sizes and compare PSNR")
-    _add_common(p); _add_input(p); _add_model_flags(p); _add_train_flags(p)
+    p = _command(sub, "block-sweep", cmd_block_sweep, "seed", "input", "format", "model",
+                 "train", help="train at several block sizes and compare PSNR")
     p.add_argument("--sizes", default="16,24,32,40,48")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_block_sweep)
 
     return parser
 

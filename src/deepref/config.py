@@ -59,6 +59,7 @@ _SECTIONS = {
     "search": SearchConfig,
 }
 _SCALARS = {"input_path", "input_format", "width", "height", "q_set"}
+_SEED_FIELDS = {"model": "seed", "train": "shuffle_seed"}
 
 
 def load_run_config(path) -> RunConfig:
@@ -82,15 +83,8 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
         section = dict(section)
-        if name == "train" and "model" in section:
-            raise ConfigError("train.model is derived from the model section; do not set it")
         # the top-level seed feeds every stage that was not given its own seed
-        if "seed" in doc:
-            if name == "model" and "seed" not in section:
-                section["seed"] = doc["seed"]
-            if name == "train" and "shuffle_seed" not in section:
-                section["shuffle_seed"] = doc["seed"]
+        if "seed" in doc and name in _SEED_FIELDS:
+            section.setdefault(_SEED_FIELDS[name], doc["seed"])
         kwargs[name] = _build_section(cls, section, name)
-    cfg = RunConfig(**kwargs)
-    cfg.train.model = cfg.model
-    return cfg
+    return RunConfig(**kwargs)

@@ -73,8 +73,12 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.k <= 1.0:
             raise ConfigError(f"k must be in [0,1], got {self.k}")
-        if np.dtype(self.dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
+        try:
+            ok = np.dtype(self.dtype) in (np.dtype(np.float32), np.dtype(np.float64))
+        except (TypeError, ValueError):  # np.dtype refuses e.g. {"": ""}
+            ok = False
+        if not ok:
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         check_seed("seed", self.seed)
 
 

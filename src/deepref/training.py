@@ -37,7 +37,6 @@ class TrainConfig:
     shuffle_seed: int = 0
     rho: float = 0.95
     eps: float = 1e-6
-    model: ModelConfig | None = None  # used by block_size_sweep to build fresh nets
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -165,33 +164,30 @@ def train(
 def block_size_sweep(
     frames,
     sizes,
+    model: ModelConfig,
     cfg: TrainConfig,
-    extraction: ExtractionConfig | None = None,
-    holdout_fraction: float = 1.0 / 3.0,
+    extraction: ExtractionConfig,
     sequence_name: str = "sequence",
 ) -> list[tuple[int, str, float]]:
-    """Train one fresh network per block size and measure whole-frame PSNR of
-    generated references on held-out frames. Rows: (block_size, name, psnr)."""
+    """Train one fresh `model` per block size and measure whole-frame PSNR of
+    generated references on the last third of the frames (at least 2).
+    Rows: (block_size, name, psnr)."""
     frames = [np.asarray(f) for f in frames]
     if len(frames) < 4:
         raise ConfigError(f"block_size_sweep needs at least 4 frames, got {len(frames)}")
-    model_cfg = cfg.model if cfg.model is not None else ModelConfig()
-    n_hold = max(2, int(round(len(frames) * holdout_fraction)))
+    n_hold = max(2, int(round(len(frames) * (1.0 / 3.0))))
     train_frames = frames[: len(frames) - n_hold]
     holdout = frames[len(frames) - n_hold :]
-    if len(train_frames) < 2:
-        raise ConfigError("not enough frames left for training after holdout split")
 
     rows = []
     for size in sizes:
-        base = extraction if extraction is not None else ExtractionConfig(block_size=size)
-        ex = replace(base, block_size=int(size))
+        ex = replace(extraction, block_size=int(size))
         pairs: list[SamplePair] = []
         for prev, cur in zip(train_frames, train_frames[1:]):
             pairs.extend(extract_pairs(prev, cur, ex))
         if not pairs:
             raise ConfigError(f"no training pairs extracted at block size {size}")
-        trained, _ = train(build_network(model_cfg), pairs, cfg)
+        trained, _ = train(build_network(model), pairs, cfg)
         scores = [
             psnr(generate_reference(trained, holdout[i - 1]), holdout[i])
             for i in range(1, len(holdout))

@@ -45,6 +45,8 @@ def _check_even_dims(width: int, height: int, path) -> None:
 def _read_raw_yuv(path, width, height) -> FrameSequence:
     if not width or not height:
         raise ConfigError("raw .yuv input needs explicit width and height")
+    if width < 1 or height < 1:
+        raise ConfigError(f"raw .yuv width and height must be >= 1, got {width}x{height}")
     _check_even_dims(width, height, path)
     with open(path, "rb") as fh:
         data = fh.read()

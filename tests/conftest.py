@@ -1,7 +1,13 @@
 """Shared oracles: finite-difference gradients and a brute-force convolution
 with its brute-force gradients."""
 
-import numpy as np
+import os
+
+# one BLAS thread, as the benchmark and its recorded references run; set
+# before the first numpy import, which loads OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 

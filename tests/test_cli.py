@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deepref.cli import main
+from deepref.cli import _resolve, build_parser, main
 from deepref.fileio import read_csv, read_plane_pgm
 from deepref.flow import read_dataset
 from deepref.generator import load_weights
@@ -168,6 +168,15 @@ class TestBdrateCommand:
         assert code == 1
         assert err.startswith("error:") and "lots" in err
 
+    @pytest.mark.parametrize("extra", ["\n", "net,64\n", "net\n"])
+    def test_blank_or_short_row_rejected(self, tmp_path, capsys, extra):
+        path = self.rd_file(tmp_path, "rd.csv", scheme="baseline")
+        path.write_text(path.read_text() + extra)
+        code, _, err = run(["bdrate", str(path), "--anchor-scheme", "baseline",
+                            "--test-scheme", "baseline"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "shorter than the header" in err
+
     def test_non_utf8_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"q,bits_per_frame,psnr_db\n8,8000,\xff\xfe\n")
@@ -273,3 +282,106 @@ class TestBlockSweepCommand:
         assert header == ["block_size", "sequence", "psnr_db"]
         assert [r[0] for r in rows] == ["8", "16"]
         assert all(r[1] == "pan" for r in rows)
+
+
+# the argv each subcommand needs before any optional flag
+REQUIRED = {
+    "extract": ["--input", "c.y4m", "--output", "d.drpd"],
+    "train": ["--dataset", "d.drpd", "--weights-out", "w.drpg"],
+    "infer": ["--input", "c.y4m", "--weights", "w.drpg", "--output-dir", "out"],
+    "dump-features": ["--input", "c.y4m", "--weights", "w.drpg", "--layer", "block1",
+                      "--output-dir", "out"],
+    "encode": ["--input", "c.y4m", "--q", "8"],
+    "sweep": ["--input", "c.y4m", "--weights", "w.drpg", "--output", "rd.csv"],
+    "metrics": ["--a", "a.y4m", "--b", "b.y4m", "--output", "m.csv"],
+    "block-sweep": ["--input", "c.y4m", "--output", "t.csv"],
+}
+SEQUENCE = ["extract", "infer", "dump-features", "encode", "sweep", "block-sweep"]
+RAW = SEQUENCE + ["metrics"]
+TRAINING = ["train", "block-sweep"]
+
+# (argv after the subcommand, RunConfig field, value it must get, subcommands
+# that take the flag); written out by hand, independent of the flag table
+FLAG_CASES = [
+    (["--seed", "5"], "model.seed", 5, TRAINING),
+    (["--seed", "5"], "train.shuffle_seed", 5, TRAINING),
+    (["--format", "yuv"], "input_format", "yuv", RAW),
+    (["--width", "24"], "width", 24, RAW),
+    (["--height", "12"], "height", 12, RAW),
+    (["--head-channels", "3"], "model.head_channels", 3, TRAINING),
+    (["--branch-reduce-channels", "3"], "model.branch_reduce_channels", 3, TRAINING),
+    (["--branch-out-channels", "3"], "model.branch_out_channels", 3, TRAINING),
+    (["--trunk-channels", "3"], "model.trunk_channels", 3, TRAINING),
+    (["--k", "0.25"], "model.k", 0.25, TRAINING),
+    (["--dtype", "float64"], "model.dtype", "float64", TRAINING),
+    (["--epochs", "3"], "train.epochs", 3, TRAINING),
+    (["--batch-size", "4"], "train.batch_size", 4, TRAINING),
+    (["--lr", "0.5"], "train.lr0", 0.5, TRAINING),
+    (["--decay-interval", "7"], "train.decay_interval_epochs", 7, TRAINING),
+    (["--decay-factor", "0.25"], "train.decay_factor", 0.25, TRAINING),
+    (["--block-size", "8"], "extraction.block_size", 8, ["extract"]),
+    (["--block-size", "8"], "search.block_size", 8, ["encode", "sweep"]),
+    (["--stride", "4"], "extraction.stride", 4, ["extract"]),
+    (["--lk-iterations", "3"], "extraction.lk_iterations", 3, ["extract"]),
+    (["--lk-eps", "0.5"], "extraction.lk_eps", 0.5, ["extract"]),
+    (["--mv-clamp", "2.5"], "extraction.mv_clamp", 2.5, ["extract"]),
+    (["--drop-degenerate"], "extraction.keep_degenerate", False, ["extract"]),
+    (["--search-range", "3"], "search.search_range", 3, ["encode", "sweep"]),
+    (["--lambda-mv", "1.5"], "search.lambda_mv", 1.5, ["encode", "sweep"]),
+    (["--q-set", "4,12"], "q_set", [4, 12], ["sweep"]),
+]
+
+ACCEPTED = {}  # flag -> (its argv, every subcommand that takes it)
+for _flags, _, _, _commands in FLAG_CASES:
+    ACCEPTED.setdefault(_flags[0], (_flags, set()))[1].update(_commands)
+
+
+def field_of(cfg, dotted):
+    for name in dotted.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def resolved(command, extra=()):
+    return _resolve(build_parser().parse_args([command, *REQUIRED[command], *extra]))
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flags, field, want, command", [
+        pytest.param(flags, field, want, command, id=f"{command} {flags[0]} {field}")
+        for flags, field, want, commands in FLAG_CASES for command in commands
+    ])
+    def test_flag_sets_its_field(self, flags, field, want, command):
+        assert field_of(resolved(command), field) != want  # not already the default
+        assert field_of(resolved(command, flags), field) == want
+
+    @pytest.mark.parametrize("flags, command", [
+        pytest.param(flags, command, id=f"{command} {flags[0]}")
+        for flags, commands in ACCEPTED.values() for command in REQUIRED if command not in commands
+    ])
+    def test_flag_refused_where_it_sets_nothing(self, capsys, flags, command):
+        code, _, err = run([command, *REQUIRED[command], *flags], capsys)
+        assert code == 2 and "unrecognized arguments" in err
+
+    def test_extract_refuses_seed(self, capsys):
+        code, _, err = run(["extract", *REQUIRED["extract"], "--seed", "3"], capsys)
+        assert code == 2 and "--seed" in err
+
+    def test_input_sets_input_path(self):
+        assert resolved("extract").input_path == "c.y4m"
+
+    def test_flags_override_config_and_config_overrides_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 4, "extraction": {"block_size": 16, "stride": 8},
+                                    "train": {"epochs": 6, "shuffle_seed": 2}}))
+        cfg = resolved("extract", ["--config", str(path), "--block-size", "24"])
+        assert (cfg.extraction.block_size, cfg.extraction.stride) == (24, 8)
+        cfg = resolved("train", ["--config", str(path), "--seed", "9"])
+        assert (cfg.model.seed, cfg.train.shuffle_seed, cfg.train.epochs) == (9, 9, 6)
+        cfg = resolved("train", ["--config", str(path)])
+        assert (cfg.model.seed, cfg.train.shuffle_seed) == (4, 2)
+
+    def test_empty_q_set_rejected(self, capsys):
+        code, _, err = run(["sweep", *REQUIRED["sweep"], "--q-set", ""], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "--q-set" in err

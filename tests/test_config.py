@@ -41,7 +41,6 @@ def test_load_full_document(tmp_path):
     # top-level seed propagates where no explicit seed was given
     assert cfg.model.seed == 7
     assert cfg.train.shuffle_seed == 7
-    assert cfg.train.model is cfg.model
 
 
 @pytest.mark.parametrize("seed", ["abc", 1.5, -3, True])
@@ -93,7 +92,7 @@ def test_bad_q_set_rejected():
 
 @pytest.mark.parametrize("doc", [
     {"q_set": "x"}, {"q_set": "88"}, {"q_set": 5}, {"q_set": [None]}, {"q_set": [1e999]},
-    {"extraction": [1]}, {"model": "ab"},
+    {"extraction": [1]}, {"model": "ab"}, {"model": {"dtype": {"": ""}}},
 ])
 def test_malformed_values_rejected(tmp_path, doc):
     with pytest.raises(ConfigError):
@@ -102,5 +101,5 @@ def test_malformed_values_rejected(tmp_path, doc):
 
 def test_train_model_key_rejected(tmp_path):
     path = write(tmp_path, {"train": {"model": {}}})
-    with pytest.raises(ConfigError, match="train.model"):
+    with pytest.raises(ConfigError, match=r"train: unknown keys \['model'\]"):
         load_run_config(path)

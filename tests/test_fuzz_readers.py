@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deepref.cli import _load_curve
 from deepref.config import load_run_config
 from deepref.errors import DeepRefError
-from deepref.fileio import read_csv, read_plane_pgm, write_csv, write_plane_pgm
+from deepref.fileio import read_plane_pgm, write_csv, write_plane_pgm
 from deepref.flow import SamplePair, read_dataset, write_dataset
 from deepref.generator import ModelConfig, build_network, load_weights, save_weights
 from deepref.video_io import read_sequence, write_y4m
@@ -83,7 +84,7 @@ READERS = {
     "d.drpd": read_dataset,
     "s.y4m": read_sequence,
     "p.pgm": read_plane_pgm,
-    "rd.csv": read_csv,
+    "rd.csv": lambda path: _load_curve(path, None),  # the RD parser over read_csv
     "run.json": load_run_config,
 }
 

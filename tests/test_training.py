@@ -263,21 +263,21 @@ class TestBlockSizeSweep:
         tex = SinusoidTexture.random(21, min_freq=0.05, max_freq=0.2)
         return [tex.render(48, 48, offset=(0.5 * t, 0.3 * t)) for t in range(n)]
 
-    def sweep_cfg(self):
-        return TrainConfig(lr0=1.0, epochs=2, batch_size=8, shuffle_seed=0, model=TINY)
+    def sweep(self, frames, sizes, **kwargs):
+        cfg = TrainConfig(lr0=1.0, epochs=2, batch_size=8, shuffle_seed=0)
+        return block_size_sweep(frames, sizes, TINY, cfg, ExtractionConfig(), **kwargs)
 
     def test_one_row_per_size(self):
-        rows = block_size_sweep(self.make_frames(), [8, 16], self.sweep_cfg(),
-                                sequence_name="pan")
+        rows = self.sweep(self.make_frames(), [8, 16], sequence_name="pan")
         assert [r[0] for r in rows] == [8, 16]
         assert all(r[1] == "pan" and np.isfinite(r[2]) for r in rows)
 
     def test_deterministic(self):
         frames = self.make_frames()
-        a = block_size_sweep(frames, [8], self.sweep_cfg())
-        b = block_size_sweep(frames, [8], self.sweep_cfg())
+        a = self.sweep(frames, [8])
+        b = self.sweep(frames, [8])
         assert a == b
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ConfigError):
-            block_size_sweep(self.make_frames(2), [8], self.sweep_cfg())
+            self.sweep(self.make_frames(2), [8])

@@ -41,6 +41,15 @@ class TestRawYuv:
         with pytest.raises(ConfigError, match="width"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("width, height, shown", [
+        (-2, -4, "-2x-4"), (-2, 16, "-2x16"), (16, -4, "16x-4"),
+    ])
+    def test_non_positive_dims_rejected(self, tmp_path, width, height, shown):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(raw_yuv_bytes(make_planes(2)))
+        with pytest.raises(ConfigError, match=f">= 1, got {shown}"):
+            read_sequence(path, width=width, height=height)
+
     def test_odd_dims_rejected(self, tmp_path):
         path = tmp_path / "clip.yuv"
         path.write_bytes(b"\x00" * 1000)
