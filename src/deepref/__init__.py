@@ -32,7 +32,7 @@ from .generator import (
     load_weights,
     save_weights,
 )
-from .interp import LUMA_FILTERS, InterpFilterSet, MotionVectorQ, interpolate_block
+from .interp import LUMA_FILTERS, MotionVectorQ, interpolate_block
 from .metrics import RDPoint, bd_rate, psnr, ssim
 from .synthetic import SinusoidTexture, pan_zoom_sequence
 from .training import TrainConfig, block_size_sweep, lr_schedule, mse_loss, train

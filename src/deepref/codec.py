@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ShapeMismatchError, check_int, check_real
 from .generator import GeneratorNet, generate_reference
 from .interp import MotionVectorQ, subpel_planes
 from .metrics import RDPoint, psnr
@@ -38,12 +38,9 @@ class SearchConfig:
     block_size: int = 32
 
     def __post_init__(self):
-        if self.search_range < 1:
-            raise ConfigError(f"search_range must be >= 1, got {self.search_range}")
-        if self.lambda_mv < 0:
-            raise ConfigError(f"lambda_mv must be >= 0, got {self.lambda_mv}")
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
+        check_int("search_range", self.search_range, 1)
+        check_real("lambda_mv", self.lambda_mv, 0)
+        check_int("block_size", self.block_size, 1)
 
 
 class MVRecord(NamedTuple):
@@ -163,7 +160,6 @@ def motion_search(
     cur: np.ndarray,
     origin: tuple[int, int],
     cfg: SearchConfig,
-    size=None,
 ) -> tuple[MotionVectorQ, float]:
     """Full integer search then half- and quarter-pel refinement.
 
@@ -175,12 +171,12 @@ def motion_search(
     ref = np.asarray(ref)
     cur = np.asarray(cur)
     x0, y0 = origin
-    w, h = (cfg.block_size, cfg.block_size) if size is None else (int(size[0]), int(size[1]))
-    _check_block(cur, x0, y0, w, h)
+    bs = cfg.block_size
+    _check_block(cur, x0, y0, bs, bs)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     planes = subpel_planes(ref, cfg.search_range + 1)
-    cur_blk = cur[y0 : y0 + h, x0 : x0 + w].astype(np.int16)
+    cur_blk = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int16)
     (coarse,) = _integer_search(planes[0, 0], cur_blk, origin, [0], cfg)
     match = _refine(planes, cur_blk, origin, coarse, cfg)
     return match.mv, match.cost
@@ -216,9 +212,7 @@ def encode_frame_proxy(
     cur = np.asarray(cur)
     if not refs:
         raise ShapeMismatchError("reference list must hold at least one picture")
-    if int(q) < 1:
-        raise ConfigError(f"quantizer step must be >= 1, got {q}")
-    q = int(q)
+    check_int("quantizer step", q, 1)
     for i, ref in enumerate(refs):
         if np.asarray(ref).shape != cur.shape:
             raise ShapeMismatchError(
@@ -258,9 +252,7 @@ def encode_frame_proxy(
 
 def intra_frame_proxy(frame: np.ndarray, q: int) -> tuple[float, np.ndarray]:
     """Stand-in for the first frame: quantize raw samples, price with exp-Golomb."""
-    if int(q) < 1:
-        raise ConfigError(f"quantizer step must be >= 1, got {q}")
-    q = int(q)
+    check_int("quantizer step", q, 1)
     qidx = np.rint(np.asarray(frame, dtype=np.float64) / q).astype(np.int64)
     bits = float(_se_bits_array(qidx).sum())
     recon = np.clip(qidx * q, 0, 255).astype(np.uint8)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .codec import SearchConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .flow import ExtractionConfig
 from .generator import ModelConfig
 from .training import TrainConfig
@@ -32,13 +32,17 @@ class RunConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        try:
-            q_set = [] if isinstance(self.q_set, str) else [int(q) for q in self.q_set]
-        except (TypeError, ValueError, OverflowError):
-            q_set = []
-        if not q_set or min(q_set) < 1:
-            raise ConfigError(f"q_set must be non-empty positive integers, got {self.q_set}")
-        self.q_set = q_set
+        if self.input_format not in (None, "yuv", "y4m"):
+            raise ConfigError(
+                f"input_format must be \"yuv\" or \"y4m\", got {self.input_format!r}")
+        for name in ("width", "height"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), 1)
+        if not isinstance(self.q_set, (list, tuple)) or not self.q_set:
+            raise ConfigError(f"q_set must be a non-empty list of integers, got {self.q_set!r}")
+        for q in self.q_set:
+            check_int("q_set entry", q, 1)
+        self.q_set = list(self.q_set)
 
 
 def _build_section(cls, doc: dict, label: str):
@@ -46,10 +50,7 @@ def _build_section(cls, doc: dict, label: str):
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+    return cls(**doc)
 
 
 _SECTIONS = {
@@ -58,7 +59,8 @@ _SECTIONS = {
     "train": TrainConfig,
     "search": SearchConfig,
 }
-_SCALARS = {"input_path", "input_format", "width", "height", "q_set"}
+# input_path is no key: --input, which every reading subcommand requires, sets it
+_SCALARS = {"input_format", "width", "height", "q_set"}
 _SEED_FIELDS = {"model": "seed", "train": "shuffle_seed"}
 
 

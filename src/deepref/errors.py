@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks every
+numeric config value goes through."""
+
+import math
+import numbers
+import sys
 
 
 class DeepRefError(Exception):
@@ -19,3 +24,27 @@ class FormatError(DeepRefError, ValueError):
 
 class ConfigError(DeepRefError, ValueError):
     """A configuration value or run-config document is invalid."""
+
+
+def check_int(name: str, value, low: int, high: int | None = 2**31 - 1) -> None:
+    """Raise ConfigError unless `value` is an integer in [low, high], or at
+    least `low` when `high` is None. A bool is not an integer here: JSON
+    ``true`` is no count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, open_low: bool = False) -> None:
+    """Raise ConfigError unless `value` is a finite real number in [low, high],
+    or in (low, high] when `open_low`. A bool is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            # math.isfinite overflows on an int no float holds
+            or not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                    else math.isfinite(value))
+            or value > high
+            or (value <= low if open_low else value < low)):
+        bound = (f"{'>' if open_low else '>='} {low}" if high == math.inf
+                 else f"in {'(' if open_low else '['}{low}, {high}]")
+        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")

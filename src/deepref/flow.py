@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError
+from .errors import ConfigError, FormatError, ShapeMismatchError, check_int, check_real
 from .fileio import atomic_write_bytes
 
 DATASET_MAGIC = b"DRPD"
 DATASET_VERSION = 1
+DEGENERACY_THRESHOLD = 1e-3  # per-pixel floor on the structure tensor's min eigenvalue
 
 
 @dataclass
@@ -30,19 +31,20 @@ class ExtractionConfig:
     lk_iterations: int = 5
     lk_eps: float = 0.01  # px; stop when |dv| drops below
     mv_clamp: float = 8.0  # px per component
-    degeneracy_threshold: float = 1e-3  # per-pixel min-eigenvalue floor
     keep_degenerate: bool = True
     integer_snap: float = 0.02  # px; snap near-integer flow before the floor rule
 
     def __post_init__(self):
-        if self.block_size < 8:
-            raise ConfigError(f"block_size must be >= 8, got {self.block_size}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.lk_iterations < 1:
-            raise ConfigError(f"lk_iterations must be >= 1, got {self.lk_iterations}")
-        if self.mv_clamp <= 0:
-            raise ConfigError(f"mv_clamp must be positive, got {self.mv_clamp}")
+        check_int("block_size", self.block_size, 8)
+        if self.stride is not None:
+            check_int("stride", self.stride, 1)
+        check_int("lk_iterations", self.lk_iterations, 1)
+        check_real("lk_eps", self.lk_eps, 0)
+        check_real("mv_clamp", self.mv_clamp, 0, open_low=True)
+        if not isinstance(self.keep_degenerate, bool):
+            raise ConfigError(
+                f"keep_degenerate must be true or false, got {self.keep_degenerate!r}")
+        check_real("integer_snap", self.integer_snap, 0, 0.5)
 
     @property
     def effective_stride(self) -> int:
@@ -96,7 +98,7 @@ def _lk_block(ref, gx, gy, cur, origin, size, cfg):
     half_trace = 0.5 * (g11 + g22)
     det = g11 * g22 - g12 * g12
     min_eig = half_trace - math.sqrt(max(half_trace * half_trace - det, 0.0))
-    if min_eig < cfg.degeneracy_threshold * (w * h):
+    if min_eig < DEGENERACY_THRESHOLD * (w * h):
         return (0.0, 0.0), True
 
     target = cur[y0 : y0 + h, x0 : x0 + w]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError
+from .errors import ConfigError, FormatError, ShapeMismatchError, check_int, check_real
 from .fileio import atomic_write_bytes
 from .nn import (
     ConvParams,
@@ -47,15 +47,6 @@ _BRANCH_RF = (3, 9, 15)
 _NUM_BLOCKS = 3
 
 
-def check_seed(name: str, value) -> None:
-    """Seeds feed ``np.random.default_rng``, which takes non-negative integers.
-
-    A bool is refused as well: JSON ``true`` is not a seed.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 @dataclass
 class ModelConfig:
     head_channels: int = 64
@@ -69,17 +60,11 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("head_channels", "branch_reduce_channels",
                      "branch_out_channels", "trunk_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.k <= 1.0:
-            raise ConfigError(f"k must be in [0,1], got {self.k}")
-        try:
-            ok = np.dtype(self.dtype) in (np.dtype(np.float32), np.dtype(np.float64))
-        except (TypeError, ValueError):  # np.dtype refuses e.g. {"": ""}
-            ok = False
-        if not ok:
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        check_seed("seed", self.seed)
+            check_int(name, getattr(self, name), 1)
+        check_real("k", self.k, 0, 1)
+        check_int("seed", self.seed, 0, None)  # default_rng takes any such integer
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be \"float32\" or \"float64\", got {self.dtype!r}")
 
 
 @dataclass
@@ -109,8 +94,7 @@ class DilatedInceptionBlock:
     k: float
 
     def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise ConfigError(f"block k must be in [0,1], got {self.k}")
+        check_real("block k", self.k, 0, 1)
         concat_ch = sum(b.layers[-1].out_ch for b in self.branches)
         if self.fuse.in_ch != concat_ch:
             raise ShapeMismatchError(
@@ -397,7 +381,7 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
         raise FormatError(f"truncated weight file: {exc}") from exc
 
 
-def load_weights(path, dtype: str = "float32") -> GeneratorNet:
+def load_weights(path) -> GeneratorNet:
     """Rebuild a network from a weight file; shapes are validated per layer."""
     with open(path, "rb") as fh:
         tensors = _parse_weight_file(fh.read())
@@ -415,8 +399,6 @@ def load_weights(path, dtype: str = "float32") -> GeneratorNet:
         branch_out_channels=tensors["block1.branch1.conv2.weight"].shape[0],
         trunk_channels=tensors["head2.weight"].shape[0],
         k=float(np.clip(ks[0], 0.0, 1.0)),
-        seed=0,
-        dtype=dtype,
     )
     net = build_network(config)
 
@@ -430,7 +412,6 @@ def load_weights(path, dtype: str = "float32") -> GeneratorNet:
     if unexpected:
         raise FormatError(f"weight file has unexpected tensors: {sorted(unexpected)}")
 
-    np_dtype = np.dtype(dtype)
     for name, p in named_params(net):
         for part, current in (("weight", p.weights), ("bias", p.bias)):
             arr = tensors[f"{name}.{part}"]
@@ -438,8 +419,8 @@ def load_weights(path, dtype: str = "float32") -> GeneratorNet:
                 raise FormatError(
                     f"layer {name}: {part} shape {arr.shape} != expected {current.shape}"
                 )
-        p.weights = tensors[f"{name}.weight"].astype(np_dtype)
-        p.bias = tensors[f"{name}.bias"].astype(np_dtype)
+        p.weights = tensors[f"{name}.weight"].astype(np.float32)
+        p.bias = tensors[f"{name}.bias"].astype(np.float32)
     for blk, k in zip(net.blocks, ks):
         if not 0.0 <= float(k) <= 1.0:
             raise FormatError(f"stored k {float(k)} outside [0,1]")

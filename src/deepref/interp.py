@@ -11,12 +11,12 @@ sample replication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ShapeMismatchError, check_int
 
 
 class MotionVectorQ(NamedTuple):
@@ -26,50 +26,21 @@ class MotionVectorQ(NamedTuple):
     y4: int
 
 
-@dataclass(frozen=True)
-class InterpFilterSet:
-    """Integer taps; each set sums to 2**norm_shift so DC is preserved.
-
-    Tap k of ``half`` applies to the sample at offset k-3 (offsets -3..+4),
-    ``quarter`` to offsets -3..+3, and ``three_quarter`` to offsets -2..+4.
-    """
-
-    half: tuple[int, ...]
-    quarter: tuple[int, ...]
-    three_quarter: tuple[int, ...]
-    norm_shift: int = 6
-
-    def __post_init__(self):
-        gain = 1 << self.norm_shift
-        if len(self.half) != 8:
-            raise ConfigError(f"half filter must have 8 taps, got {len(self.half)}")
-        if len(self.quarter) != 7 or len(self.three_quarter) != 7:
-            raise ConfigError("quarter filters must have 7 taps")
-        for name, taps in (("half", self.half), ("quarter", self.quarter),
-                           ("three_quarter", self.three_quarter)):
-            if sum(taps) != gain:
-                raise ConfigError(f"{name} taps sum to {sum(taps)}, expected {gain}")
-        if self.half != tuple(reversed(self.half)):
-            raise ConfigError("half taps must be symmetric")
-        if self.three_quarter != tuple(reversed(self.quarter)):
-            raise ConfigError("three_quarter taps must mirror the quarter taps")
-
-    def phase(self, frac: int) -> tuple[np.ndarray, int]:
-        """Return (taps, first support offset) for a 1..3 quarter-pel phase."""
-        if frac == 1:
-            return np.asarray(self.quarter, dtype=np.int64), -3
-        if frac == 2:
-            return np.asarray(self.half, dtype=np.int64), -3
-        if frac == 3:
-            return np.asarray(self.three_quarter, dtype=np.int64), -2
-        raise ConfigError(f"fractional phase must be 1..3, got {frac}")
-
-
-LUMA_FILTERS = InterpFilterSet(
+# Integer taps; each set sums to 64 = 2**_SHIFT, so DC is preserved. Tap k of
+# ``half`` applies to the sample at offset k-3 (offsets -3..+4), ``quarter``
+# to offsets -3..+3, and ``three_quarter`` to offsets -2..+4.
+LUMA_FILTERS = namedtuple("LumaFilters", "half quarter three_quarter")(
     half=(-1, 4, -11, 40, 40, -11, 4, -1),
     quarter=(-1, 4, -10, 58, 17, -5, 1),
     three_quarter=(1, -5, 17, 58, -10, 4, -1),
 )
+_SHIFT = 6
+# quarter-pel phase 1..3 -> (taps, offset of the first tap)
+_PHASES = {
+    1: (LUMA_FILTERS.quarter, -3),
+    2: (LUMA_FILTERS.half, -3),
+    3: (LUMA_FILTERS.three_quarter, -2),
+}
 
 # widest support over all phases: 3 samples left/above, 4 right/below
 _MARGIN_LO = 3
@@ -109,7 +80,6 @@ def interpolate_block(
     origin: tuple[int, int],
     size,
     mv: MotionVectorQ,
-    filters: InterpFilterSet = LUMA_FILTERS,
 ) -> np.ndarray:
     """Motion-compensated prediction block for a quarter-pel motion vector.
 
@@ -132,28 +102,27 @@ def interpolate_block(
     if fx == 0 and fy == 0:
         return gather_block(ref, bx, by, w, h).astype(np.uint8)
 
-    shift = filters.norm_shift
     win = gather_block(
         ref, bx - _MARGIN_LO, by - _MARGIN_LO, w + _MARGIN_LO + _MARGIN_HI,
         h + _MARGIN_LO + _MARGIN_HI,
     ).astype(np.int64)
 
     if fy == 0:
-        taps, start = filters.phase(fx)
+        taps, start = _PHASES[fx]
         rows = win[_MARGIN_LO : _MARGIN_LO + h, :]
         acc = _filter_cols(rows, taps, _MARGIN_LO + start, w)
-        out = (acc + (1 << (shift - 1))) >> shift
+        out = (acc + (1 << (_SHIFT - 1))) >> _SHIFT
     elif fx == 0:
-        taps, start = filters.phase(fy)
+        taps, start = _PHASES[fy]
         cols = win[:, _MARGIN_LO : _MARGIN_LO + w]
         acc = _filter_rows(cols, taps, _MARGIN_LO + start, h)
-        out = (acc + (1 << (shift - 1))) >> shift
+        out = (acc + (1 << (_SHIFT - 1))) >> _SHIFT
     else:
-        taps_x, start_x = filters.phase(fx)
+        taps_x, start_x = _PHASES[fx]
         mid = _filter_cols(win, taps_x, _MARGIN_LO + start_x, w)  # full precision
-        taps_y, start_y = filters.phase(fy)
+        taps_y, start_y = _PHASES[fy]
         acc = _filter_rows(mid, taps_y, _MARGIN_LO + start_y, h)
-        out = (acc + (1 << (2 * shift - 1))) >> (2 * shift)
+        out = (acc + (1 << (2 * _SHIFT - 1))) >> (2 * _SHIFT)
 
     return np.clip(out, 0, 255).astype(np.uint8)
 
@@ -171,30 +140,28 @@ def subpel_planes(ref: np.ndarray, margin: int) -> np.ndarray:
     [-margin, margin].
     """
     ref = np.asarray(ref)
-    m = int(margin)
-    if m < 0:
-        raise ConfigError(f"margin must be >= 0, got {margin}")
+    check_int("margin", margin, 0)
+    m = margin
     fh, fw = ref.shape
     ph, pw = fh + 2 * m, fw + 2 * m
     # 8-bit samples times taps summed twice stay far inside int32
     src = np.pad(ref, ((m + _MARGIN_LO, m + _MARGIN_HI),) * 2, mode="edge").astype(np.int32)
-    shift = LUMA_FILTERS.norm_shift
     planes = np.empty((4, 4, ph, pw), dtype=np.uint8)
     planes[0, 0] = gather_block(ref, -m, -m, pw, ph)
     for fx in range(4):
         if fx == 0:
             mid = src[:, _MARGIN_LO : _MARGIN_LO + pw]
         else:
-            taps, start = LUMA_FILTERS.phase(fx)
-            mid = _filter_cols(src, taps.astype(np.int32), _MARGIN_LO + start, pw)
+            taps, start = _PHASES[fx]
+            mid = _filter_cols(src, taps, _MARGIN_LO + start, pw)
         for fy in range(4):
             if fy == 0:
                 if fx == 0:
                     continue
-                acc, s = mid[_MARGIN_LO : _MARGIN_LO + ph], shift
+                acc, s = mid[_MARGIN_LO : _MARGIN_LO + ph], _SHIFT
             else:
-                taps, start = LUMA_FILTERS.phase(fy)
-                acc = _filter_rows(mid, taps.astype(np.int32), _MARGIN_LO + start, ph)
-                s = shift if fx == 0 else 2 * shift
+                taps, start = _PHASES[fy]
+                acc = _filter_rows(mid, taps, _MARGIN_LO + start, ph)
+                s = _SHIFT if fx == 0 else 2 * _SHIFT
             planes[fy, fx] = np.clip((acc + (1 << (s - 1))) >> s, 0, 255)
     return planes

@@ -12,12 +12,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SinusoidTexture:
-    """Sum of random plane waves around a mid-gray level."""
+    """Sum of random plane waves around mid-gray (128)."""
 
     freqs: np.ndarray  # (n, 2): cycles per pixel along x and y
     phases: np.ndarray  # (n,)
     amps: np.ndarray  # (n,)
-    level: float = 128.0
 
     @classmethod
     def random(
@@ -39,7 +38,7 @@ class SinusoidTexture:
 
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Texture value at arbitrary real coordinates."""
-        acc = np.full(np.broadcast(xs, ys).shape, self.level, dtype=np.float64)
+        acc = np.full(np.broadcast(xs, ys).shape, 128.0)
         for (fx, fy), phase, amp in zip(self.freqs, self.phases, self.amps):
             acc += amp * np.sin(2.0 * math.pi * (fx * xs + fy * ys) + phase)
         return acc

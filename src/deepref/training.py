@@ -10,13 +10,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ShapeMismatchError
+from .errors import ConfigError, NonFiniteError, ShapeMismatchError, check_int, check_real
 from .flow import ExtractionConfig, SamplePair, extract_pairs
 from .generator import (
     GeneratorNet,
     ModelConfig,
     build_network,
-    check_seed,
     copy_network,
     generate_reference,
     named_params,
@@ -35,23 +34,14 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 80
     shuffle_seed: int = 0
-    rho: float = 0.95
-    eps: float = 1e-6
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ConfigError(f"decay_factor must be in (0,1], got {self.decay_factor}")
-        if self.decay_interval_epochs < 1:
-            raise ConfigError(
-                f"decay_interval_epochs must be >= 1, got {self.decay_interval_epochs}"
-            )
-        if self.lr0 < 0:
-            raise ConfigError(f"lr0 must be non-negative, got {self.lr0}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        check_seed("shuffle_seed", self.shuffle_seed)
+        check_real("lr0", self.lr0, 0)
+        check_int("decay_interval_epochs", self.decay_interval_epochs, 1)
+        check_real("decay_factor", self.decay_factor, 0, 1, open_low=True)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
+        check_int("shuffle_seed", self.shuffle_seed, 0, None)
 
 
 class EpochStats(NamedTuple):
@@ -130,7 +120,7 @@ def train(
     net = copy_network(net)
     params = named_params(net)
     theta = _share_one_vector(params)
-    state = AdadeltaState.zeros_like(theta, rho=cfg.rho, eps=cfg.eps)
+    state = AdadeltaState.zeros_like(theta)
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = LossReport()
     n = len(dataset)

@@ -129,8 +129,8 @@ def _read_y4m(path) -> FrameSequence:
     return FrameSequence(width, height, frames)
 
 
-def write_y4m(frames, path, fps: tuple[int, int] = (25, 1)) -> None:
-    """Write luma planes as C420 Y4M with mid-gray chroma (for demo inputs)."""
+def write_y4m(frames, path) -> None:
+    """Write luma planes as 25 fps C420 Y4M with mid-gray chroma (for demo inputs)."""
     frames = [np.asarray(f, dtype=np.uint8) for f in frames]
     if not frames:
         raise ConfigError("write_y4m needs at least one frame")
@@ -138,7 +138,7 @@ def write_y4m(frames, path, fps: tuple[int, int] = (25, 1)) -> None:
     _check_even_dims(width, height, path)
     chroma = np.full((height // 2, width // 2), 128, dtype=np.uint8).tobytes()
     out = bytearray()
-    out += f"YUV4MPEG2 W{width} H{height} F{fps[0]}:{fps[1]} Ip A1:1 C420\n".encode("ascii")
+    out += f"YUV4MPEG2 W{width} H{height} F25:1 Ip A1:1 C420\n".encode("ascii")
     for frame in frames:
         if frame.shape != (height, width):
             raise FormatError(f"frame shape {frame.shape} != first frame {(height, width)}")

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from deepref.cli import _resolve, build_parser, main
+from deepref.cli import FLAG_TABLE, _resolve, build_parser, main
 from deepref.fileio import read_csv, read_plane_pgm
 from deepref.flow import read_dataset
-from deepref.generator import load_weights
+from deepref.generator import ModelConfig, build_network, load_weights, save_weights
 from deepref.synthetic import pan_zoom_sequence
 from deepref.video_io import write_y4m
 
@@ -385,3 +385,46 @@ class TestFlagTable:
         code, _, err = run(["sweep", *REQUIRED["sweep"], "--q-set", ""], capsys)
         assert code == 1
         assert err.startswith("error:") and "--q-set" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_weights(tmp_path_factory):
+    path = tmp_path_factory.mktemp("net") / "tiny.drpg"
+    save_weights(build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
+                                           branch_out_channels=2, trunk_channels=2)), path)
+    return path
+
+
+BEYOND_INT = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["encode", "--q", BEYOND_INT], "quantizer step"),
+    (["sweep", "--weights", "{weights}", "--output", "{tmp}/rd.csv",
+      "--q-set", f"8,16,32,{BEYOND_INT}"], "q_set entry"),
+    (["encode", "--q", "8", "--block-size", BEYOND_INT], "block_size"),
+    (["extract", "--output", "{tmp}/d.drpd", "--block-size", BEYOND_INT], "block_size"),
+])
+def test_integer_beyond_int_range_rejected(capsys, clip, tiny_weights, tmp_path, argv, field):
+    argv = [a.format(weights=tiny_weights, tmp=tmp_path) for a in argv]
+    code, _, err = run([argv[0], "--input", str(clip), *argv[1:]], capsys)
+    assert code == 1
+    assert err.startswith("error:") and field in err and BEYOND_INT in err
+
+
+# one subcommand taking each flag group
+GROUP_COMMAND = {"seed": "train", "input": "extract", "format": "extract", "model": "train",
+                 "train": "train", "extract": "extract", "search": "encode", "q-set": "sweep"}
+
+
+@pytest.mark.parametrize("command, flag, field, value", [
+    pytest.param(GROUP_COMMAND[group], flag, targets.rpartition(".")[2], value,
+                 id=f"{flag} {value}")
+    for group, flags in FLAG_TABLE.items() for flag, targets, kwargs in flags
+    for value in {float: ["nan", "inf"], int: [BEYOND_INT]}.get(kwargs.get("type"), [])
+    if group != "seed"
+])
+def test_numeric_flag_refuses_non_finite_and_huge_values(capsys, command, flag, field, value):
+    code, _, err = run([command, *REQUIRED[command], flag, value], capsys)
+    assert code == 1
+    assert err.startswith("error:") and field in err and err.count("\n") == 1

@@ -23,7 +23,6 @@ def test_defaults():
 
 def test_load_full_document(tmp_path):
     path = write(tmp_path, {
-        "input_path": "seq.y4m",
         "seed": 7,
         "q_set": [4, 8, 16, 32],
         "extraction": {"block_size": 16, "stride": 8},
@@ -33,7 +32,6 @@ def test_load_full_document(tmp_path):
         "search": {"search_range": 4},
     })
     cfg = load_run_config(path)
-    assert cfg.input_path == "seq.y4m"
     assert cfg.extraction.stride == 8
     assert cfg.model.head_channels == 8
     assert cfg.train.epochs == 5
@@ -48,7 +46,7 @@ def test_load_full_document(tmp_path):
 def test_seed_must_be_a_non_negative_integer(tmp_path, seed, where):
     doc = {"top": {"seed": seed}, "model": {"model": {"seed": seed}},
            "train": {"train": {"shuffle_seed": seed}}}[where]
-    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         load_run_config(write(tmp_path, doc))
 
 
@@ -93,6 +91,16 @@ def test_bad_q_set_rejected():
 @pytest.mark.parametrize("doc", [
     {"q_set": "x"}, {"q_set": "88"}, {"q_set": 5}, {"q_set": [None]}, {"q_set": [1e999]},
     {"extraction": [1]}, {"model": "ab"}, {"model": {"dtype": {"": ""}}},
+    # a bool, a fraction, NaN, infinity or a string in a numeric field
+    {"train": {"epochs": True}}, {"q_set": [8.7]}, {"q_set": [True]},
+    {"search": {"lambda_mv": float("nan")}}, {"train": {"lr0": float("inf")}},
+    {"model": {"k": True}}, {"extraction": {"block_size": 16.5}},
+    {"extraction": {"mv_clamp": float("nan")}}, {"extraction": {"lk_eps": "x"}},
+    {"extraction": {"integer_snap": None}}, {"extraction": {"keep_degenerate": 0}},
+    {"width": "ab"}, {"width": True}, {"height": 2.5}, {"input_format": "mp4"},
+    # integers beyond the int range, a null dtype, and the input_path key
+    {"search": {"search_range": 99999999999999999999}}, {"q_set": [8, 2**31]},
+    {"model": {"dtype": None}}, {"input_path": "seq.y4m"},
 ])
 def test_malformed_values_rejected(tmp_path, doc):
     with pytest.raises(ConfigError):

@@ -1,7 +1,9 @@
 """Byte-mutation fuzzing of every file reader: whatever the bytes, a reader
 returns or raises a DeepRefError, never another exception."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ JSON_VALUES = st.recursive(
     max_leaves=4,
 )
 RUN_DOC = {
-    "input_path": "seq.y4m", "input_format": "y4m", "width": 64, "height": 64,
+    "input_format": "y4m", "width": 64, "height": 64,
     "seed": 7, "q_set": [8, 16],
     "extraction": {"block_size": 16, "stride": 8},
     "model": {"head_channels": 8, "k": 0.5, "dtype": "float32"},
@@ -123,6 +125,28 @@ def test_config_values_of_any_json_type_raise_config_errors(tmp_path_factory, da
     path = tmp_path_factory.getbasetemp() / "fuzz_values.json"
     path.write_text(json.dumps(doc))
     try:
-        load_run_config(path)
+        cfg = load_run_config(path)
     except DeepRefError:
-        pass
+        return
+    assert_declared_kinds(cfg)
+
+
+# what a loaded config value may be, by the field's declared type
+_KINDS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and math.isfinite(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and v and all(_KINDS["int"](q) for q in v),
+}
+
+
+def assert_declared_kinds(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            assert_declared_kinds(value)
+            continue
+        kind, _, optional = f.type.partition(" | ")
+        assert (optional == "None" and value is None) or _KINDS[kind](value), (f.name, value)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from deepref.errors import ConfigError, ShapeMismatchError
 from deepref.interp import (
     LUMA_FILTERS,
-    InterpFilterSet,
     MotionVectorQ,
     interpolate_block,
     subpel_planes,
@@ -69,16 +68,6 @@ class TestFilterSet:
     def test_half_symmetric_and_three_quarter_mirrors_quarter(self):
         assert LUMA_FILTERS.half == tuple(reversed(LUMA_FILTERS.half))
         assert LUMA_FILTERS.three_quarter == tuple(reversed(LUMA_FILTERS.quarter))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ConfigError, match="sum"):
-            InterpFilterSet(half=(0, 0, 0, 32, 31, 0, 0, 0),
-                            quarter=QUARTER, three_quarter=tuple(reversed(QUARTER)))
-
-    def test_asymmetric_half_rejected(self):
-        with pytest.raises(ConfigError, match="symmetric"):
-            InterpFilterSet(half=(-2, 5, -11, 40, 40, -11, 4, -1),
-                            quarter=QUARTER, three_quarter=tuple(reversed(QUARTER)))
 
 
 class TestInterpolateBlock:
