@@ -43,7 +43,6 @@ _BRANCH_LAYOUT = (
     ((1, 1), (3, 1), (3, 3)),
     ((1, 1), (3, 1), (3, 1), (3, 5)),
 )
-_BRANCH_RF = (3, 9, 15)
 _NUM_BLOCKS = 3
 
 
@@ -72,14 +71,6 @@ class BranchSpec:
     """One multi-scale branch: a stack of convolutions, each followed by ReLU."""
 
     layers: list[ConvParams]
-    declared_receptive_field: int
-
-    def __post_init__(self):
-        if self.receptive_field != self.declared_receptive_field:
-            raise ConfigError(
-                f"branch receptive field {self.receptive_field} != "
-                f"declared {self.declared_receptive_field}"
-            )
 
     @property
     def receptive_field(self) -> int:
@@ -92,18 +83,6 @@ class DilatedInceptionBlock:
     fuse: ConvParams  # 1x1 on the concatenated branch outputs
     skip: ConvParams  # 1x1 on the block input (approximate-identity branch)
     k: float
-
-    def __post_init__(self):
-        check_real("block k", self.k, 0, 1)
-        concat_ch = sum(b.layers[-1].out_ch for b in self.branches)
-        if self.fuse.in_ch != concat_ch:
-            raise ShapeMismatchError(
-                f"fuse expects {self.fuse.in_ch} channels, branches concat to {concat_ch}"
-            )
-        if self.skip.in_ch != self.skip.out_ch or self.fuse.out_ch != self.skip.out_ch:
-            raise ShapeMismatchError(
-                "block input and output channel counts must match so blocks stack"
-            )
 
 
 @dataclass
@@ -142,13 +121,13 @@ def build_network(config: ModelConfig) -> GeneratorNet:
     blocks = []
     for _ in range(_NUM_BLOCKS):
         branches = []
-        for layout, rf in zip(_BRANCH_LAYOUT, _BRANCH_RF):
+        for layout in _BRANCH_LAYOUT:
             layers, cin = [], t
             for kernel, dilation in layout:
                 cout = r if kernel == 1 else o
                 layers.append(conv(cin, cout, kernel, dilation))
                 cin = cout
-            branches.append(BranchSpec(layers, rf))
+            branches.append(BranchSpec(layers))
         fuse = conv(len(branches) * o, t, 1)
         skip = identity_conv(t)
         blocks.append(DilatedInceptionBlock(branches, fuse, skip, config.k))
@@ -157,7 +136,7 @@ def build_network(config: ModelConfig) -> GeneratorNet:
 
 
 def named_params(net: GeneratorNet) -> list[tuple[str, ConvParams]]:
-    """All trainable convolutions in fixed traversal order."""
+    """Every trainable convolution with its name, in fixed traversal order."""
     items = [(f"head{i + 1}", p) for i, p in enumerate(net.head)]
     for bi, blk in enumerate(net.blocks, start=1):
         for ri, branch in enumerate(blk.branches, start=1):
@@ -167,17 +146,6 @@ def named_params(net: GeneratorNet) -> list[tuple[str, ConvParams]]:
         items.append((f"block{bi}.skip", blk.skip))
     items.append(("tail", net.tail))
     return items
-
-
-def copy_network(net: GeneratorNet) -> GeneratorNet:
-    """Deep copy; training mutates the copy, never the original."""
-    copied = build_network(net.config)
-    for (_, src), (_, dst) in zip(named_params(net), named_params(copied)):
-        dst.weights = src.weights.copy()
-        dst.bias = src.bias.copy()
-    for blk_src, blk_dst in zip(net.blocks, copied.blocks):
-        blk_dst.k = blk_src.k
-    return copied
 
 
 def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.ndarray:
@@ -190,15 +158,15 @@ def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.nda
     return x
 
 
-def _conv_relu_stack_backward(layers, cache, g, grads, names, want_grad_input=True):
+def _conv_relu_stack_backward(layers, cache, g, grads, want_grad_input=True):
     """Backward through `_conv_relu_stack`; stores each layer's (grad_w, grad_b)
-    under its name and returns the gradient w.r.t. the stack input (None when
+    under the layer and returns the gradient w.r.t. the stack input (None when
     `want_grad_input` is false)."""
     for li in reversed(range(len(layers))):
         h_in, z = cache[li]
         g, gw, gb = conv2d_backward(h_in, layers[li], relu_backward(z, g),
                                     want_grad_input=li > 0 or want_grad_input)
-        grads[names[li]] = (gw, gb)
+        grads[layers[li]] = (gw, gb)
     return g
 
 
@@ -218,17 +186,16 @@ def block_forward(block: DilatedInceptionBlock, x: np.ndarray, want_cache: bool 
     return out
 
 
-def _block_backward(block, cache, grad_out, grads, prefix):
+def _block_backward(block, cache, grad_out, grads):
     x, branch_caches, phi, pre = cache
     g_pre = relu_backward(pre, grad_out)
     g_phi, gw, gb = conv2d_backward(phi, block.fuse, block.k * g_pre)
-    grads[f"{prefix}.fuse"] = (gw, gb)
+    grads[block.fuse] = (gw, gb)
     g_x, gw, gb = conv2d_backward(x, block.skip, g_pre)
-    grads[f"{prefix}.skip"] = (gw, gb)
+    grads[block.skip] = (gw, gb)
     parts = split_channels(g_phi, [b.layers[-1].out_ch for b in block.branches])
-    for ri, (branch, cache_b, g) in enumerate(zip(block.branches, branch_caches, parts), start=1):
-        names = [f"{prefix}.branch{ri}.conv{li}" for li in range(1, len(branch.layers) + 1)]
-        g_x = g_x + _conv_relu_stack_backward(branch.layers, cache_b, g, grads, names)
+    for branch, cache_b, g in zip(block.branches, branch_caches, parts):
+        g_x = g_x + _conv_relu_stack_backward(branch.layers, cache_b, g, grads)
     return g_x
 
 
@@ -266,17 +233,17 @@ def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input
     head_cache, block_caches, tail_in = cache
     grads = {}
     g, gw, gb = conv2d_backward(tail_in, net.tail, grad_out)
-    grads["tail"] = (gw, gb)
-    for bi in reversed(range(len(net.blocks))):
-        g = _block_backward(net.blocks[bi], block_caches[bi], g, grads, f"block{bi + 1}")
-    names = [f"head{i}" for i in range(1, len(net.head) + 1)]
-    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, names, want_grad_input)
-    return grads, g
+    grads[net.tail] = (gw, gb)
+    for blk, blk_cache in zip(reversed(net.blocks), reversed(block_caches)):
+        g = _block_backward(blk, blk_cache, g, grads)
+    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, want_grad_input)
+    return {name: grads[p] for name, p in named_params(net)}, g
 
 
-def normalize_plane(plane: np.ndarray, dtype) -> np.ndarray:
-    """8-bit plane -> (1, 1, H, W) tensor in [0, 1]."""
-    return (np.asarray(plane, dtype=dtype) / 255.0)[None, None]
+def normalize_plane(planes: np.ndarray, dtype) -> np.ndarray:
+    """8-bit (H, W) plane or (N, H, W) stack -> (N, 1, H, W) tensor in [0, 1]."""
+    x = np.asarray(planes, dtype=dtype) / 255.0
+    return x.reshape(-1, 1, *x.shape[-2:])
 
 
 def denormalize_plane(x: np.ndarray) -> np.ndarray:
@@ -373,6 +340,8 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
             if end > len(data):
                 raise FormatError(f"truncated weight file in tensor {name!r}")
             tensors[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(dims)
+            if not np.all(np.isfinite(tensors[name])):
+                raise FormatError(f"tensor {name!r} holds NaN or Inf")
             offset = end
         if offset != len(data):
             raise FormatError(f"{len(data) - offset} trailing bytes after last tensor")
@@ -393,12 +362,15 @@ def load_weights(path) -> GeneratorNet:
     ks = tensors["k"]
     if ks.shape != (_NUM_BLOCKS,):
         raise FormatError(f"k tensor has shape {ks.shape}, expected ({_NUM_BLOCKS},)")
+    for k in ks:
+        if not 0.0 <= k <= 1.0:
+            raise FormatError(f"stored k {float(k)} outside [0,1]")
     config = ModelConfig(
         head_channels=tensors["head1.weight"].shape[0],
         branch_reduce_channels=tensors["block1.branch1.conv1.weight"].shape[0],
         branch_out_channels=tensors["block1.branch1.conv2.weight"].shape[0],
         trunk_channels=tensors["head2.weight"].shape[0],
-        k=float(np.clip(ks[0], 0.0, 1.0)),
+        k=float(ks[0]),
     )
     net = build_network(config)
 
@@ -422,7 +394,5 @@ def load_weights(path) -> GeneratorNet:
         p.weights = tensors[f"{name}.weight"].astype(np.float32)
         p.bias = tensors[f"{name}.bias"].astype(np.float32)
     for blk, k in zip(net.blocks, ks):
-        if not 0.0 <= float(k) <= 1.0:
-            raise FormatError(f"stored k {float(k)} outside [0,1]")
         blk.k = float(k)
     return net

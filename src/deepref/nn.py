@@ -30,7 +30,8 @@ differently: padding moves pixels across that boundary and changes their bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +43,12 @@ def same_padding(kernel_size: int, dilation: int) -> int:
     return dilation * (kernel_size - 1) // 2
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvParams:
     """Square-kernel 2-D convolution parameters; stride is fixed at 1.
 
     ``padding=None`` selects "same" mode, i.e. dilation*(k-1)/2 per side.
+    Compares and hashes by identity, so a layer can key its gradients.
     """
 
     weights: np.ndarray  # (out_ch, in_ch, k, k)
@@ -289,51 +291,35 @@ def split_channels(grad_out: np.ndarray, channel_counts: list[int]) -> list[np.n
     return out
 
 
-@dataclass
-class AdadeltaState:
-    """Running accumulators for one parameter tensor.
+# Adadelta's decay rate and conditioning constant (Zeiler, 2012)
+RHO = 0.95
+EPS = 1e-6
 
-    ``lr`` is a plain scale applied to the Adadelta step (the update rule
-    itself is parameter-free apart from rho and eps).
-    """
+
+class AdadeltaState(NamedTuple):
+    """Running averages for one parameter tensor."""
 
     acc_grad_sq: np.ndarray  # E[g^2]
     acc_delta_sq: np.ndarray  # E[delta^2]
-    rho: float = 0.95
-    eps: float = 1e-6
-    lr: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0,1), got {self.rho}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
-        if self.acc_grad_sq.shape != self.acc_delta_sq.shape:
-            raise ShapeMismatchError("accumulator shapes differ")
 
     @classmethod
-    def zeros_like(cls, param: np.ndarray, rho: float = 0.95, eps: float = 1e-6,
-                   lr: float = 1e-4) -> "AdadeltaState":
-        return cls(
-            acc_grad_sq=np.zeros_like(param),
-            acc_delta_sq=np.zeros_like(param),
-            rho=rho,
-            eps=eps,
-            lr=lr,
-        )
+    def zeros_like(cls, param: np.ndarray) -> "AdadeltaState":
+        return cls(np.zeros_like(param), np.zeros_like(param))
 
 
 def adadelta_step(
-    param: np.ndarray, grad: np.ndarray, state: AdadeltaState
+    param: np.ndarray, grad: np.ndarray, state: AdadeltaState, lr: float
 ) -> tuple[np.ndarray, AdadeltaState]:
     """One Adadelta update; returns the new parameter and new state.
 
-        E[g^2]  <- rho*E[g^2] + (1-rho)*g^2
-        delta    = -sqrt((E[d^2]+eps) / (E[g^2]+eps)) * g
-        E[d^2]  <- rho*E[d^2] + (1-rho)*delta^2
+        E[g^2]  <- RHO*E[g^2] + (1-RHO)*g^2
+        delta    = -sqrt((E[d^2]+EPS) / (E[g^2]+EPS)) * g
+        E[d^2]  <- RHO*E[d^2] + (1-RHO)*delta^2
         param   <- param + lr*delta
+
+    ``lr`` is a plain scale on the step. An update whose parameter or running
+    averages are not finite (a NaN or Inf gradient, or an overflow) raises
+    NonFiniteError; the inputs are never modified.
     """
     if param.shape != grad.shape:
         raise ShapeMismatchError(f"grad shape {grad.shape} != param shape {param.shape}")
@@ -341,10 +327,11 @@ def adadelta_step(
         raise ShapeMismatchError(
             f"state shape {state.acc_grad_sq.shape} != param shape {param.shape}"
         )
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("gradient contains NaN or Inf; update aborted")
-    eg = state.rho * state.acc_grad_sq + (1.0 - state.rho) * grad * grad
-    delta = -np.sqrt((state.acc_delta_sq + state.eps) / (eg + state.eps)) * grad
-    ed = state.rho * state.acc_delta_sq + (1.0 - state.rho) * delta * delta
-    new_param = param + state.lr * delta
-    return new_param, replace(state, acc_grad_sq=eg, acc_delta_sq=ed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eg = RHO * state.acc_grad_sq + (1.0 - RHO) * grad * grad
+        delta = -np.sqrt((state.acc_delta_sq + EPS) / (eg + EPS)) * grad
+        ed = RHO * state.acc_delta_sq + (1.0 - RHO) * delta * delta
+        new_param = param + lr * delta
+    if not all(np.all(np.isfinite(a)) for a in (new_param, eg, ed)):
+        raise NonFiniteError("Adadelta update is not finite; update aborted")
+    return new_param, AdadeltaState(eg, ed)

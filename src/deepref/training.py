@@ -3,6 +3,7 @@ stepped learning-rate decay, deterministic seeded shuffling."""
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -16,11 +17,11 @@ from .generator import (
     GeneratorNet,
     ModelConfig,
     build_network,
-    copy_network,
     generate_reference,
     named_params,
     net_backward,
     net_forward,
+    normalize_plane,
 )
 from .metrics import psnr
 from .nn import AdadeltaState, adadelta_step
@@ -85,12 +86,6 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_interval_epochs)
 
 
-def normalize_blocks(pairs: list[SamplePair], dtype) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([p.x_block for p in pairs]).astype(dtype)[:, None] / 255.0
-    ys = np.stack([p.y_block for p in pairs]).astype(dtype)[:, None] / 255.0
-    return xs, ys
-
-
 def _share_one_vector(params) -> np.ndarray:
     """Copy every weight and bias of `params`, in order, into one flat vector
     and make each of them a view into it; returns the vector."""
@@ -115,9 +110,10 @@ def train(
     if not dataset:
         raise ConfigError("training dataset is empty")
     dtype = np.dtype(net.config.dtype)
-    xs, ys = normalize_blocks(dataset, dtype)
+    xs = normalize_plane(np.stack([p.x_block for p in dataset]), dtype)
+    ys = normalize_plane(np.stack([p.y_block for p in dataset]), dtype)
 
-    net = copy_network(net)
+    net = copy.deepcopy(net)
     params = named_params(net)
     theta = _share_one_vector(params)
     state = AdadeltaState.zeros_like(theta)
@@ -126,23 +122,24 @@ def train(
     n = len(dataset)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        state = replace(state, lr=lr)
         started = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            out, cache = net_forward(net, xs[idx], want_cache=True)
-            loss, grad = mse_loss(out, ys[idx])
-            if not math.isfinite(loss):
-                raise NonFiniteError(
-                    f"non-finite training loss at epoch {epoch}, batch {batch_index}"
-                )
-            grads, _ = net_backward(net, cache, grad, want_grad_input=False)
-            # the update is elementwise, so one step over the concatenated
-            # tensors gives the bits of one step per tensor
-            grad_theta = np.concatenate([g.ravel() for name, _ in params for g in grads[name]])
-            new_theta, state = adadelta_step(theta, grad_theta, state)
+            try:
+                out, cache = net_forward(net, xs[idx], want_cache=True)
+                loss, grad = mse_loss(out, ys[idx])
+                if not math.isfinite(loss):
+                    raise NonFiniteError("non-finite training loss")
+                grads, _ = net_backward(net, cache, grad, want_grad_input=False)
+                # the update is elementwise, so one step over the concatenated
+                # tensors gives the bits of one step per tensor
+                grad_theta = np.concatenate([g.ravel() for name, _ in params
+                                             for g in grads[name]])
+                new_theta, state = adadelta_step(theta, grad_theta, state, lr)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
             theta[...] = new_theta
             epoch_loss += loss * len(idx)
         report.epochs.append(

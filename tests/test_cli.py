@@ -213,6 +213,17 @@ class TestMetricsCommand:
         assert all(r[1] == "inf" and float(r[2]) == 1.0 for r in rows)
 
 
+def test_diverging_training_names_its_batch_and_writes_no_weights(clip, tmp_path, capsys):
+    dataset, weights = tmp_path / "d.drpd", tmp_path / "w.drpg"
+    run(["extract", "--input", str(clip), "--block-size", "16",
+         "--output", str(dataset)], capsys)
+    code, _, err = run(["train", "--dataset", str(dataset), "--weights-out", str(weights),
+                        "--epochs", "2", "--lr", "1e308", *TINY_MODEL_FLAGS], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "at epoch 0, batch 0" in err
+    assert not weights.exists()
+
+
 class TestDumpFeaturesCommand:
     def test_writes_one_pgm_per_channel(self, clip, tmp_path, capsys):
         weights = tmp_path / "w.drpg"

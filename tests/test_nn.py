@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from deepref.errors import NonFiniteError, ShapeMismatchError
 from deepref.nn import (
+    EPS,
+    RHO,
     AdadeltaState,
     ConvParams,
     adadelta_step,
@@ -312,22 +314,22 @@ class TestConcat:
 class TestAdadelta:
     def test_zero_grad_leaves_param_and_decays_accumulators(self):
         param = np.array([1.0, -2.0])
-        state = AdadeltaState(np.array([4.0, 1.0]), np.array([2.0, 0.5]), rho=0.9)
-        new_param, new_state = adadelta_step(param, np.zeros(2), state)
+        state = AdadeltaState(np.array([4.0, 1.0]), np.array([2.0, 0.5]))
+        new_param, new_state = adadelta_step(param, np.zeros(2), state, 1e-4)
         np.testing.assert_array_equal(new_param, param)
-        np.testing.assert_allclose(new_state.acc_grad_sq, [3.6, 0.9])
-        np.testing.assert_allclose(new_state.acc_delta_sq, [1.8, 0.45])
+        np.testing.assert_allclose(new_state.acc_grad_sq, [3.8, 0.95])
+        np.testing.assert_allclose(new_state.acc_delta_sq, [1.9, 0.475])
 
     def test_closed_form_first_step(self):
-        # fresh state, rho=0.95, eps=1e-6, lr=1e-4, scalar grad 1.0
-        rho, eps, lr = 0.95, 1e-6, 1e-4
+        # fresh state, lr=1e-4, scalar grad 1.0
+        rho, eps, lr = RHO, EPS, 1e-4
         eg = (1.0 - rho) * 1.0
         delta = -((0.0 + eps) / (eg + eps)) ** 0.5
         assert delta == pytest.approx(-0.0044721, abs=1e-7)
 
         param = np.array([0.5])
-        state = AdadeltaState.zeros_like(param, rho=rho, eps=eps, lr=lr)
-        new_param, new_state = adadelta_step(param, np.array([1.0]), state)
+        state = AdadeltaState.zeros_like(param)
+        new_param, new_state = adadelta_step(param, np.array([1.0]), state, lr)
         assert new_param[0] - param[0] == pytest.approx(lr * delta, rel=1e-12)
         assert new_param[0] - param[0] == pytest.approx(-4.4721e-7, rel=1e-4)
         np.testing.assert_allclose(new_state.acc_grad_sq, [eg])
@@ -336,9 +338,9 @@ class TestAdadelta:
         def run():
             rng = np.random.default_rng(7)
             param = np.zeros(5)
-            state = AdadeltaState.zeros_like(param, lr=1.0)
+            state = AdadeltaState.zeros_like(param)
             for _ in range(50):
-                param, state = adadelta_step(param, rng.standard_normal(5), state)
+                param, state = adadelta_step(param, rng.standard_normal(5), state, 1.0)
             return param
 
         np.testing.assert_array_equal(run(), run())
@@ -347,8 +349,23 @@ class TestAdadelta:
         param = np.zeros(2)
         state = AdadeltaState.zeros_like(param)
         with pytest.raises(NonFiniteError):
-            adadelta_step(param, np.array([1.0, np.inf]), state)
+            adadelta_step(param, np.array([1.0, np.inf]), state, 1e-4)
         np.testing.assert_array_equal(state.acc_grad_sq, np.zeros(2))
+
+    @pytest.mark.parametrize("dtype,grad,acc_delta_sq,lr", [
+        (np.float64, 1e200, 0.0, 1e-4),  # g^2 overflows E[g^2]
+        (np.float64, 1.0, 1e300, 1e200),  # lr*delta overflows the parameter
+        (np.float32, 1.0, 0.0, 1e308),  # lr overflows float32
+    ])
+    def test_overflowing_update_refused_and_inputs_untouched(self, dtype, grad, acc_delta_sq, lr):
+        param = np.array([0.5, -0.5], dtype=dtype)
+        grad = np.full(2, grad, dtype=dtype)
+        state = AdadeltaState(np.zeros(2, dtype=dtype), np.full(2, acc_delta_sq, dtype=dtype))
+        before = [a.copy() for a in (param, grad, *state)]
+        with pytest.raises(NonFiniteError, match="not finite"):
+            adadelta_step(param, grad, state, lr)
+        for now, then in zip((param, grad, *state), before):
+            assert now.tobytes() == then.tobytes()
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -356,9 +373,9 @@ class TestAdadelta:
         rng = np.random.default_rng(seed)
         param = rng.standard_normal(3)
         original = param.copy()
-        state = AdadeltaState.zeros_like(param, lr=0.0)
+        state = AdadeltaState.zeros_like(param)
         for g in grads:
-            param, state = adadelta_step(param, np.full(3, g), state)
+            param, state = adadelta_step(param, np.full(3, g), state, 0.0)
             assert np.all(state.acc_grad_sq >= 0.0)
             assert np.all(state.acc_delta_sq >= 0.0)
         np.testing.assert_array_equal(param, original)
@@ -366,7 +383,7 @@ class TestAdadelta:
     def test_state_shape_mismatch_raises(self):
         state = AdadeltaState.zeros_like(np.zeros(3))
         with pytest.raises(ShapeMismatchError):
-            adadelta_step(np.zeros(2), np.zeros(2), state)
+            adadelta_step(np.zeros(2), np.zeros(2), state, 1e-4)
 
 
 def test_operations_are_pure(rng):

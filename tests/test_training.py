@@ -1,4 +1,4 @@
-from dataclasses import replace
+import copy
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from deepref.flow import ExtractionConfig, extract_pairs
 from deepref.generator import (
     ModelConfig,
     build_network,
-    copy_network,
     denormalize_plane,
     named_params,
     net_backward,
@@ -87,6 +86,14 @@ class TestNormalization:
             back = denormalize_plane(normalize_plane(plane, dtype)[0, 0])
             np.testing.assert_array_equal(back, plane)
 
+    def test_stack_equals_per_plane_bytes(self):
+        planes = np.random.default_rng(5).integers(0, 256, (4, 8, 6), dtype=np.uint8)
+        for dtype in (np.float32, np.float64):
+            stacked = normalize_plane(planes, dtype)
+            assert stacked.shape == (4, 1, 8, 6)
+            per_plane = np.concatenate([normalize_plane(p, dtype) for p in planes])
+            assert stacked.tobytes() == per_plane.tobytes()
+
 
 class TestTrain:
     def test_empty_dataset_rejected(self):
@@ -109,9 +116,10 @@ class TestTrain:
     def test_input_network_untouched(self):
         pairs = shift_pairs()
         net = build_network(TINY)
-        before = net.head[0].weights.copy()
-        train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
-        np.testing.assert_array_equal(net.head[0].weights, before)
+        before = param_bytes(net)
+        trained, _ = train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
+        assert param_bytes(net) == before
+        assert param_bytes(trained) != before
 
     def test_single_step_decreases_loss_at_small_lr(self):
         # float64 so the tiny step is resolved exactly
@@ -180,27 +188,25 @@ class TestFusedUpdate:
     def test_one_vector_step_equals_one_step_per_tensor(self):
         rng = np.random.default_rng(4)
         net = build_network(TINY)
-        per_tensor = copy_network(net)
+        per_tensor = copy.deepcopy(net)
         params = named_params(net)
         theta = training_mod._share_one_vector(params)
         for _, p in params:
             assert np.shares_memory(p.weights, theta) and np.shares_memory(p.bias, theta)
-        state = AdadeltaState.zeros_like(theta, lr=1.0)
+        state = AdadeltaState.zeros_like(theta)
         states = {}
         for step, lr in enumerate([1.0, 1.0, 1.0, 0.5, 0.5, 0.25]):
-            state = replace(state, lr=lr)
             grads = {name: (rng.standard_normal(p.weights.shape).astype(np.float32),
                             rng.standard_normal(p.bias.shape).astype(np.float32))
                      for name, p in params}
             grads["head1"][0][...] = 0.0
             grad_theta = np.concatenate([g.ravel() for name, _ in params for g in grads[name]])
-            new_theta, state = adadelta_step(theta, grad_theta, state)
+            new_theta, state = adadelta_step(theta, grad_theta, state, lr)
             theta[...] = new_theta
             for name, p in named_params(per_tensor):
                 for attr, g in zip(("weights", "bias"), grads[name]):
                     prior = states.get((name, attr)) or AdadeltaState.zeros_like(g)
-                    value, states[name, attr] = adadelta_step(getattr(p, attr), g,
-                                                              replace(prior, lr=lr))
+                    value, states[name, attr] = adadelta_step(getattr(p, attr), g, prior, lr)
                     setattr(p, attr, value)
             assert param_bytes(net) == param_bytes(per_tensor), f"step {step}"
         acc = np.concatenate([states[name, attr].acc_delta_sq.ravel()
