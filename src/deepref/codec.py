@@ -8,10 +8,15 @@ It is deterministic and dependency-free; its bits are a ranking proxy, not
 VVC bits.
 
 Per frame, each reference is interpolated once into its 16 quarter-pel phase
-planes (`interp.subpel_planes`), padded by search_range + 1 samples. The
-integer search of a whole row of blocks, every fractional candidate and the
-final prediction are then slices of those planes, with the same samples
-`interp.interpolate_block` gives for one block.
+planes (`interp.subpel_planes`), padded by search_range + 1 samples. Every
+candidate prediction is then a window of those planes, with the same samples
+`interp.interpolate_block` gives for one block. The search runs one block row
+at a time, for all its blocks and all references together: the integer SADs
+one row of offsets at a time, then each refinement step gathers the 8
+neighbours of every block's incumbent with one fancy index and keeps, per
+block, the first least (cost, |mv|_1) in raster order, as a scan over the
+candidates would. Temporaries stay within one block row, and the Python-level
+loop count per frame grows with block rows times references, not with blocks.
 
 `encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
 against the previous reconstruction or the generated picture made from it.
@@ -21,6 +26,7 @@ against the previous reconstruction or the generated picture made from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,11 +68,24 @@ def signed_exp_golomb_bits(v: int) -> int:
 def _se_bits_array(values: np.ndarray) -> np.ndarray:
     """Vectorised `signed_exp_golomb_bits`: 2 * bit_length(|v|) + 1, exact for every int64."""
     mag = np.abs(np.asarray(values, dtype=np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
-    hi, lo = mag >> np.uint64(32), mag & np.uint64(0xFFFFFFFF)
     # frexp's exponent is the bit length of a positive integer below 2**53
-    bit_length = np.where(hi > 0, np.frexp(hi.astype(np.float64))[1] + 32,
-                          np.frexp(lo.astype(np.float64))[1])
+    if mag.size and mag.max() >= 2**53:  # a float64 would round: take 32 bits at a time
+        hi, lo = mag >> np.uint64(32), mag & np.uint64(0xFFFFFFFF)
+        bit_length = np.where(hi > 0, np.frexp(hi.astype(np.float64))[1] + 32,
+                              np.frexp(lo.astype(np.float64))[1])
+    else:
+        bit_length = np.frexp(mag.astype(np.float64))[1]
     return 2 * bit_length.astype(np.int64) + 1
+
+
+@lru_cache(maxsize=8)
+def _component_bits(search_range: int) -> np.ndarray:
+    """`signed_exp_golomb_bits` of every mv component within 4 * search_range + 3
+    of 0, the reach of a search, at index component + 4 * search_range + 3."""
+    lim = 4 * search_range + 3
+    bits = _se_bits_array(np.arange(-lim, lim + 1))
+    bits.flags.writeable = False
+    return bits
 
 
 def mv_bits(mv: MotionVectorQ) -> int:
@@ -80,79 +99,131 @@ def _check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
         raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
 
 
-class _Match(NamedTuple):
-    mv: MotionVectorQ
-    cost: float
-    sad: int
-    pred: np.ndarray | None  # a view into the phase planes
+class _Matches(NamedTuple):
+    """The best match of every block of a run, per reference: each field has
+    shape (refs, blocks) unless a reference has been chosen."""
+
+    x4: np.ndarray
+    y4: np.ndarray
+    cost: np.ndarray
+    sad: np.ndarray
 
 
-def _integer_search(plane: np.ndarray, cur_rows: np.ndarray, origin, starts,
-                    cfg: SearchConfig) -> list[_Match]:
+def _first_min(cost: np.ndarray, l1: np.ndarray, axis: int) -> np.ndarray:
+    """Index along `axis` of the first least (cost, l1) pair: the candidate a
+    scan keeps that replaces its incumbent only on a strictly smaller pair."""
+    tie = cost == cost.min(axis=axis, keepdims=True)
+    return np.argmin(np.where(tie, l1, np.iinfo(np.int64).max), axis=axis)
+
+
+# (dx, dy) of a motion vector itself, then of its 8 neighbours in raster order
+_STEPS = np.array([(0, 0)] + [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy])
+
+
+def _integer_search(int_planes: np.ndarray, cur_rows: np.ndarray, origin,
+                    cfg: SearchConfig) -> _Matches:
     """Full integer-pel search of every block of a horizontal run of blocks.
 
     `cur_rows` holds the run's rows of the current frame from column origin[0]
-    on, and the blocks start at columns `starts` within it. `plane` is the
-    integer phase of the reference padded by search_range + 1. Per block, the
-    best offset has the least cost, then the least |mv|_1, then comes first in
-    raster order. The matches carry no prediction.
+    on, as int16, and a block starts every block_size columns.
+    `int_planes` holds the integer phase of every reference, padded by
+    search_range + 1, as int16. Per block, the best offset has the least cost,
+    then the least |mv|_1, then comes first in raster order.
     """
     x0, y0 = origin
     h, width = cur_rows.shape
+    starts = np.arange(0, width, cfg.block_size)
     radius = cfg.search_range
     n = 2 * radius + 1
     top, left = y0 + 1, x0 + 1  # offset -radius in a plane padded by radius + 1
     windows = np.lib.stride_tricks.sliding_window_view(
-        plane[top : top + h + n - 1, left : left + width + n - 1], (h, width))
-    sad = np.empty((n, n, len(starts)), dtype=np.int64)
+        int_planes[:, top : top + h + n - 1, left : left + width + n - 1], (h, width),
+        axis=(1, 2))
+    col_dtype = np.int16 if 255 * h <= np.iinfo(np.int16).max else np.int32
+    sad = np.empty((len(int_planes), n, n, len(starts)), dtype=np.int64)
     for dy in range(n):  # one row of offsets at a time keeps the temporaries small
-        col_sads = np.abs(windows[dy] - cur_rows).sum(axis=1, dtype=np.int32)
-        sad[dy] = np.add.reduceat(col_sads, starts, axis=1, dtype=np.int64)
+        diff = windows[:, dy] - cur_rows
+        col_sads = np.abs(diff, out=diff).sum(axis=2, dtype=col_dtype)
+        sad[:, dy] = np.add.reduceat(col_sads, starts, axis=2, dtype=np.int64)
 
     offsets = np.arange(-radius, radius + 1)
-    comp_bits = _se_bits_array(4 * offsets)
+    comp_bits = _component_bits(radius)[4 * offsets + 4 * radius + 3]
     cost = sad + (cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :]))[:, :, None]
-    l1 = 4 * (np.abs(offsets)[:, None] + np.abs(offsets)[None, :])
-    keys = (np.repeat(l1.reshape(-1, 1), len(starts), axis=1), cost.reshape(n * n, -1))
-    firsts = np.lexsort(keys, axis=0)[0]  # stable: raster order breaks ties
-    found = []
-    for j, flat in enumerate(firsts.tolist()):
-        dy, dx = divmod(flat, n)
-        mv = MotionVectorQ(4 * (dx - radius), 4 * (dy - radius))
-        found.append(_Match(mv, float(cost[dy, dx, j]), int(sad[dy, dx, j]), None))
-    return found
+    sad, cost = sad.reshape(len(sad), n * n, -1), cost.reshape(len(sad), n * n, -1)
+    l1 = (np.abs(offsets)[:, None] + np.abs(offsets)[None, :]).reshape(-1, 1)
+    first = _first_min(cost, l1, axis=1)  # raster order breaks the last ties
+    refs, blocks = np.arange(len(sad))[:, None], np.arange(len(starts))
+    dy, dx = np.divmod(first, n)
+    return _Matches(4 * (dx - radius), 4 * (dy - radius), cost[refs, first, blocks],
+                    sad[refs, first, blocks])
 
 
-def _refine(planes: np.ndarray, cur_blk: np.ndarray, origin, coarse: _Match,
-            cfg: SearchConfig) -> _Match:
-    """Half- then quarter-pel refinement of one block's integer match, on the
-    phase planes of one reference built with margin search_range + 1.
+def _predict(windows: np.ndarray, ref_idx, x4: np.ndarray, y4: np.ndarray, origin,
+             cfg: SearchConfig) -> np.ndarray:
+    """Predictions of the blocks of a run, shape (..., blocks, h, block_size).
 
-    Every candidate's integer part lies within the margin, so each prediction
-    is a slice of the planes; see `subpel_planes`.
+    `windows` holds every (h, block_size) window of the phase planes of every
+    reference, padded by search_range + 1. Block j of the run at `origin` is
+    predicted from reference ref_idx[..., j] moved by (x4[..., j], y4[..., j]);
+    the three broadcast together.
     """
     x0, y0 = origin
-    h, w = cur_blk.shape
     margin = cfg.search_range + 1
+    left = margin + x0 + cfg.block_size * np.arange(x4.shape[-1]) + (x4 >> 2)
+    return windows[ref_idx, y4 & 3, x4 & 3, margin + y0 + (y4 >> 2), left]
 
-    def block(mv: MotionVectorQ) -> np.ndarray:
-        top, left = margin + y0 + (mv.y4 >> 2), margin + x0 + (mv.x4 >> 2)
-        return planes[mv.y4 & 3, mv.x4 & 3, top : top + h, left : left + w]
 
-    best_mv, best_cost, best_sad, _ = coarse
-    best_l1 = abs(best_mv.x4) + abs(best_mv.y4)
-    for step in (2, 1):  # half-pel then quarter-pel neighbors, in raster order
-        cx, cy = best_mv
-        cands = [MotionVectorQ(cx + ddx, cy + ddy)
-                 for ddy in (-step, 0, step) for ddx in (-step, 0, step) if ddx or ddy]
-        preds = np.stack([block(cand) for cand in cands])
-        sads = np.abs(preds - cur_blk).sum(axis=(1, 2), dtype=np.int64).tolist()
-        for cand, cand_sad in zip(cands, sads):
-            cand_cost = cand_sad + cfg.lambda_mv * mv_bits(cand)
-            cand_l1 = abs(cand.x4) + abs(cand.y4)
-            if (cand_cost, cand_l1) < (best_cost, best_l1):
-                best_mv, best_cost, best_l1, best_sad = cand, cand_cost, cand_l1, cand_sad
-    return _Match(best_mv, float(best_cost), best_sad, block(best_mv))
+def _refine(windows: np.ndarray, cur_rows: np.ndarray, origin, coarse: _Matches,
+            cfg: SearchConfig) -> _Matches:
+    """Half- then quarter-pel refinement of the integer matches of a run of
+    blocks, for every reference at once, on the windows `_predict` takes.
+
+    Per step, each match becomes the first least (cost, |mv|_1) among itself
+    and its 8 neighbours in raster order.
+    """
+    h, width = cur_rows.shape
+    bs = cfg.block_size
+    n_blocks = coarse.x4.shape[-1]
+    valid = width - (n_blocks - 1) * bs  # columns of the last block inside the frame
+    cur_blocks = np.zeros((h, n_blocks * bs), dtype=cur_rows.dtype)
+    cur_blocks[:, :width] = cur_rows
+    cur_blocks = cur_blocks.reshape(h, n_blocks, bs).swapaxes(0, 1)
+    bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
+    refs, blocks = np.arange(len(windows))[:, None], np.arange(n_blocks)
+    best = coarse
+    for step in (2, 1):
+        x4 = best.x4 + step * _STEPS[:, :1, None]  # (9, refs, blocks), the incumbent first
+        y4 = best.y4 + step * _STEPS[:, 1:, None]
+        diff = _predict(windows, refs, x4[1:], y4[1:], origin, cfg) - cur_blocks
+        np.abs(diff, out=diff)[..., -1, :, valid:] = 0  # columns past the frame
+        sad = np.concatenate([best.sad[None], diff.sum(axis=(3, 4), dtype=np.int64)])
+        cost = np.concatenate([best.cost[None], sad[1:] + cfg.lambda_mv * (
+            bits[x4[1:] + lim] + bits[y4[1:] + lim])])
+        first = _first_min(cost, np.abs(x4) + np.abs(y4), axis=0)
+        best = _Matches(*(a[first, refs, blocks] for a in (x4, y4, cost, sad)))
+    return best
+
+
+def _search_run(planes: np.ndarray, int_planes: np.ndarray, cur_rows: np.ndarray, origin,
+                cfg: SearchConfig) -> tuple[np.ndarray, _Matches, np.ndarray]:
+    """Best reference, match and prediction of every block of a run.
+
+    `planes` holds the phase planes of every reference, padded by
+    search_range + 1 and on the right by at least the columns the run's last
+    block reaches past the frame; `int_planes` is their integer phase as
+    int16. Per block, the first reference with the least refined cost wins.
+    Returns the reference index and match of each block and the prediction
+    of the run.
+    """
+    h, width = cur_rows.shape
+    windows = np.lib.stride_tricks.sliding_window_view(planes, (h, cfg.block_size),
+                                                       axis=(3, 4))
+    coarse = _integer_search(int_planes, cur_rows, origin, cfg)
+    refined = _refine(windows, cur_rows, origin, coarse, cfg)
+    ref_idx = np.argmin(refined.cost, axis=0)
+    best = _Matches(*(field[ref_idx, np.arange(len(ref_idx))] for field in refined))
+    pred = _predict(windows, ref_idx, best.x4, best.y4, origin, cfg)
+    return ref_idx, best, pred.swapaxes(0, 1).reshape(h, -1)[:, :width]
 
 
 def motion_search(
@@ -175,11 +246,10 @@ def motion_search(
     _check_block(cur, x0, y0, bs, bs)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
-    planes = subpel_planes(ref, cfg.search_range + 1)
+    planes = subpel_planes(ref, cfg.search_range + 1)[None]
     cur_blk = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int16)
-    (coarse,) = _integer_search(planes[0, 0], cur_blk, origin, [0], cfg)
-    match = _refine(planes, cur_blk, origin, coarse, cfg)
-    return match.mv, match.cost
+    _, best, _ = _search_run(planes, planes[:, 0, 0].astype(np.int16), cur_blk, origin, cfg)
+    return MotionVectorQ(int(best.x4[0]), int(best.y4[0])), float(best.cost[0])
 
 
 def substitute_reference(ref_list, generated: np.ndarray):
@@ -201,12 +271,12 @@ def encode_frame_proxy(
 ) -> tuple[float, np.ndarray, list[MVRecord]]:
     """Inter-code one frame against a reference list at quantizer step q.
 
-    The 16 quarter-pel phase planes of each reference are built once. Per
-    block: best (reference, mv) by `motion_search` cost (the first reference
-    wins ties), with the prediction sliced from the planes; residual
-    quantized as round(r/q); bits = mv bits + reference-index bits + signed
-    exp-Golomb lengths of the quantized residual. Returns (frame bits,
-    reconstruction, mv field).
+    The 16 quarter-pel phase planes of each reference are built once and
+    searched one block row at a time. Per block: best (reference, mv) by
+    `motion_search` cost (the first reference wins ties), with the prediction
+    taken from the planes; residual quantized as round(r/q); bits = mv bits +
+    reference-index bits + signed exp-Golomb lengths of the quantized
+    residual. Returns (frame bits, reconstruction, mv field).
     """
     refs = list(refs)
     cur = np.asarray(cur)
@@ -220,27 +290,26 @@ def encode_frame_proxy(
             )
     fh, fw = cur.shape
     bs = cfg.block_size
-    planes = [subpel_planes(ref, cfg.search_range + 1) for ref in refs]
+    m = cfg.search_range + 1
+    past = -(-fw // bs) * bs - fw  # columns the last block of a row reaches past the frame
+    planes = np.zeros((len(refs), 4, 4, fh + 2 * m, fw + 2 * m + past), dtype=np.uint8)
+    for ref_planes, ref in zip(planes, refs):
+        ref_planes[..., : fw + 2 * m] = subpel_planes(ref, m)
+    int_planes = planes[:, 0, 0].astype(np.int16)  # as cur_i16: no cast per SAD row
     cur_i16 = cur.astype(np.int16)  # 8-bit samples; their differences fit too
     starts = np.arange(0, fw, bs)
 
-    pred = np.empty(cur.shape, dtype=np.int64)
+    pred = np.empty(cur.shape, dtype=np.uint8)
     mv_field: list[MVRecord] = []
+    comp_bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
     side_bits = 0
     for by in range(0, fh, bs):
-        cur_rows = cur_i16[by : by + bs]
-        row_matches = [_integer_search(p[0, 0], cur_rows, (0, by), starts, cfg) for p in planes]
-        for j, bx in enumerate(starts.tolist()):
-            cur_blk = cur_rows[:, bx : bx + bs]
-            best = None
-            for ri, ref_planes in enumerate(planes):
-                match = _refine(ref_planes, cur_blk, (bx, by), row_matches[ri][j], cfg)
-                if best is None or match.cost < best[1].cost:
-                    best = (ri, match)
-            ri, match = best
-            pred[by : by + bs, bx : bx + bs] = match.pred
-            side_bits += mv_bits(match.mv)
-            mv_field.append(MVRecord(bx, by, ri, match.mv.x4, match.mv.y4, match.sad))
+        ref_idx, best, row_pred = _search_run(planes, int_planes, cur_i16[by : by + bs],
+                                              (0, by), cfg)
+        pred[by : by + bs] = row_pred
+        side_bits += int(comp_bits[best.x4 + lim].sum() + comp_bits[best.y4 + lim].sum())
+        mv_field += map(MVRecord, starts.tolist(), [by] * len(starts), ref_idx.tolist(),
+                        best.x4.tolist(), best.y4.tolist(), best.sad.tolist())
     # every block's residual is quantized and priced on its own, so doing it
     # once for the whole frame gives the same samples and the same bit sum
     qidx = np.rint((cur.astype(np.int64) - pred) / q).astype(np.int64)

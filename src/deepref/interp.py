@@ -147,7 +147,7 @@ def subpel_planes(ref: np.ndarray, margin: int) -> np.ndarray:
     # 8-bit samples times taps summed twice stay far inside int32
     src = np.pad(ref, ((m + _MARGIN_LO, m + _MARGIN_HI),) * 2, mode="edge").astype(np.int32)
     planes = np.empty((4, 4, ph, pw), dtype=np.uint8)
-    planes[0, 0] = gather_block(ref, -m, -m, pw, ph)
+    planes[0, 0] = src[_MARGIN_LO : _MARGIN_LO + ph, _MARGIN_LO : _MARGIN_LO + pw]
     for fx in range(4):
         if fx == 0:
             mid = src[:, _MARGIN_LO : _MARGIN_LO + pw]

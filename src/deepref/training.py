@@ -73,9 +73,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"pred shape {pred.shape} != target shape {target.shape}")
-    diff = pred - target
-    loss = float(np.sum(diff * diff)) / diff.size
-    grad = (2.0 / diff.size) * diff
+    # a diverging net overflows here; `train` then refuses the loss by epoch and batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred - target
+        loss = float(np.sum(diff * diff)) / diff.size
+        grad = (2.0 / diff.size) * diff
     return loss, grad
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepref.codec import (
     MVRecord,
@@ -18,7 +20,10 @@ from deepref.errors import ConfigError, ShapeMismatchError
 from deepref.generator import ModelConfig, build_network, generate_reference, named_params
 from deepref.interp import MotionVectorQ, interpolate_block
 from deepref.metrics import psnr
-from deepref.synthetic import SinusoidTexture
+from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+
+TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
+                   trunk_channels=4, seed=3)
 
 
 def textured(seed, h=64, w=64):
@@ -293,6 +298,74 @@ class TestEncodeFrameProxyGolden:
         if n_refs == 2:
             assert {rec.ref_idx for rec in got_field} == {0, 1}
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batched_search_matches_naive_per_block_loop(self, data):
+        # sizes the block size may not divide, ranges past the block size,
+        # lambda 0 and few sample levels for many ties, and 1-3 references of
+        # which two may be the same picture
+        bs = data.draw(st.integers(2, 8), label="block_size")
+        h, w = data.draw(st.integers(1, 3 * bs)), data.draw(st.integers(1, 3 * bs))
+        cfg = SearchConfig(search_range=data.draw(st.integers(1, bs + 1)),
+                           lambda_mv=data.draw(st.sampled_from([0.0, 2.5, 4.0])),
+                           block_size=bs)
+        levels = data.draw(st.sampled_from([2, 3, 256]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def picture():
+            return (rng.integers(0, levels, (h, w)) * (255 // (levels - 1))).astype(np.uint8)
+
+        cur = picture()
+        pool = [picture(), np.roll(cur, (1, -1), axis=(0, 1)), picture()]
+        refs = [pool[i] for i in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))]
+        q = data.draw(st.sampled_from([1, 8, 64]))
+        got_bits, got_recon, got_field = encode_frame_proxy(refs, cur, cfg, q)
+        want_bits, want_recon, want_field = naive_encode_frame(refs, cur, cfg, q)
+        assert got_bits == want_bits
+        np.testing.assert_array_equal(got_recon, want_recon)
+        assert got_field == want_field
+        for rec in got_field:  # a later copy of a reference never wins
+            assert all(refs[i] is not refs[rec.ref_idx] for i in range(rec.ref_idx))
+
+    def test_identical_references_first_wins(self):
+        tex = SinusoidTexture.random(22)
+        ref = tex.render(40, 24)
+        cur = tex.render(40, 24, offset=(0.7, -0.4))
+        cfg = SearchConfig(search_range=3, lambda_mv=0.0, block_size=8)
+        got = encode_frame_proxy([ref, ref.copy(), ref], cur, cfg, 8)
+        assert {rec.ref_idx for rec in got[2]} == {0}
+        want = naive_encode_frame([ref, ref.copy(), ref], cur, cfg, 8)
+        assert got[0] == want[0] and got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_quarter_pel_tie_keeps_half_pel_incumbent(self):
+        # the half-pel winner (0, -2) and its first quarter-pel neighbour
+        # (-1, -1) tie on cost and on |mv|_1, so the incumbent stays
+        def picture(rows):
+            return (np.array([[int(c) for c in row] for row in rows]) * 40).astype(np.uint8)
+
+        ref = picture(["211210000110", "021001111201", "020110012210", "020101110112",
+                       "211201121022", "010101201111", "011101100222", "210221101001",
+                       "210001221202", "200012110120", "112002201210", "121212022110"])
+        cur = picture(["120110100220", "101220220110", "111121111200", "001222101222",
+                       "222112112001", "210211211222", "010201210011", "020020100121",
+                       "222202011200", "202001111000", "202022011220", "212022200221"])
+        cfg = SearchConfig(search_range=1, lambda_mv=4.0, block_size=4)
+        blk = cur[4:8, 4:8].astype(np.int64)
+
+        def key(mv):
+            pred = interpolate_block(ref, (4, 4), 4, mv).astype(np.int64)
+            cost = int(np.abs(pred - blk).sum()) + cfg.lambda_mv * mv_bits(mv)
+            return cost, abs(mv.x4) + abs(mv.y4)
+
+        assert key(MotionVectorQ(0, -2)) == key(MotionVectorQ(-1, -1)) == (319.0, 2)
+        assert motion_search(ref, cur, (4, 4), cfg) == (MotionVectorQ(0, -2), 319.0)
+        got = encode_frame_proxy([ref], cur, cfg, 8)
+        assert (got[2][4].mv_x_q4, got[2][4].mv_y_q4) == (0, -2)  # the block at (4, 4)
+        want = naive_encode_frame([ref], cur, cfg, 8)
+        assert got[0] == want[0] and got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
+
     def test_blocky_frame_with_ties_matches_naive(self, rng):
         # flat areas and lambda 0 make many candidates tie on cost
         ref = np.repeat(rng.integers(0, 256, (5, 6)), 4, axis=0).repeat(4, axis=1)
@@ -305,13 +378,53 @@ class TestEncodeFrameProxyGolden:
         np.testing.assert_array_equal(got[1], want[1])
 
 
+class TestDecoderRebuild:
+    """What a decoder rebuilds from the symbols the proxy priced: each block's
+    prediction from its MVRecord by `interpolate_block` on the reference the
+    decoder holds, plus the re-quantized residual, must be the encoder's
+    reconstruction, and the symbols must add up to the priced bits."""
+
+    @pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(search_range=8, block_size=16)],
+                             ids=["default", "block16-range8"])
+    @pytest.mark.parametrize("with_net", [False, True], ids=["no-net", "tiny-net"])
+    def test_reconstruction_and_bits_rebuilt_from_mv_field(self, with_net, cfg):
+        texture = SinusoidTexture.random(11, n_waves=32, min_freq=0.08, max_freq=0.32,
+                                         contrast=44.0)
+        frames = pan_zoom_sequence(64, 64, 6, velocity=(0.875, 0.625), zoom_rate=0.0005,
+                                   seed=11, texture=texture)
+        net = build_network(TINY) if with_net else None
+        bs, (fh, fw) = cfg.block_size, frames[0].shape
+        for q in (8, 16, 32, 64):
+            run = encode_sequence(frames, net, cfg, q)
+            for t in range(1, len(frames)):
+                prev = run.recons[t - 1]
+                refs = [prev] if net is None else [generate_reference(net, prev)]
+                recon = np.zeros_like(frames[t])
+                covered = np.zeros(frames[t].shape, dtype=int)
+                bits = 0
+                for rec in run.mv_fields[t]:
+                    x0, y0 = rec.block_x, rec.block_y
+                    w, h = min(bs, fw - x0), min(bs, fh - y0)
+                    mv = MotionVectorQ(rec.mv_x_q4, rec.mv_y_q4)
+                    pred = interpolate_block(refs[rec.ref_idx], (x0, y0), (w, h), mv)
+                    pred = pred.astype(np.int64)
+                    blk = frames[t][y0 : y0 + h, x0 : x0 + w].astype(np.int64)
+                    qidx = np.rint((blk - pred) / q).astype(np.int64)
+                    recon[y0 : y0 + h, x0 : x0 + w] = np.clip(pred + qidx * q, 0, 255)
+                    covered[y0 : y0 + h, x0 : x0 + w] += 1
+                    bits += mv_bits(mv) + (len(refs) - 1).bit_length()
+                    bits += sum(signed_exp_golomb_bits(v) for v in qidx.ravel().tolist())
+                    assert rec.sad == int(np.abs(pred - blk).sum())
+                assert (covered == 1).all()
+                np.testing.assert_array_equal(recon, run.recons[t])
+                assert bits == run.bits[t]
+
+
 class TestEncodeSequence:
     @pytest.mark.parametrize("with_net", [False, True])
     @pytest.mark.parametrize("q", [8, 32])
     def test_matches_explicit_closed_loop(self, with_net, q):
-        net = build_network(ModelConfig(head_channels=4, branch_reduce_channels=3,
-                                        branch_out_channels=3, trunk_channels=4,
-                                        seed=3)) if with_net else None
+        net = build_network(TINY) if with_net else None
         tex = SinusoidTexture.random(21)
         frames = [tex.render(40, 36, offset=(0.6 * t, 0.3 * t)) for t in range(4)]
         cfg = SearchConfig(search_range=4, block_size=16)

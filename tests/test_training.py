@@ -161,7 +161,6 @@ class TestTrain:
         )
         np.testing.assert_allclose(np.sort(seen.reshape(6, -1), axis=0), expected)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_loss_aborts_with_location(self):
         pairs = shift_pairs()
         net = build_network(TINY)
