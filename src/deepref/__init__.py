@@ -36,6 +36,6 @@ from .interp import LUMA_FILTERS, MotionVectorQ, interpolate_block
 from .metrics import RDPoint, bd_rate, psnr, ssim
 from .synthetic import SinusoidTexture, pan_zoom_sequence
 from .training import TrainConfig, block_size_sweep, lr_schedule, mse_loss, train
-from .video_io import FrameSequence, read_sequence, write_y4m
+from .video_io import read_sequence, write_y4m
 
 __version__ = "0.1.0"

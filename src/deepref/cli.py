@@ -118,9 +118,20 @@ def _resolve(args) -> RunConfig:
     return dataclasses.replace(cfg, **top)
 
 
-def _read_frames(cfg: RunConfig):
-    seq = video_io.read_sequence(cfg.input_path, cfg.input_format, cfg.width, cfg.height)
-    return seq.frames
+def _read_frames(cfg: RunConfig, path=None) -> list[np.ndarray]:
+    """Luma planes of `path`, or of --input when no path is given."""
+    return video_io.read_sequence(cfg.input_path if path is None else path,
+                                  cfg.input_format, cfg.width, cfg.height)
+
+
+def _quality_table(tests, truths, first_index: int, path) -> tuple[list, float]:
+    """Write the QUALITY_HEADER CSV of each test plane against its truth, frames
+    numbered from `first_index`; return the rows and the mean finite PSNR (inf if none)."""
+    rows = [(i, metrics.psnr(a, b), metrics.ssim(a, b))
+            for i, (a, b) in enumerate(zip(tests, truths), start=first_index)]
+    write_csv(rows, path, header=QUALITY_HEADER)
+    finite = [r[1] for r in rows if np.isfinite(r[1])]
+    return rows, float(np.mean(finite)) if finite else float("inf")
 
 
 def cmd_extract(args) -> int:
@@ -158,15 +169,11 @@ def cmd_infer(args) -> int:
     net = generator.load_weights(args.weights)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for t in range(1, len(frames)):
-        generated = generator.generate_reference(net, frames[t - 1])
-        write_plane_pgm(generated, out_dir / f"gen_f{t:04d}.pgm")
-        rows.append((t, metrics.psnr(generated, frames[t]), metrics.ssim(generated, frames[t])))
-    csv_path = args.csv or out_dir / "reference_quality.csv"
-    write_csv(rows, csv_path, header=QUALITY_HEADER)
-    finite = [r[1] for r in rows if np.isfinite(r[1])]
-    mean_psnr = float(np.mean(finite)) if finite else float("inf")
+    generated = [generator.generate_reference(net, frame) for frame in frames[:-1]]
+    for t, plane in enumerate(generated, start=1):
+        write_plane_pgm(plane, out_dir / f"gen_f{t:04d}.pgm")
+    rows, mean_psnr = _quality_table(generated, frames[1:], 1,
+                                     args.csv or out_dir / "reference_quality.csv")
     print(f"generated {len(rows)} references -> {out_dir} "
           f"(mean PSNR vs next frame {mean_psnr:.2f} dB)")
     return 0
@@ -265,17 +272,10 @@ def cmd_bdrate(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = _resolve(args)
-    seq_a = video_io.read_sequence(args.a, cfg.input_format, cfg.width, cfg.height)
-    seq_b = video_io.read_sequence(args.b, cfg.input_format, cfg.width, cfg.height)
-    if seq_a.count != seq_b.count:
-        raise DeepRefError(f"frame counts differ: {seq_a.count} vs {seq_b.count}")
-    rows = [
-        (i, metrics.psnr(fa, fb), metrics.ssim(fa, fb))
-        for i, (fa, fb) in enumerate(zip(seq_a.frames, seq_b.frames))
-    ]
-    write_csv(rows, args.output, header=QUALITY_HEADER)
-    finite = [r[1] for r in rows if np.isfinite(r[1])]
-    mean_psnr = float(np.mean(finite)) if finite else float("inf")
+    frames_a, frames_b = _read_frames(cfg, args.a), _read_frames(cfg, args.b)
+    if len(frames_a) != len(frames_b):
+        raise DeepRefError(f"frame counts differ: {len(frames_a)} vs {len(frames_b)}")
+    rows, mean_psnr = _quality_table(frames_a, frames_b, 0, args.output)
     print(f"compared {len(rows)} frames: mean PSNR {mean_psnr:.3f} dB, "
           f"mean SSIM {np.mean([r[2] for r in rows]):.4f} -> {args.output}")
     return 0

@@ -45,7 +45,8 @@ class SearchConfig:
 
     def __post_init__(self):
         check_int("search_range", self.search_range, 1)
-        check_real("lambda_mv", self.lambda_mv, 0)
+        # the integer-field bound keeps lambda * mv bits (< 3e11) far from overflow
+        check_real("lambda_mv", self.lambda_mv, 0, 2**31 - 1)
         check_int("block_size", self.block_size, 1)
 
 

@@ -19,7 +19,7 @@ class NonFiniteError(DeepRefError, ValueError):
 
 
 class FormatError(DeepRefError, ValueError):
-    """A file (weights, dataset, sequence, PGM, RD curve) failed to parse."""
+    """A file (weights, dataset, sequence, RD curve) failed to parse."""
 
 
 class ConfigError(DeepRefError, ValueError):

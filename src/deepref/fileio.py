@@ -1,5 +1,6 @@
 """Atomic file writing plus the small image/table formats the pipeline emits:
-binary PGM (P5) planes and UTF-8 CSV tables."""
+binary PGM (P5) planes, which it only writes, and UTF-8 CSV tables, which it
+writes and reads (RD curves for `bdrate`)."""
 
 from __future__ import annotations
 
@@ -40,40 +41,6 @@ def write_plane_pgm(plane: np.ndarray, path) -> None:
     h, w = plane.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + plane.tobytes())
-
-
-def read_plane_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise FormatError(f"{path}: not a binary PGM (P5) file")
-    # header = magic, width, height, maxval as whitespace-separated tokens
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PGM header tokens {tokens}") from exc
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: PGM dims {w}x{h} must be >= 1")
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
-    if len(data) - pos < w * h:
-        raise FormatError(f"{path}: PGM payload has {len(data) - pos} bytes, needs {w * h}")
-    return np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
 
 
 def write_csv(rows, path, header: list[str]) -> None:

@@ -22,6 +22,7 @@ from .fileio import atomic_write_bytes
 DATASET_MAGIC = b"DRPD"
 DATASET_VERSION = 1
 DEGENERACY_THRESHOLD = 1e-3  # per-pixel floor on the structure tensor's min eigenvalue
+INTEGER_SNAP = 0.02  # px; snap near-integer flow before the floor rule
 
 
 @dataclass
@@ -32,7 +33,6 @@ class ExtractionConfig:
     lk_eps: float = 0.01  # px; stop when |dv| drops below
     mv_clamp: float = 8.0  # px per component
     keep_degenerate: bool = True
-    integer_snap: float = 0.02  # px; snap near-integer flow before the floor rule
 
     def __post_init__(self):
         check_int("block_size", self.block_size, 8)
@@ -44,7 +44,6 @@ class ExtractionConfig:
         if not isinstance(self.keep_degenerate, bool):
             raise ConfigError(
                 f"keep_degenerate must be true or false, got {self.keep_degenerate!r}")
-        check_real("integer_snap", self.integer_snap, 0, 0.5)
 
     @property
     def effective_stride(self) -> int:
@@ -152,13 +151,13 @@ def round_mv_topleft(mv) -> tuple[int, int]:
     return math.floor(mv[0]), math.floor(mv[1])
 
 
-def _snap_near_integers(mv, tolerance: float) -> tuple[float, float]:
-    """Estimator noise below `tolerance` around integers would otherwise flip
+def _snap_near_integers(mv) -> tuple[float, float]:
+    """Estimator noise below INTEGER_SNAP around integers would otherwise flip
     the floor by a whole pixel; snap it away."""
     out = []
     for v in mv:
         nearest = round(v)
-        out.append(float(nearest) if abs(v - nearest) < tolerance else float(v))
+        out.append(float(nearest) if abs(v - nearest) < INTEGER_SNAP else float(v))
     return out[0], out[1]
 
 
@@ -187,7 +186,7 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
             mv, degenerate = _lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs), cfg)
             if degenerate and not cfg.keep_degenerate:
                 continue
-            mv = _snap_near_integers(mv, cfg.integer_snap)
+            mv = _snap_near_integers(mv)
             ox, oy = round_mv_topleft(mv)
             sx, sy = bx + ox, by + oy
             if not (0 <= sx and sx + bs <= fw and 0 <= sy and sy + bs <= fh):

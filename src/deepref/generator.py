@@ -170,10 +170,6 @@ def _conv_relu_stack_backward(layers, cache, g, grads, want_grad_input=True):
     return g
 
 
-def branch_forward(branch: BranchSpec, x: np.ndarray) -> np.ndarray:
-    return _conv_relu_stack(branch.layers, x)
-
-
 def block_forward(block: DilatedInceptionBlock, x: np.ndarray, want_cache: bool = False):
     """out = ReLU(k * fuse(concat(branches(x))) + skip(x)); spatial dims preserved."""
     branch_caches = [[] if want_cache else None for _ in block.branches]
@@ -335,6 +331,8 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
                 raise FormatError(f"tensor {name!r} has {ndim} dims; at most 4 are stored")
             dims = struct.unpack_from(f"<{ndim}I", data, offset)
             offset += 4 * ndim
+            if 0 in dims:  # no layer is empty, and numpy refuses some such shapes
+                raise FormatError(f"tensor {name!r} has an empty dim: shape {dims}")
             size = math.prod(dims)  # exact; an int64 product can wrap to 0
             end = offset + 4 * size
             if end > len(data):
@@ -355,10 +353,16 @@ def load_weights(path) -> GeneratorNet:
     with open(path, "rb") as fh:
         tensors = _parse_weight_file(fh.read())
 
-    for required in ("head1.weight", "head2.weight",
-                     "block1.branch1.conv1.weight", "block1.branch1.conv2.weight", "k"):
+    # the four weights whose out-channel counts give the channel widths
+    width_tensors = ("head1.weight", "head2.weight",
+                     "block1.branch1.conv1.weight", "block1.branch1.conv2.weight")
+    for required in (*width_tensors, "k"):
         if required not in tensors:
             raise FormatError(f"weight file is missing tensor {required!r}")
+    for name in width_tensors:
+        if tensors[name].ndim != 4:
+            raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}; "
+                              f"a conv weight has 4 dims")
     ks = tensors["k"]
     if ks.shape != (_NUM_BLOCKS,):
         raise FormatError(f"k tensor has shape {ks.shape}, expected ({_NUM_BLOCKS},)")

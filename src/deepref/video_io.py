@@ -1,9 +1,9 @@
-"""Sequence ingestion: raw YUV 4:2:0 and YUV4MPEG2 (.y4m), luma plane only."""
+"""Sequence ingestion: raw YUV 4:2:0 and YUV4MPEG2 (.y4m), luma plane only.
+A sequence is a list of (H, W) uint8 luma planes in display order."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,19 +14,8 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 _SUPPORTED_420 = {"420", "420jpeg", "420mpeg2", "420paldv"}
 
 
-@dataclass
-class FrameSequence:
-    width: int
-    height: int
-    frames: list[np.ndarray]  # luma planes in display order
-
-    @property
-    def count(self) -> int:
-        return len(self.frames)
-
-
 def read_sequence(path, fmt: str | None = None, width: int | None = None,
-                  height: int | None = None) -> FrameSequence:
+                  height: int | None = None) -> list[np.ndarray]:
     """Load the luma planes of a raw 4:2:0 file or a .y4m file."""
     if fmt is None:
         fmt = "y4m" if os.fspath(path).lower().endswith(".y4m") else "yuv"
@@ -42,7 +31,7 @@ def _check_even_dims(width: int, height: int, path) -> None:
         raise FormatError(f"{path}: 4:2:0 requires even dims, got {width}x{height}")
 
 
-def _read_raw_yuv(path, width, height) -> FrameSequence:
+def _read_raw_yuv(path, width, height) -> list[np.ndarray]:
     if not width or not height:
         raise ConfigError("raw .yuv input needs explicit width and height")
     if width < 1 or height < 1:
@@ -61,13 +50,12 @@ def _read_raw_yuv(path, width, height) -> FrameSequence:
     if count == 0:
         raise FormatError(f"{path}: no complete frames")
     luma = width * height
-    frames = [
+    return [
         np.frombuffer(data, np.uint8, luma, offset=i * frame_size)
         .reshape(height, width)
         .copy()
         for i in range(count)
     ]
-    return FrameSequence(width, height, frames)
 
 
 def _header_dim(value: str, tag: str, path) -> int:
@@ -80,7 +68,7 @@ def _header_dim(value: str, tag: str, path) -> int:
     return dim
 
 
-def _read_y4m(path) -> FrameSequence:
+def _read_y4m(path) -> list[np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
     newline = data.find(b"\n")
@@ -126,7 +114,7 @@ def _read_y4m(path) -> FrameSequence:
         pos += frame_size
     if not frames:
         raise FormatError(f"{path}: no frames after Y4M header")
-    return FrameSequence(width, height, frames)
+    return frames
 
 
 def write_y4m(frames, path) -> None:

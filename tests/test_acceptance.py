@@ -15,7 +15,6 @@ from deepref.flow import ExtractionConfig, extract_pairs, lucas_kanade_mv, round
 from deepref.generator import (
     ModelConfig,
     block_forward,
-    branch_forward,
     build_network,
     generate_reference,
     named_params,
@@ -136,7 +135,9 @@ def test_criterion_02_receptive_field_suite():
             assert branch.receptive_field == expected
             x = np.zeros((1, 4, 33, 33))
             x[0, 0, 16, 16] = 1.0
-            out = branch_forward(branch, x).sum(axis=(0, 1))
+            for layer in branch.layers:
+                x = relu(conv2d_forward(x, layer))
+            out = x.sum(axis=(0, 1))
             ys, xs = np.nonzero(out)
             assert (ys.max() - ys.min() + 1, xs.max() - xs.min() + 1) == (expected, expected)
 

@@ -1,13 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
 from deepref.cli import FLAG_TABLE, _resolve, build_parser, main
-from deepref.fileio import read_csv, read_plane_pgm
+from deepref.fileio import read_csv
 from deepref.flow import read_dataset
-from deepref.generator import ModelConfig, build_network, load_weights, save_weights
+from deepref.generator import (
+    ModelConfig,
+    build_network,
+    generate_reference,
+    load_weights,
+    named_params,
+    save_weights,
+)
 from deepref.synthetic import pan_zoom_sequence
-from deepref.video_io import write_y4m
+from deepref.video_io import read_sequence, write_y4m
 
 TINY_MODEL_FLAGS = [
     "--head-channels", "4", "--branch-reduce-channels", "3",
@@ -91,7 +99,7 @@ class TestSmokeChain:
         assert weights.exists()
         header, rows = read_csv(loss_csv)
         assert header == ["epoch", "lr", "loss"] and len(rows) == 2
-        load_weights(weights)  # parses and validates
+        net = load_weights(weights)  # parses and validates
 
         code, out, err = run(
             ["infer", "--input", str(clip), "--weights", str(weights),
@@ -99,7 +107,8 @@ class TestSmokeChain:
         assert code == 0, err
         pgms = sorted(infer_dir.glob("gen_f*.pgm"))
         assert len(pgms) == 9
-        assert read_plane_pgm(pgms[0]).shape == (64, 64)
+        first = generate_reference(net, read_sequence(clip)[0])
+        assert pgms[0].read_bytes() == b"P5\n64 64\n255\n" + first.tobytes()
         header, rows = read_csv(infer_dir / "reference_quality.csv")
         assert header == ["frame_index", "psnr_db", "ssim"] and len(rows) == 9
 
@@ -199,6 +208,14 @@ class TestEncodeCommand:
         assert header == ["block_x", "block_y", "ref_idx", "mv_x_q4", "mv_y_q4", "sad"]
         assert len(rows) == 16
 
+    def test_lambda_beyond_int_range_rejected(self, clip, capsys):
+        # lambda * mv bits would overflow the float cost arrays
+        code, _, err = run(
+            ["encode", "--input", str(clip), "--q", "16", "--search-range", "4",
+             "--block-size", "16", "--lambda-mv", "1e308"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "lambda_mv" in err and err.count("\n") == 1
+
 
 class TestMetricsCommand:
     def test_same_sequence_reports_inf(self, clip, tmp_path, capsys):
@@ -211,6 +228,29 @@ class TestMetricsCommand:
         assert header == ["frame_index", "psnr_db", "ssim"]
         assert len(rows) == 10
         assert all(r[1] == "inf" and float(r[2]) == 1.0 for r in rows)
+
+    def test_frame_count_mismatch_rejected(self, clip, tmp_path, capsys):
+        short = tmp_path / "short.y4m"
+        write_y4m(read_sequence(clip)[:9], short)
+        out_csv = tmp_path / "m.csv"
+        code, _, err = run(
+            ["metrics", "--a", str(clip), "--b", str(short), "--output", str(out_csv)],
+            capsys)
+        assert code == 1
+        assert err == "error: frame counts differ: 10 vs 9\n"
+        assert not out_csv.exists()
+
+
+def test_infer_rejects_weight_without_channel_axis(clip, tmp_path, capsys):
+    net = build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
+                                    branch_out_channels=2, trunk_channels=2))
+    dict(named_params(net))["head1"].weights = np.zeros((), dtype=np.float32)
+    weights = tmp_path / "w.drpg"
+    save_weights(net, weights)
+    code, _, err = run(["infer", "--input", str(clip), "--weights", str(weights),
+                        "--output-dir", str(tmp_path / "gen")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "'head1.weight'" in err and err.count("\n") == 1
 
 
 def test_diverging_training_names_its_batch_and_writes_no_weights(clip, tmp_path, capsys):

@@ -133,7 +133,7 @@ class TestExtractPairs:
         tex = SinusoidTexture.random(9)
         ref = tex.render(96, 96)
         cur = tex.render(96, 96, offset=(0.5, 0.0))
-        pairs = extract_pairs(ref, cur, ExtractionConfig(block_size=32, integer_snap=0.05))
+        pairs = extract_pairs(ref, cur, CFG)
         assert len(pairs) == 9
         for pair in pairs:
             bx, by = pair.origin

@@ -4,6 +4,7 @@ returns or raises a DeepRefError, never another exception."""
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,9 +14,15 @@ from hypothesis import strategies as st
 from deepref.cli import _load_curve
 from deepref.config import load_run_config
 from deepref.errors import DeepRefError
-from deepref.fileio import read_plane_pgm, write_csv, write_plane_pgm
+from deepref.fileio import write_csv
 from deepref.flow import SamplePair, read_dataset, write_dataset
-from deepref.generator import ModelConfig, build_network, load_weights, save_weights
+from deepref.generator import (
+    ModelConfig,
+    _parse_weight_file,
+    build_network,
+    load_weights,
+    save_weights,
+)
 from deepref.video_io import read_sequence, write_y4m
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -74,7 +81,6 @@ def samples(tmp_path_factory):
              for i in range(2)]
     write_dataset(pairs, work / "d.drpd")
     write_y4m([rng.integers(0, 256, (4, 6), dtype=np.uint8) for _ in range(2)], work / "s.y4m")
-    write_plane_pgm(rng.integers(0, 256, (3, 5), dtype=np.uint8), work / "p.pgm")
     write_csv([("baseline", 8, 1000.5, 38.25), ("net", 8, 900.0, 38.0)], work / "rd.csv",
               header=["scheme", "q", "bits_per_frame", "psnr_db"])
     (work / "run.json").write_text(json.dumps(RUN_DOC))
@@ -85,7 +91,6 @@ READERS = {
     "w.drpg": load_weights,
     "d.drpd": read_dataset,
     "s.y4m": read_sequence,
-    "p.pgm": read_plane_pgm,
     "rd.csv": lambda path: _load_curve(path, None),  # the RD parser over read_csv
     "run.json": load_run_config,
 }
@@ -107,6 +112,46 @@ def test_only_deepref_errors_escape(samples, name):
             pass
 
     check()
+
+
+# the tensors load_weights reads the channel widths from
+WIDTH_TENSORS = ["head1.weight", "head2.weight",
+                 "block1.branch1.conv1.weight", "block1.branch1.conv2.weight"]
+TENSOR_DIMS = st.lists(st.sampled_from([0, 1, 3, 2**31 - 1, 2**32 - 1]) | st.integers(0, 70),
+                       max_size=4)
+
+
+def weight_file(records) -> bytes:
+    """A version-1 weight file of (name, dims, payload) records."""
+    out = bytearray(b"DRPG" + struct.pack("<II", 1, len(records)))
+    for name, dims, payload in records:
+        out += struct.pack(f"<H{len(name)}sB{len(dims)}I", len(name), name.encode(),
+                           len(dims), *dims) + payload
+    return bytes(out)
+
+
+@FUZZ
+@given(st.data())
+def test_weight_tensor_of_any_shape_raises_deepref_errors(samples, data):
+    """Value-level mutation of a weight file: give one tensor 0-4 dims of any
+    size, zero and huge ones included. A tensor of at most 64 values gets a
+    payload that fills it; a larger one keeps its old payload, so the file
+    ends early."""
+    work, originals = samples
+    tensors = _parse_weight_file(originals["w.drpg"])
+    name = data.draw(st.sampled_from(WIDTH_TENSORS) | st.sampled_from(sorted(tensors)))
+    dims = data.draw(TENSOR_DIMS)
+    size = math.prod(dims)
+    records = [(n, a.shape, a.astype("<f4").tobytes()) for n, a in tensors.items()]
+    for i, (n, _, payload) in enumerate(records):
+        if n == name:
+            records[i] = (n, dims, bytes(4 * size) if size <= 64 else payload)
+    path = work / "fuzz_dims.drpg"
+    path.write_bytes(weight_file(records))
+    try:
+        load_weights(path)
+    except DeepRefError:
+        pass
 
 
 @FUZZ

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
-from deepref.nn import conv2d_forward
+from deepref.nn import conv2d_forward, relu
 from deepref.generator import (
     FEATURE_SELECTORS,
     ModelConfig,
     block_forward,
-    branch_forward,
     build_network,
     dump_feature_maps,
     generate_reference,
@@ -124,7 +123,9 @@ class TestBranchImpulseResponse:
         branch = net.blocks[0].branches[branch_idx]
         x = np.zeros((1, 4, 31, 31))
         x[0, 0, 15, 15] = 1.0
-        out = branch_forward(branch, x).sum(axis=(0, 1))
+        for layer in branch.layers:
+            x = relu(conv2d_forward(x, layer))
+        out = x.sum(axis=(0, 1))
         assert support_box(out) == (rf, rf)
         # full box: positive everywhere inside the receptive field
         r = rf // 2
@@ -248,6 +249,28 @@ class TestWeightFile:
         (tmp_path / "bad.drpg").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(FormatError, match="magic"):
             load_weights(tmp_path / "bad.drpg")
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 1, 3)])
+    @pytest.mark.parametrize("name", ["head1", "head2", "block1.branch1.conv1",
+                                      "block1.branch1.conv2"])
+    def test_width_tensor_must_be_4d(self, tmp_path, name, shape):
+        # the channel widths are read from these four tensors' first axis
+        net = build_network(TINY)
+        dict(named_params(net))[name].weights = np.zeros(shape)
+        path = tmp_path / "w.drpg"
+        save_weights(net, path)
+        with pytest.raises(FormatError, match=f"'{name}.weight' has shape"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("shape", [(2**20, 0, 3, 3), (0, 1, 3, 3)])
+    def test_empty_dim_rejected(self, tmp_path, shape):
+        # an empty head1 could claim any width without storing its weights
+        net = build_network(TINY)
+        net.head[0].weights = np.zeros(shape)
+        path = tmp_path / "w.drpg"
+        save_weights(net, path)
+        with pytest.raises(FormatError, match="'head1.weight' has an empty dim"):
+            load_weights(path)
 
     def test_mismatched_layer_shape_names_the_layer(self, tmp_path):
         net = build_network(TINY)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from deepref.errors import ConfigError, FormatError
-from deepref.fileio import read_csv, read_plane_pgm, write_csv, write_plane_pgm
-from deepref.video_io import FrameSequence, read_sequence, write_y4m
+from deepref.fileio import read_csv, write_csv, write_plane_pgm
+from deepref.video_io import read_sequence, write_y4m
 
 
 def make_planes(n, h=16, w=16, seed=0):
@@ -23,9 +23,9 @@ class TestRawYuv:
         path = tmp_path / "clip.yuv"
         path.write_bytes(raw_yuv_bytes(planes))
         assert path.stat().st_size == 2 * 384
-        seq = read_sequence(path, width=16, height=16)
-        assert seq.count == 2 and seq.width == 16 and seq.height == 16
-        for a, b in zip(seq.frames, planes):
+        frames = read_sequence(path, width=16, height=16)
+        assert len(frames) == 2 and all(f.shape == (16, 16) for f in frames)
+        for a, b in zip(frames, planes):
             np.testing.assert_array_equal(a, b)
             assert a.size == 256
 
@@ -69,9 +69,9 @@ class TestY4m:
         body = b"FRAME\n" + raw_yuv_bytes(planes)
         path = tmp_path / "clip.y4m"
         path.write_bytes(b"YUV4MPEG2 W16 H16 F25:1 Ip A1:1 C420\n" + body)
-        seq = read_sequence(path)
-        assert (seq.width, seq.height, seq.count) == (16, 16, 1)
-        np.testing.assert_array_equal(seq.frames[0], planes[0])
+        frames = read_sequence(path)
+        assert len(frames) == 1 and frames[0].shape == (16, 16)
+        np.testing.assert_array_equal(frames[0], planes[0])
 
     def test_c420_variants_accepted(self, tmp_path):
         planes = make_planes(1)
@@ -79,7 +79,7 @@ class TestY4m:
             header = b"YUV4MPEG2 W16 H16 F25:1 " + tag
             path = tmp_path / "v.y4m"
             path.write_bytes(header.rstrip() + b"\n" + b"FRAME\n" + raw_yuv_bytes(planes))
-            assert read_sequence(path).count == 1
+            assert len(read_sequence(path)) == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.y4m"
@@ -122,23 +122,27 @@ class TestY4m:
             b"YUV4MPEG2 W16 H16 C420\nFRAME Xsome=param\n" + chunk + b"FRAME\n"
             + raw_yuv_bytes(planes[1:])
         )
-        assert read_sequence(path).count == 2
+        assert len(read_sequence(path)) == 2
 
     def test_write_read_round_trip(self, tmp_path):
         planes = make_planes(3, h=18, w=24, seed=4)
         path = tmp_path / "rt.y4m"
         write_y4m(planes, path)
-        seq = read_sequence(path)
-        assert seq.count == 3
-        for a, b in zip(seq.frames, planes):
+        frames = read_sequence(path)
+        assert len(frames) == 3
+        for a, b in zip(frames, planes):
             np.testing.assert_array_equal(a, b)
 
     def test_format_override_beats_extension(self, tmp_path):
         planes = make_planes(1)
         path = tmp_path / "mislabeled.y4m"
         path.write_bytes(raw_yuv_bytes(planes))
-        seq = read_sequence(path, fmt="yuv", width=16, height=16)
-        assert seq.count == 1
+        assert len(read_sequence(path, fmt="yuv", width=16, height=16)) == 1
+
+
+def pgm_bytes(plane):
+    h, w = plane.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + plane.tobytes()
 
 
 class TestPgm:
@@ -146,37 +150,19 @@ class TestPgm:
         plane = rng.integers(0, 256, (13, 17)).astype(np.uint8)
         path = tmp_path / "p.pgm"
         write_plane_pgm(plane, path)
-        np.testing.assert_array_equal(read_plane_pgm(path), plane)
+        assert path.read_bytes() == pgm_bytes(plane)
 
     def test_255_valued_plane(self, tmp_path):
         plane = np.full((8, 8), 255, dtype=np.uint8)
         path = tmp_path / "white.pgm"
         write_plane_pgm(plane, path)
-        np.testing.assert_array_equal(read_plane_pgm(path), plane)
+        assert path.read_bytes() == pgm_bytes(plane)
 
     def test_header_matches_p5_format(self, tmp_path):
         plane = np.zeros((4, 6), dtype=np.uint8)
         path = tmp_path / "p.pgm"
         write_plane_pgm(plane, path)
         assert path.read_bytes().startswith(b"P5\n6 4\n255\n")
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P2\n4 4\n255\n" + b"0" * 16)
-        with pytest.raises(FormatError, match="P5"):
-            read_plane_pgm(path)
-
-    def test_non_positive_dims_rejected(self, tmp_path):
-        path = tmp_path / "neg.pgm"
-        path.write_bytes(b"P5\n-4 -4\n255\n" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="dims"):
-            read_plane_pgm(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "cut.pgm"
-        path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 10)
-        with pytest.raises(FormatError, match="payload"):
-            read_plane_pgm(path)
 
 
 class TestCsv:
@@ -199,6 +185,9 @@ class TestCsv:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
-def test_frame_sequence_count():
-    seq = FrameSequence(4, 4, make_planes(3, 4, 4))
-    assert seq.count == 3
+def test_sequence_is_a_list_of_luma_planes(tmp_path):
+    planes = make_planes(3, 4, 4)
+    write_y4m(planes, tmp_path / "s.y4m")
+    frames = read_sequence(tmp_path / "s.y4m")
+    assert isinstance(frames, list) and len(frames) == 3
+    assert all(f.dtype == np.uint8 and f.shape == (4, 4) for f in frames)
