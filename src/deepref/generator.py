@@ -93,6 +93,37 @@ class GeneratorNet:
     config: ModelConfig
 
 
+def _layer_specs(config: ModelConfig) -> list[tuple[str, int, int, int, int]]:
+    """(name, in_ch, out_ch, kernel, dilation) of every convolution in
+    traversal order: the one place that names the layers. Computed from the
+    config alone, so a weight file is checked before any layer is allocated."""
+    t = config.trunk_channels
+    r = config.branch_reduce_channels
+    o = config.branch_out_channels
+    specs = [("head1", 1, config.head_channels, 3, 1), ("head2", config.head_channels, t, 3, 1)]
+    for bi in range(1, _NUM_BLOCKS + 1):
+        for ri, layout in enumerate(_BRANCH_LAYOUT, start=1):
+            cin = t
+            for li, (kernel, dilation) in enumerate(layout, start=1):
+                cout = r if kernel == 1 else o
+                specs.append((f"block{bi}.branch{ri}.conv{li}", cin, cout, kernel, dilation))
+                cin = cout
+        specs.append((f"block{bi}.fuse", len(_BRANCH_LAYOUT) * o, t, 1, 1))
+        specs.append((f"block{bi}.skip", t, t, 1, 1))
+    specs.append(("tail", t, 1, 3, 1))
+    return specs
+
+
+def _layers(net: GeneratorNet) -> list[ConvParams]:
+    """Every convolution of the net in traversal order."""
+    layers = list(net.head)
+    for blk in net.blocks:
+        for branch in blk.branches:
+            layers += branch.layers
+        layers += [blk.fuse, blk.skip]
+    return layers + [net.tail]
+
+
 def build_network(config: ModelConfig) -> GeneratorNet:
     """Build the generator with seeded Kaiming-style initialization; the skip
     (approximate-identity) 1x1 convolutions start as exact identities so the
@@ -103,55 +134,40 @@ def build_network(config: ModelConfig) -> GeneratorNet:
     rng = np.random.default_rng(config.seed)
     dtype = np.dtype(config.dtype)
 
-    def conv(cin, cout, kernel, dilation=1):
-        std = np.sqrt(2.0 / (cin * kernel * kernel))
-        w = rng.normal(0.0, std, size=(cout, cin, kernel, kernel)).astype(dtype)
+    def conv(name, cin, cout, kernel, dilation):
+        if name.endswith(".skip"):
+            w = np.zeros((cout, cin, 1, 1), dtype=dtype)
+            w[np.arange(cout), np.arange(cin), 0, 0] = 1.0
+        else:
+            std = np.sqrt(2.0 / (cin * kernel * kernel))
+            w = rng.normal(0.0, std, size=(cout, cin, kernel, kernel)).astype(dtype)
         return ConvParams(w, np.zeros(cout, dtype=dtype), dilation=dilation)
 
-    def identity_conv(ch):
-        w = np.zeros((ch, ch, 1, 1), dtype=dtype)
-        w[np.arange(ch), np.arange(ch), 0, 0] = 1.0
-        return ConvParams(w, np.zeros(ch, dtype=dtype))
-
-    t = config.trunk_channels
-    r = config.branch_reduce_channels
-    o = config.branch_out_channels
-
-    head = [conv(1, config.head_channels, 3), conv(config.head_channels, t, 3)]
+    # the layers in traversal order, assembled as `_layers` walks them
+    layers = iter([conv(*spec) for spec in _layer_specs(config)])
+    head = [next(layers), next(layers)]
     blocks = []
     for _ in range(_NUM_BLOCKS):
-        branches = []
-        for layout in _BRANCH_LAYOUT:
-            layers, cin = [], t
-            for kernel, dilation in layout:
-                cout = r if kernel == 1 else o
-                layers.append(conv(cin, cout, kernel, dilation))
-                cin = cout
-            branches.append(BranchSpec(layers))
-        fuse = conv(len(branches) * o, t, 1)
-        skip = identity_conv(t)
+        branches = [BranchSpec([next(layers) for _ in layout]) for layout in _BRANCH_LAYOUT]
+        fuse = next(layers)
+        skip = next(layers)
         blocks.append(DilatedInceptionBlock(branches, fuse, skip, config.k))
-    tail = conv(t, 1, 3)
-    return GeneratorNet(head, blocks, tail, config)
+    return GeneratorNet(head, blocks, next(layers), config)
 
 
 def named_params(net: GeneratorNet) -> list[tuple[str, ConvParams]]:
     """Every trainable convolution with its name, in fixed traversal order."""
-    items = [(f"head{i + 1}", p) for i, p in enumerate(net.head)]
-    for bi, blk in enumerate(net.blocks, start=1):
-        for ri, branch in enumerate(blk.branches, start=1):
-            for li, layer in enumerate(branch.layers, start=1):
-                items.append((f"block{bi}.branch{ri}.conv{li}", layer))
-        items.append((f"block{bi}.fuse", blk.fuse))
-        items.append((f"block{bi}.skip", blk.skip))
-    items.append(("tail", net.tail))
-    return items
+    names = [spec[0] for spec in _layer_specs(net.config)]
+    layers = _layers(net)
+    assert len(names) == len(layers), (len(names), len(layers))
+    return list(zip(names, layers))
 
 
 def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """conv + ReLU per layer; appends (input, pre-activation) to `cache` if given."""
+    """conv + ReLU per layer; appends (input, pre-activation) to `cache` if
+    given, and then builds whole im2col matrices, so training keeps its bits."""
     for layer in layers:
-        z = conv2d_forward(x, layer)
+        z = conv2d_forward(x, layer, whole=cache is not None)
         if cache is not None:
             cache.append((x, z))
         x = relu(z)
@@ -212,11 +228,14 @@ def _trunk(net: GeneratorNet, x: np.ndarray, head_cache=None, block_caches=None)
 
 
 def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
-    """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain."""
+    """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain.
+
+    With `want_cache`, as training runs it, every conv builds its im2col
+    matrix whole (see the `nn` docstring)."""
     head_cache, block_caches = ([], []) if want_cache else (None, None)
     for _, h in _trunk(net, x, head_cache, block_caches):
         pass
-    out = conv2d_forward(h, net.tail)
+    out = conv2d_forward(h, net.tail, whole=want_cache)
     if want_cache:
         return out, (head_cache, block_caches, h)
     return out
@@ -376,25 +395,26 @@ def load_weights(path) -> GeneratorNet:
         trunk_channels=tensors["head2.weight"].shape[0],
         k=float(ks[0]),
     )
-    net = build_network(config)
-
-    expected = {"k"}
-    for name, _ in named_params(net):
-        expected.update((f"{name}.weight", f"{name}.bias"))
-    missing = expected - set(tensors)
-    unexpected = set(tensors) - expected
+    # every name and shape is checked before build_network allocates the net
+    expected = {}
+    for name, cin, cout, kernel, _ in _layer_specs(config):
+        expected[f"{name}.weight"] = (cout, cin, kernel, kernel)
+        expected[f"{name}.bias"] = (cout,)
+    missing = expected.keys() - tensors.keys()
+    unexpected = tensors.keys() - expected.keys() - {"k"}
     if missing:
         raise FormatError(f"weight file is missing tensors: {sorted(missing)}")
     if unexpected:
         raise FormatError(f"weight file has unexpected tensors: {sorted(unexpected)}")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            layer, part = name.rsplit(".", 1)
+            raise FormatError(
+                f"layer {layer}: {part} shape {tensors[name].shape} != expected {shape}"
+            )
 
+    net = build_network(config)
     for name, p in named_params(net):
-        for part, current in (("weight", p.weights), ("bias", p.bias)):
-            arr = tensors[f"{name}.{part}"]
-            if arr.shape != current.shape:
-                raise FormatError(
-                    f"layer {name}: {part} shape {arr.shape} != expected {current.shape}"
-                )
         p.weights = tensors[f"{name}.weight"].astype(np.float32)
         p.bias = tensors[f"{name}.bias"].astype(np.float32)
     for blk, k in zip(net.blocks, ks):

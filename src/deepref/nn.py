@@ -7,11 +7,27 @@ channel concatenation, and the Adadelta update rule. Arrays are laid out
 explicitly).
 
 Convolution is im2col + GEMM (Chellapilla et al., 2006): the k*k dilated
-taps of the zero-padded input are copied into one (c*k*k, b*oh*ow) matrix,
-so the forward pass, the weight gradient and the input gradient are each
-one ``np.matmul`` over the whole batch. The summation order is fixed by the
-BLAS kernels and the operand layouts, so repeated calls are bit-identical on
-one machine with OpenBLAS at one thread.
+taps of the zero-padded input are copied into a (c*k*k, b*oh*ow) matrix,
+so the weight gradient and the input gradient are each one ``np.matmul``
+over the whole batch. The summation order is fixed by the BLAS kernels and
+the operand layouts, so repeated calls are bit-identical on one machine with
+OpenBLAS at one thread.
+
+Outside training, the forward pass builds a k>1 im2col matrix larger than
+``COLS_BYTES`` (256 KiB) in bands of whole output rows of at most that size
+(at least one row; whole items per band once one fits), one GEMM per band
+into that band's columns of the output, so its workspace is one band
+instead of 2,304 bytes per pixel for a 64-channel 3x3 layer. Each output
+column sees the same operands either way, but OpenBLAS picks the kernels of
+a GEMM's last columns by the column count, so a banded output can differ
+from the whole one in the last bits. Training (``whole=True``) therefore
+builds the whole matrix, as does a matrix of one band; the generated 8-bit
+planes of the benchmark's SMALL and paper-size nets came out byte-identical
+all the same. With ``ModelConfig()`` on 2 vCPUs (OpenBLAS at one thread),
+416x240 ran 1.7x faster and its peak RSS fell from 332 to 186 MB; 128x128
+ran as fast or faster, and its peak RSS fell from 110 to 61 MB.
+The backward pass is not banded: splitting the weight-gradient contraction
+or col2im's per-pixel tap order would change training's bits.
 
 Training is chaotic, so every kernel keeps the bits of the plain engine it
 replaced (kept in the tests as the oracle): each GEMM gets the same operands
@@ -109,25 +125,6 @@ def _pad(x: np.ndarray, p: int) -> np.ndarray:
     return x_pad
 
 
-def _cols(x_pad: np.ndarray, k: int, d: int, oh: int, ow: int) -> np.ndarray:
-    """im2col: the (c*k*k, b*oh*ow) matrix of every dilated kernel tap.
-
-    Row ch*k*k + i*k + j holds tap (i, j) of channel ch, matching
-    ``weights.reshape(out_ch, -1)``; column n*oh*ow + y*ow + x is output
-    pixel (y, x) of batch item n. For a 1x1 kernel it is a reshape, free
-    when x_pad is stored channel-major, as conv outputs are.
-    """
-    b, c = x_pad.shape[:2]
-    xt = x_pad.transpose(1, 0, 2, 3)
-    if k == 1:
-        return xt.reshape(c, b * oh * ow)
-    cols = np.empty((c, k, k, b, oh, ow), dtype=x_pad.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xt[:, :, i * d : i * d + oh, j * d : j * d + ow]
-    return cols.reshape(c * k * k, b * oh * ow)
-
-
 def _rows(x: np.ndarray, k: int, d: int, p: int, oh: int, ow: int) -> np.ndarray:
     """The (b*oh*ow, c*k*k) im2col matrix of x, for the weight gradient.
 
@@ -167,11 +164,18 @@ def conv_output_hw(h: int, w: int, params: ConvParams) -> tuple[int, int]:
     return oh, ow
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
+# largest im2col band the forward pass builds outside training (module
+# docstring): on `sweep`, 256 KiB bands ran 8% faster than 1 MiB ones
+COLS_BYTES = 1 << 18
+
+
+def conv2d_forward(x: np.ndarray, params: ConvParams, whole: bool = False) -> np.ndarray:
     """out[b,o,y,x] = bias[o] + sum_{c,i,j} w[o,c,i,j] * in[b,c,y+d(i-(k-1)/2),x+d(j-(k-1)/2)]
 
     with zero padding outside bounds. "Same" padding preserves H and W. The
     result is a channel-major view: out.transpose(1, 0, 2, 3) is contiguous.
+    A k>1 im2col matrix larger than ``COLS_BYTES`` is built in bands of
+    output rows unless `whole` is set, as training sets it to keep its bits.
     """
     x = _check_4d(x, "conv input")
     if x.shape[1] != params.in_ch:
@@ -182,9 +186,39 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("conv input contains NaN or Inf")
     b = x.shape[0]
+    k, d = params.kernel_size, params.dilation
     oh, ow = conv_output_hw(x.shape[2], x.shape[3], params)
-    cols = _cols(_pad(x, params.padding), params.kernel_size, params.dilation, oh, ow)
-    out = np.matmul(params.weights.reshape(params.out_ch, -1), cols)
+    x_pad = _pad(x, params.padding)
+    w = params.weights.reshape(params.out_ch, -1)
+    if k == 1:
+        # the im2col matrix is a reshape, free when x is channel-major, as
+        # conv outputs are
+        out = np.matmul(w, x_pad.transpose(1, 0, 2, 3).reshape(params.in_ch, b * oh * ow))
+    else:
+        # row ch*k*k + i*k + j of the matrix is tap (i, j) of channel ch,
+        # matching w; column n*oh*ow + y*ow + x is output pixel (y, x) of
+        # item n. Bands of whole output rows (whole items once one fits) are
+        # copied from a view of every tap into one reused buffer, and each
+        # band's GEMM writes its own columns of the output
+        out = np.empty((params.out_ch, b * oh * ow), dtype=np.result_type(w, x_pad))
+        row_bytes = w.shape[1] * ow * x_pad.itemsize
+        rows = b * oh if whole else max(1, COLS_BYTES // row_bytes)
+        items, rows = max(1, rows // oh), min(rows, oh)
+        # every tap as one (c, k, k, b, oh, ow) view of x_pad; built from its
+        # buffer, since sliding_window_view cost 19 us a call and 3% of `train`
+        x_pad = np.ascontiguousarray(x_pad)
+        s0, s1, s2, s3 = x_pad.strides
+        taps = np.ndarray((params.in_ch, k, k, b, oh, ow), x_pad.dtype, x_pad, 0,
+                          (s1, d * s2, d * s3, s0, s2, s3))
+        buf = np.empty(w.shape[1] * items * rows * ow, dtype=x_pad.dtype)
+        for n in range(0, b, items):
+            for y in range(0, oh, rows):
+                band = taps[:, :, :, n : n + items, y : y + rows]
+                cols = buf[: band.size].reshape(band.shape)
+                cols[...] = band
+                start = (n * oh + y) * ow
+                np.matmul(w, cols.reshape(w.shape[1], -1),
+                          out=out[:, start : start + band.size // w.shape[1]])
     out = out.reshape(params.out_ch, b, oh, ow).transpose(1, 0, 2, 3)
     out += params.bias[None, :, None, None]
     return out
@@ -253,12 +287,17 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where x > 0; subgradient at exactly 0 is 0."""
+    """Pass gradient where x > 0; subgradient at exactly 0 is 0.
+
+    The mask multiplies, about 6x faster than a select, so a masked entry is
+    -0 where grad_out is negative; training's losses and weights keep their
+    bits (tested against the select form).
+    """
     if np.shape(x) != np.shape(grad_out):
         raise ShapeMismatchError(
             f"relu grad_out shape {np.shape(grad_out)} != input shape {np.shape(x)}"
         )
-    return np.where(np.asarray(x) > 0, grad_out, 0)
+    return grad_out * (np.asarray(x) > 0)
 
 
 def concat_channels(parts: list[np.ndarray]) -> np.ndarray:

@@ -178,3 +178,8 @@ def plain_conv2d_backward(x, params, grad_out):
                 grad_t[:, :, i * d : i * d + oh, j * d : j * d + ow] += grad_cols[:, i, j]
     grad_input = grad_pad[:, :, p : p + h, p : p + w] if p else grad_pad
     return np.ascontiguousarray(grad_input), grad_weights, grad_bias
+
+
+def where_relu_backward(x, grad_out):
+    """ReLU backward as a select, the form `deepref.nn.relu_backward` replaced."""
+    return np.where(np.asarray(x) > 0, grad_out, 0)

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deepref.generator as generator_mod
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
 from deepref.nn import conv2d_forward, relu
 from deepref.generator import (
@@ -161,6 +163,23 @@ class TestGenerateReference:
         with pytest.raises(ShapeMismatchError):
             generate_reference(net, np.zeros((2, 10), dtype=np.uint8))
 
+    def test_only_training_builds_whole_im2col_matrices(self, monkeypatch):
+        # a banded forward GEMM may round differently, and training is chaotic
+        seen = []
+
+        def spy(x, p, whole=False):
+            seen.append((p.kernel_size, whole))
+            return conv2d_forward(x, p, whole)
+
+        monkeypatch.setattr(generator_mod, "conv2d_forward", spy)
+        net = build_network(TINY)
+        x = np.random.default_rng(4).uniform(0, 1, (2, 1, 12, 12))
+        net_forward(net, x, want_cache=True)
+        assert {whole for k, whole in seen if k > 1} == {True}
+        seen.clear()
+        net_forward(net, x)
+        assert {whole for _, whole in seen} == {False}
+
 
 class TestWholeNetGradient:
     def test_backprop_matches_finite_differences(self, rng):
@@ -281,6 +300,34 @@ class TestWeightFile:
         save_weights(net, path)
         with pytest.raises(FormatError, match="block2.fuse"):
             load_weights(path)
+
+    def test_wide_layer_refused_before_allocating(self, tmp_path):
+        # a 36 KB file claims 800 branch output channels and stores no
+        # branch 2 or 3: building that net takes ~240 MB, so its names and
+        # shapes must be refused first
+        net = build_network(ModelConfig(head_channels=8, branch_reduce_channels=4,
+                                        branch_out_channels=4, trunk_channels=8))
+        net.blocks[0].branches[0].layers[1].weights = np.zeros((800, 1, 3, 3), np.float32)
+        records = [(f"{name}.{part}", arr) for name, p in named_params(net)
+                   if ".branch2." not in name and ".branch3." not in name
+                   for part, arr in (("weight", p.weights), ("bias", p.bias))]
+        records.append(("k", np.full(3, 0.5)))
+        data = bytearray(b"DRPG" + struct.pack("<II", 1, len(records)))
+        for name, arr in records:
+            data += struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(),
+                                arr.ndim, *arr.shape)
+            data += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        path = tmp_path / "w.drpg"
+        path.write_bytes(bytes(data))
+        assert path.stat().st_size < 40_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="missing tensors"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 def explicit_stage_activations(net, x):

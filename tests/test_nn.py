@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from deepref.errors import NonFiniteError, ShapeMismatchError
 from deepref.nn import (
+    COLS_BYTES,
     EPS,
     RHO,
     AdadeltaState,
@@ -222,6 +225,13 @@ class TestConvAgainstPlainEngine:
     # input-gradient GEMM differently once zero columns pad it to wider planes
     @example(dict(k=3, d=2, pad=4, h=3, w=9, batch=5, cin=3, cout=128, seed=0,
                   dtype=np.float64, x_channel_major=False, g_channel_major=False))
+    # a `train` batch at head2: 8 channel-major items of 16x16, 8 -> 8 channels
+    @example(dict(k=3, d=1, pad=1, h=16, w=16, batch=8, cin=8, cout=8, seed=11,
+                  dtype=np.float32, x_channel_major=True, g_channel_major=False))
+    # 8 items of 32x32, as `deepref train` extracts by default: a 2.4 MB
+    # matrix, banded outside training
+    @example(dict(k=3, d=3, pad=3, h=32, w=32, batch=8, cin=8, cout=8, seed=12,
+                  dtype=np.float32, x_channel_major=True, g_channel_major=True))
     @settings(max_examples=80, deadline=None)
     def test_outputs_and_gradients_byte_equal(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -233,10 +243,13 @@ class TestConvAgainstPlainEngine:
                        rng.standard_normal(cout).astype(dt),
                        dilation=case["d"], padding=case["pad"])
 
-        out = conv2d_forward(x, p)
+        out = conv2d_forward(x, p, whole=True)  # as training runs it
         want = plain_conv2d_forward(x, p)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
         assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        if cin * k * k * out[:, 0].size * x.itemsize <= COLS_BYTES:
+            # one band: inference runs the same GEMM
+            assert conv2d_forward(x, p).tobytes() == out.tobytes()
 
         g = rng.standard_normal(out.shape).astype(dt)
         g[rng.random(g.shape) < 0.2] = 0.0  # ReLU masks pass exact zeros
@@ -254,6 +267,70 @@ class TestConvAgainstPlainEngine:
         assert skipped[0] is None
         assert skipped[1].tobytes() == got[1].tobytes()
         assert skipped[2].tobytes() == got[2].tobytes()
+
+
+@st.composite
+def banded_cases(draw):
+    """3x3 "same" convs whose im2col matrix exceeds COLS_BYTES, so the
+    forward pass builds it in bands of output rows; widths are not multiples
+    of 8 and the last band of each item is short."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    batch, cin = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    w = draw(st.integers(9, 90).filter(lambda n: n % 8))
+    band_rows = COLS_BYTES // (cin * 9 * w * np.dtype(dtype).itemsize)
+    h = band_rows + draw(st.integers(1, band_rows - 1))
+    return dict(batch=batch, cin=cin, h=h, w=w, dtype=dtype,
+                cout=draw(st.sampled_from([1, 4, 64])), d=draw(st.sampled_from([1, 3, 5])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBandedForward:
+    """Above COLS_BYTES the forward GEMM runs once per band of output rows.
+    OpenBLAS picks the kernels of a GEMM's last columns by the column count,
+    so a band may round differently from the whole matrix; the result must
+    match within the float error bound of a dot product."""
+
+    @given(banded_cases())
+    # 13 items of 30 rows: whole items per band, the last band holds fewer
+    @example(dict(batch=13, cin=8, h=30, w=13, dtype=np.float32, cout=4, d=3, seed=5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_plain_engine_within_rounding(self, case):
+        rng = np.random.default_rng(case["seed"])
+        dt, cin, cout = case["dtype"], case["cin"], case["cout"]
+        x = rng.standard_normal((case["batch"], cin, case["h"], case["w"])).astype(dt)
+        p = ConvParams(rng.standard_normal((cout, cin, 3, 3)).astype(dt),
+                       rng.standard_normal(cout).astype(dt), dilation=case["d"])
+        cols_bytes = cin * 9 * x[:, 0].size * x.itemsize
+        row_bytes = cin * 9 * case["w"] * x.itemsize
+        # a row fits in a band, so no band exceeds COLS_BYTES and there are >= 2
+        assert row_bytes <= COLS_BYTES < cols_bytes
+
+        out = conv2d_forward(x, p)
+        want = plain_conv2d_forward(x, p)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        # two summation orders of n = 9*cin + 1 terms each lie within
+        # n*eps*sum|terms| of the exact sum
+        magnitude = plain_conv2d_forward(np.abs(x), ConvParams(np.abs(p.weights), np.abs(p.bias),
+                                                               dilation=case["d"]))
+        bound = 2 * (9 * cin + 1) * np.finfo(dt).eps * magnitude
+        assert np.all(np.abs(out.astype(np.float64) - want) <= bound)
+
+    def test_workspace_is_one_band(self):
+        # 1x16x256x256 float32 at dilation 3: the whole im2col matrix would
+        # take 36 MiB; the peak must stay below padded input + output + 1 MiB
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((1, 16, 256, 256), dtype=np.float32)
+        p = make_params(rng, 16, 16, 3, dilation=3, dtype=np.float32)
+        padded, out_bytes = 16 * 262 * 262 * 4, 16 * 256 * 256 * 4
+        tracemalloc.start()
+        try:
+            out = conv2d_forward(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == out_bytes
+        assert peak < padded + out_bytes + (1 << 20)
 
 
 class TestRelu:

@@ -26,7 +26,13 @@ from deepref.training import (
     train,
 )
 
-from conftest import central_diff_grad, max_rel_err, plain_conv2d_backward, plain_conv2d_forward
+from conftest import (
+    central_diff_grad,
+    max_rel_err,
+    plain_conv2d_backward,
+    plain_conv2d_forward,
+    where_relu_backward,
+)
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, k=0.5, seed=3, dtype="float32")
@@ -216,10 +222,24 @@ class TestFusedUpdate:
         pairs = shift_pairs(n=7)
         cfg = TrainConfig(lr0=1.0, epochs=3, batch_size=3, shuffle_seed=2)
         net_a, rep_a = train(build_network(TINY), pairs, cfg)
-        monkeypatch.setattr(generator_mod, "conv2d_forward", plain_conv2d_forward)
+        monkeypatch.setattr(generator_mod, "conv2d_forward",
+                            lambda x, p, whole=False: plain_conv2d_forward(x, p))
         monkeypatch.setattr(generator_mod, "conv2d_backward",
                             lambda x, p, g, want_grad_input=True: plain_conv2d_backward(x, p, g))
         net_b, rep_b = train(build_network(TINY), pairs, cfg)
+        assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
+        assert param_bytes(net_a) == param_bytes(net_b)
+
+    def test_relu_mask_multiply_keeps_training_bits(self, monkeypatch):
+        # the multiply leaves -0 where the select gave +0; losses and weights
+        # of a 3-epoch SMALL run must not move
+        small = ModelConfig(head_channels=8, branch_reduce_channels=4, branch_out_channels=4,
+                            trunk_channels=8, k=0.5, seed=0, dtype="float32")
+        pairs = shift_pairs(n=16)
+        cfg = TrainConfig(lr0=1.0, epochs=3, batch_size=8)
+        net_a, rep_a = train(build_network(small), pairs, cfg)
+        monkeypatch.setattr(generator_mod, "relu_backward", where_relu_backward)
+        net_b, rep_b = train(build_network(small), pairs, cfg)
         assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
         assert param_bytes(net_a) == param_bytes(net_b)
 
