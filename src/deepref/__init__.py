@@ -12,7 +12,6 @@ from .codec import (
     encode_sequence,
     motion_search,
     rd_sweep,
-    substitute_reference,
 )
 from .config import RunConfig, load_run_config
 from .errors import (

@@ -1,5 +1,5 @@
-"""Quarter-pel block motion search, a simplified P-frame codec proxy,
-reference-list substitution, and the closed encoding loop.
+"""Quarter-pel block motion search, a simplified P-frame codec proxy and the
+closed encoding loop.
 
 The proxy codes each block by full integer-pel search (SAD + lambda * mv
 bits) followed by half- then quarter-pel refinement, scalar-quantizes the
@@ -25,7 +25,7 @@ against the previous reconstruction or the generated picture made from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -253,20 +253,6 @@ def motion_search(
     return MotionVectorQ(int(best.x4[0]), int(best.y4[0])), float(best.cost[0])
 
 
-def substitute_reference(ref_list, generated: np.ndarray):
-    """Return a list whose first entry is the generated picture; rest unchanged."""
-    refs = list(ref_list)
-    if not refs:
-        raise ShapeMismatchError("reference list must hold at least one picture")
-    generated = np.asarray(generated)
-    for i, ref in enumerate(refs):
-        if np.asarray(ref).shape != generated.shape:
-            raise ShapeMismatchError(
-                f"reference {i} dims {np.asarray(ref).shape} != generated {generated.shape}"
-            )
-    return [generated] + refs[1:]
-
-
 def encode_frame_proxy(
     refs, cur: np.ndarray, cfg: SearchConfig, q: int
 ) -> tuple[float, np.ndarray, list[MVRecord]]:
@@ -290,6 +276,10 @@ def encode_frame_proxy(
                 f"reference {i} dims {np.asarray(ref).shape} != frame dims {cur.shape}"
             )
     fh, fw = cur.shape
+    # an offset a whole frame dimension away reads only edge samples, the same
+    # ones as the offset at that dimension, which costs no more mv bits and
+    # has a smaller |mv|_1: a farther offset never wins
+    cfg = replace(cfg, search_range=min(cfg.search_range, max(fh, fw)))
     bs = cfg.block_size
     m = cfg.search_range + 1
     past = -(-fw // bs) * bs - fw  # columns the last block of a row reaches past the frame
@@ -349,9 +339,7 @@ def encode_sequence(frames, net: GeneratorNet | None, cfg: SearchConfig, q: int)
     bits0, prev = intra_frame_proxy(frames[0], q)
     run = EncodedSequence([bits0], [psnr(prev, frames[0])], [prev], [[]])
     for cur in frames[1:]:
-        refs = [prev]
-        if net is not None:
-            refs = substitute_reference(refs, generate_reference(net, prev))
+        refs = [prev] if net is None else [generate_reference(net, prev)]
         bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
         run.bits.append(bits)
         run.psnr.append(psnr(prev, cur))

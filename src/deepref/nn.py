@@ -23,11 +23,8 @@ a GEMM's last columns by the column count, so a banded output can differ
 from the whole one in the last bits. Training (``whole=True``) therefore
 builds the whole matrix, as does a matrix of one band; the generated 8-bit
 planes of the benchmark's SMALL and paper-size nets came out byte-identical
-all the same. With ``ModelConfig()`` on 2 vCPUs (OpenBLAS at one thread),
-416x240 ran 1.7x faster and its peak RSS fell from 332 to 186 MB; 128x128
-ran as fast or faster, and its peak RSS fell from 110 to 61 MB.
-The backward pass is not banded: splitting the weight-gradient contraction
-or col2im's per-pixel tap order would change training's bits.
+all the same. The backward pass is not banded: splitting the weight-gradient
+contraction or col2im's per-pixel tap order would change training's bits.
 
 Training is chaotic, so every kernel keeps the bits of the plain engine it
 replaced (kept in the tests as the oracle): each GEMM gets the same operands

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from deepref import generator
 from deepref.cli import FLAG_TABLE, _resolve, build_parser, main
 from deepref.fileio import read_csv
 from deepref.flow import read_dataset
@@ -216,6 +217,18 @@ class TestEncodeCommand:
         assert code == 1
         assert err.startswith("error:") and "lambda_mv" in err and err.count("\n") == 1
 
+    def test_search_range_beyond_frame_prints_as_frame_sized_range(self, tmp_path, capsys):
+        # unclamped, this range would need ~600 GiB of phase planes
+        small = tmp_path / "small.y4m"
+        write_y4m(pan_zoom_sequence(32, 32, 3, velocity=(0.55, 0.35), seed=3), small)
+        outs = []
+        for search_range in ("100000", "32"):
+            code, out, err = run(["encode", "--input", str(small), "--q", "8",
+                                  "--search-range", search_range], capsys)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 class TestMetricsCommand:
     def test_same_sequence_reports_inf(self, clip, tmp_path, capsys):
@@ -261,6 +274,21 @@ def test_diverging_training_names_its_batch_and_writes_no_weights(clip, tmp_path
                         "--epochs", "2", "--lr", "1e308", *TINY_MODEL_FLAGS], capsys)
     assert code == 1
     assert err.startswith("error:") and "at epoch 0, batch 0" in err
+    assert not weights.exists()
+
+
+def test_out_of_memory_ends_in_error(clip, tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg):  # stands in for the allocation, which never happens
+        raise MemoryError("Unable to allocate 144. GiB for an array")
+
+    monkeypatch.setattr(generator, "build_network", out_of_memory)
+    dataset, weights = tmp_path / "d.drpd", tmp_path / "w.drpg"
+    run(["extract", "--input", str(clip), "--block-size", "16",
+         "--output", str(dataset)], capsys)
+    code, _, err = run(["train", "--dataset", str(dataset), "--weights-out", str(weights),
+                        "--head-channels", "2147483647"], capsys)
+    assert code == 1
+    assert err == "error: Unable to allocate 144. GiB for an array\n"
     assert not weights.exists()
 
 

@@ -14,7 +14,6 @@ from deepref.codec import (
     mv_bits,
     rd_sweep,
     signed_exp_golomb_bits,
-    substitute_reference,
 )
 from deepref.errors import ConfigError, ShapeMismatchError
 from deepref.generator import ModelConfig, build_network, generate_reference, named_params
@@ -156,26 +155,6 @@ class TestMotionSearch:
             motion_search(ref, ref, (56, 0), cfg)
 
 
-class TestSubstituteReference:
-    def test_single_entry_replaced(self):
-        a, g = textured(0), textured(1)
-        out = substitute_reference([a], g)
-        assert len(out) == 1 and out[0] is g
-
-    def test_first_of_two_replaced_rest_kept(self):
-        a, b, g = textured(0), textured(1), textured(2)
-        out = substitute_reference([a, b], g)
-        assert len(out) == 2 and out[0] is g and out[1] is b
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            substitute_reference([textured(0)], textured(1, h=32, w=32))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            substitute_reference([], textured(0))
-
-
 class TestEncodeFrameProxy:
     def test_identical_frame_costs_only_mv_and_zero_codes(self):
         ref = textured(5)
@@ -225,6 +204,10 @@ class TestEncodeFrameProxy:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             encode_frame_proxy([textured(0, 32, 32)], textured(1), SearchConfig(), q=8)
+
+    def test_empty_reference_list_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            encode_frame_proxy([], textured(0), SearchConfig(), q=8)
 
     def test_partial_edge_blocks_handled(self):
         tex = SinusoidTexture.random(13)
@@ -377,6 +360,20 @@ class TestEncodeFrameProxyGolden:
         assert got[0] == want[0] and got[2] == want[2]
         np.testing.assert_array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("lambda_mv", [0.0, 2.5])
+    def test_search_range_beyond_frame_matches_naive(self, rng, lambda_mv):
+        # cur is the right edge column of ref, so the left blocks match only
+        # 5 px away, which a search clamped below the 6 px frame width misses
+        ref = rng.integers(0, 100, (5, 6)).astype(np.uint8)
+        ref[:, -1] = 200
+        cur = np.full_like(ref, 200)
+        cfg = SearchConfig(search_range=9, lambda_mv=lambda_mv, block_size=3)
+        got = encode_frame_proxy([ref], cur, cfg, 8)
+        want = naive_encode_frame([ref], cur, cfg, 8)
+        assert got[0] == want[0] and got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2][0].mv_x_q4 == 20
+
 
 class TestDecoderRebuild:
     """What a decoder rebuilds from the symbols the proxy priced: each block's
@@ -432,9 +429,7 @@ class TestEncodeSequence:
         bits0, prev = intra_frame_proxy(frames[0], q)
         want = ([bits0], [psnr(prev, frames[0])], [prev], [[]])
         for cur in frames[1:]:
-            refs = [prev]
-            if net is not None:
-                refs = substitute_reference(refs, generate_reference(net, prev))
+            refs = [prev] if net is None else [generate_reference(net, prev)]
             bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
             for column, value in zip(want, (bits, psnr(prev, cur), prev, field)):
                 column.append(value)
