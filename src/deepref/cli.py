@@ -61,12 +61,6 @@ FLAG_TABLE = {
     "extract": [
         ("--block-size", "extraction.block_size", dict(type=int)),
         ("--stride", "extraction.stride", dict(type=int)),
-        ("--lk-iterations", "extraction.lk_iterations", dict(type=int)),
-        ("--lk-eps", "extraction.lk_eps", dict(type=float)),
-        ("--mv-clamp", "extraction.mv_clamp", dict(type=float)),
-        ("--drop-degenerate", "extraction.keep_degenerate", dict(
-            action="store_const", const=False,
-            help="skip flat blocks instead of keeping them with zero motion")),
     ],
     "search": [
         ("--search-range", "search.search_range", dict(type=int)),

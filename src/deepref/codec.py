@@ -227,6 +227,14 @@ def _search_run(planes: np.ndarray, int_planes: np.ndarray, cur_rows: np.ndarray
     return ref_idx, best, pred.swapaxes(0, 1).reshape(h, -1)[:, :width]
 
 
+def _clamp_range(cfg: SearchConfig, shape) -> SearchConfig:
+    """`cfg` with its search range cut to the larger frame dimension. An offset
+    a whole frame dimension away reads only edge samples, the same ones as the
+    offset at that dimension, which costs no more mv bits and has a smaller
+    |mv|_1: a farther offset never wins, and its phase planes would only pad."""
+    return replace(cfg, search_range=min(cfg.search_range, max(shape)))
+
+
 def motion_search(
     ref: np.ndarray,
     cur: np.ndarray,
@@ -247,6 +255,7 @@ def motion_search(
     _check_block(cur, x0, y0, bs, bs)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
+    cfg = _clamp_range(cfg, cur.shape)
     planes = subpel_planes(ref, cfg.search_range + 1)[None]
     cur_blk = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int16)
     _, best, _ = _search_run(planes, planes[:, 0, 0].astype(np.int16), cur_blk, origin, cfg)
@@ -276,10 +285,7 @@ def encode_frame_proxy(
                 f"reference {i} dims {np.asarray(ref).shape} != frame dims {cur.shape}"
             )
     fh, fw = cur.shape
-    # an offset a whole frame dimension away reads only edge samples, the same
-    # ones as the offset at that dimension, which costs no more mv bits and
-    # has a smaller |mv|_1: a farther offset never wins
-    cfg = replace(cfg, search_range=min(cfg.search_range, max(fh, fw)))
+    cfg = _clamp_range(cfg, cur.shape)
     bs = cfg.block_size
     m = cfg.search_range + 1
     past = -(-fw // bs) * bs - fw  # columns the last block of a row reaches past the frame

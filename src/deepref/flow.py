@@ -16,34 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError, check_int, check_real
+from .errors import FormatError, ShapeMismatchError, check_int
 from .fileio import atomic_write_bytes
 
 DATASET_MAGIC = b"DRPD"
 DATASET_VERSION = 1
 DEGENERACY_THRESHOLD = 1e-3  # per-pixel floor on the structure tensor's min eigenvalue
 INTEGER_SNAP = 0.02  # px; snap near-integer flow before the floor rule
+LK_ITERATIONS = 5  # Lucas-Kanade updates per block, at most
+LK_EPS = 0.01  # px; stop when |dv| drops below
+MV_CLAMP = 8.0  # px per component
 
 
 @dataclass
 class ExtractionConfig:
     block_size: int = 32
     stride: int | None = None  # None = block_size (non-overlapping tiles)
-    lk_iterations: int = 5
-    lk_eps: float = 0.01  # px; stop when |dv| drops below
-    mv_clamp: float = 8.0  # px per component
-    keep_degenerate: bool = True
 
     def __post_init__(self):
         check_int("block_size", self.block_size, 8)
         if self.stride is not None:
             check_int("stride", self.stride, 1)
-        check_int("lk_iterations", self.lk_iterations, 1)
-        check_real("lk_eps", self.lk_eps, 0)
-        check_real("mv_clamp", self.mv_clamp, 0, open_low=True)
-        if not isinstance(self.keep_degenerate, bool):
-            raise ConfigError(
-                f"keep_degenerate must be true or false, got {self.keep_degenerate!r}")
 
     @property
     def effective_stride(self) -> int:
@@ -82,7 +75,7 @@ def _bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return top * (1.0 - fy) + bot * fy
 
 
-def _lk_block(ref, gx, gy, cur, origin, size, cfg):
+def _lk_block(ref, gx, gy, cur, origin, size):
     x0, y0 = origin
     w, h = size
     fh, fw = ref.shape
@@ -105,7 +98,7 @@ def _lk_block(ref, gx, gy, cur, origin, size, cfg):
     grid_y = grid_y.astype(np.float64)
     grid_x = grid_x.astype(np.float64)
     vx = vy = 0.0
-    for _ in range(cfg.lk_iterations):
+    for _ in range(LK_ITERATIONS):
         sy = grid_y + vy
         sx = grid_x + vx
         it = target - _bilinear(ref, sy, sx)
@@ -123,14 +116,14 @@ def _lk_block(ref, gx, gy, cur, origin, size, cfg):
         dvy = (g11 * b2 - g12 * b1) / det
         vx += dvx
         vy += dvy
-        if math.hypot(dvx, dvy) < cfg.lk_eps:
+        if math.hypot(dvx, dvy) < LK_EPS:
             break
-    vx = min(max(vx, -cfg.mv_clamp), cfg.mv_clamp)
-    vy = min(max(vy, -cfg.mv_clamp), cfg.mv_clamp)
+    vx = min(max(vx, -MV_CLAMP), MV_CLAMP)
+    vy = min(max(vy, -MV_CLAMP), MV_CLAMP)
     return (vx, vy), False
 
 
-def lucas_kanade_mv(ref, cur, origin, size, cfg: ExtractionConfig):
+def lucas_kanade_mv(ref, cur, origin, size):
     """Iterative least-squares flow for one block.
 
     Returns ((vx, vy), degenerate). The vector points from the current block
@@ -143,7 +136,7 @@ def lucas_kanade_mv(ref, cur, origin, size, cfg: ExtractionConfig):
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     gx, gy = _edge_gradients(ref)
     w, h = (size, size) if np.isscalar(size) else (int(size[0]), int(size[1]))
-    return _lk_block(ref, gx, gy, cur, origin, (w, h), cfg)
+    return _lk_block(ref, gx, gy, cur, origin, (w, h))
 
 
 def round_mv_topleft(mv) -> tuple[int, int]:
@@ -165,8 +158,8 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     """Tile the current frame and build one (X, Y) pair per tile.
 
     Tiles whose integer-aligned X window would leave the reference frame are
-    dropped; degenerate tiles are kept with offset (0,0) unless
-    cfg.keep_degenerate is off. Output order is raster-scan tile order.
+    dropped; degenerate tiles are kept with offset (0,0). Output order is
+    raster-scan tile order.
     """
     ref = np.asarray(ref)
     cur = np.asarray(cur)
@@ -183,9 +176,7 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     pairs: list[SamplePair] = []
     for by in range(0, fh - bs + 1, stride):
         for bx in range(0, fw - bs + 1, stride):
-            mv, degenerate = _lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs), cfg)
-            if degenerate and not cfg.keep_degenerate:
-                continue
+            mv, _ = _lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs))
             mv = _snap_near_integers(mv)
             ox, oy = round_mv_topleft(mv)
             sx, sy = bx + ox, by + oy

@@ -37,13 +37,16 @@ WEIGHT_MAGIC = b"DRPG"
 WEIGHT_VERSION = 1
 
 # (kernel, dilation) per conv, per branch; every branch starts with a 1x1
-# channel reduction. Receptive fields: 3, 9, 15.
+# channel reduction.
 _BRANCH_LAYOUT = (
     ((1, 1), (3, 1)),
     ((1, 1), (3, 1), (3, 3)),
     ((1, 1), (3, 1), (3, 1), (3, 5)),
 )
 _NUM_BLOCKS = 3
+# the side of the square each branch sees: 3, 9, 15
+BRANCH_RECEPTIVE_FIELDS = tuple(1 + sum(dilation * (kernel - 1) for kernel, dilation in layout)
+                                for layout in _BRANCH_LAYOUT)
 
 
 @dataclass
@@ -67,61 +70,46 @@ class ModelConfig:
 
 
 @dataclass
-class BranchSpec:
-    """One multi-scale branch: a stack of convolutions, each followed by ReLU."""
-
-    layers: list[ConvParams]
-
-    @property
-    def receptive_field(self) -> int:
-        return 1 + sum(p.dilation * (p.kernel_size - 1) for p in self.layers)
-
-
-@dataclass
-class DilatedInceptionBlock:
-    branches: list[BranchSpec]
-    fuse: ConvParams  # 1x1 on the concatenated branch outputs
-    skip: ConvParams  # 1x1 on the block input (approximate-identity branch)
-    k: float
-
-
-@dataclass
 class GeneratorNet:
-    head: list[ConvParams]
-    blocks: list[DilatedInceptionBlock]
-    tail: ConvParams
     config: ModelConfig
+    layers: dict[str, ConvParams]  # every convolution by name, in `_layer_specs` order
+    k: list[float]  # fusion factor of each block
+
+
+# The layer names, looked up by the passes below: the head convolutions, then
+# per block its stage name, the conv names of each branch, and its fuse (1x1
+# on the concatenated branch outputs) and skip (1x1 approximate identity on
+# the block input) convolutions, then the tail.
+_HEAD = ("head1", "head2")
+_BLOCKS = tuple(
+    (f"block{b}",
+     tuple(tuple(f"block{b}.branch{r}.conv{c}" for c in range(1, len(layout) + 1))
+           for r, layout in enumerate(_BRANCH_LAYOUT, start=1)),
+     f"block{b}.fuse", f"block{b}.skip")
+    for b in range(1, _NUM_BLOCKS + 1)
+)
+_TAIL = "tail"
 
 
 def _layer_specs(config: ModelConfig) -> list[tuple[str, int, int, int, int]]:
     """(name, in_ch, out_ch, kernel, dilation) of every convolution in
-    traversal order: the one place that names the layers. Computed from the
-    config alone, so a weight file is checked before any layer is allocated."""
+    traversal order. Computed from the config alone, so a weight file is
+    checked before any layer is allocated."""
     t = config.trunk_channels
     r = config.branch_reduce_channels
     o = config.branch_out_channels
-    specs = [("head1", 1, config.head_channels, 3, 1), ("head2", config.head_channels, t, 3, 1)]
-    for bi in range(1, _NUM_BLOCKS + 1):
-        for ri, layout in enumerate(_BRANCH_LAYOUT, start=1):
+    specs = [(_HEAD[0], 1, config.head_channels, 3, 1), (_HEAD[1], config.head_channels, t, 3, 1)]
+    for _, branches, fuse, skip in _BLOCKS:
+        for names, layout in zip(branches, _BRANCH_LAYOUT):
             cin = t
-            for li, (kernel, dilation) in enumerate(layout, start=1):
+            for name, (kernel, dilation) in zip(names, layout):
                 cout = r if kernel == 1 else o
-                specs.append((f"block{bi}.branch{ri}.conv{li}", cin, cout, kernel, dilation))
+                specs.append((name, cin, cout, kernel, dilation))
                 cin = cout
-        specs.append((f"block{bi}.fuse", len(_BRANCH_LAYOUT) * o, t, 1, 1))
-        specs.append((f"block{bi}.skip", t, t, 1, 1))
-    specs.append(("tail", t, 1, 3, 1))
+        specs.append((fuse, len(_BRANCH_LAYOUT) * o, t, 1, 1))
+        specs.append((skip, t, t, 1, 1))
+    specs.append((_TAIL, t, 1, 3, 1))
     return specs
-
-
-def _layers(net: GeneratorNet) -> list[ConvParams]:
-    """Every convolution of the net in traversal order."""
-    layers = list(net.head)
-    for blk in net.blocks:
-        for branch in blk.branches:
-            layers += branch.layers
-        layers += [blk.fuse, blk.skip]
-    return layers + [net.tail]
 
 
 def build_network(config: ModelConfig) -> GeneratorNet:
@@ -133,81 +121,66 @@ def build_network(config: ModelConfig) -> GeneratorNet:
     """
     rng = np.random.default_rng(config.seed)
     dtype = np.dtype(config.dtype)
-
-    def conv(name, cin, cout, kernel, dilation):
+    layers = {}
+    for name, cin, cout, kernel, dilation in _layer_specs(config):
         if name.endswith(".skip"):
             w = np.zeros((cout, cin, 1, 1), dtype=dtype)
             w[np.arange(cout), np.arange(cin), 0, 0] = 1.0
         else:
             std = np.sqrt(2.0 / (cin * kernel * kernel))
             w = rng.normal(0.0, std, size=(cout, cin, kernel, kernel)).astype(dtype)
-        return ConvParams(w, np.zeros(cout, dtype=dtype), dilation=dilation)
-
-    # the layers in traversal order, assembled as `_layers` walks them
-    layers = iter([conv(*spec) for spec in _layer_specs(config)])
-    head = [next(layers), next(layers)]
-    blocks = []
-    for _ in range(_NUM_BLOCKS):
-        branches = [BranchSpec([next(layers) for _ in layout]) for layout in _BRANCH_LAYOUT]
-        fuse = next(layers)
-        skip = next(layers)
-        blocks.append(DilatedInceptionBlock(branches, fuse, skip, config.k))
-    return GeneratorNet(head, blocks, next(layers), config)
+        layers[name] = ConvParams(w, np.zeros(cout, dtype=dtype), dilation=dilation)
+    return GeneratorNet(config, layers, [config.k] * _NUM_BLOCKS)
 
 
-def named_params(net: GeneratorNet) -> list[tuple[str, ConvParams]]:
-    """Every trainable convolution with its name, in fixed traversal order."""
-    names = [spec[0] for spec in _layer_specs(net.config)]
-    layers = _layers(net)
-    assert len(names) == len(layers), (len(names), len(layers))
-    return list(zip(names, layers))
-
-
-def _conv_relu_stack(layers, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """conv + ReLU per layer; appends (input, pre-activation) to `cache` if
-    given, and then builds whole im2col matrices, so training keeps its bits."""
-    for layer in layers:
-        z = conv2d_forward(x, layer, whole=cache is not None)
+def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """conv + ReLU per named layer; appends (input, pre-activation) to `cache`
+    if given, and then builds whole im2col matrices, so training keeps its bits."""
+    for name in names:
+        z = conv2d_forward(x, net.layers[name], whole=cache is not None)
         if cache is not None:
             cache.append((x, z))
         x = relu(z)
     return x
 
 
-def _conv_relu_stack_backward(layers, cache, g, grads, want_grad_input=True):
+def _conv_relu_stack_backward(net, names, cache, g, grads, want_grad_input=True):
     """Backward through `_conv_relu_stack`; stores each layer's (grad_w, grad_b)
-    under the layer and returns the gradient w.r.t. the stack input (None when
+    under its name and returns the gradient w.r.t. the stack input (None when
     `want_grad_input` is false)."""
-    for li in reversed(range(len(layers))):
+    for li in reversed(range(len(names))):
         h_in, z = cache[li]
-        g, gw, gb = conv2d_backward(h_in, layers[li], relu_backward(z, g),
+        g, gw, gb = conv2d_backward(h_in, net.layers[names[li]], relu_backward(z, g),
                                     want_grad_input=li > 0 or want_grad_input)
-        grads[layers[li]] = (gw, gb)
+        grads[names[li]] = (gw, gb)
     return g
 
 
-def block_forward(block: DilatedInceptionBlock, x: np.ndarray, want_cache: bool = False):
-    """out = ReLU(k * fuse(concat(branches(x))) + skip(x)); spatial dims preserved."""
-    branch_caches = [[] if want_cache else None for _ in block.branches]
-    phi = concat_channels([_conv_relu_stack(branch.layers, x, cache)
-                           for branch, cache in zip(block.branches, branch_caches)])
-    pre = block.k * conv2d_forward(phi, block.fuse) + conv2d_forward(x, block.skip)
+def block_forward(net: GeneratorNet, i: int, x: np.ndarray, want_cache: bool = False):
+    """Block i (from 0): out = ReLU(k * fuse(concat(branches(x))) + skip(x));
+    spatial dims preserved."""
+    _, branches, fuse, skip = _BLOCKS[i]
+    branch_caches = [[] if want_cache else None for _ in branches]
+    phi = concat_channels([_conv_relu_stack(net, names, x, cache)
+                           for names, cache in zip(branches, branch_caches)])
+    pre = net.k[i] * conv2d_forward(phi, net.layers[fuse]) + conv2d_forward(x, net.layers[skip])
     out = relu(pre)
     if want_cache:
         return out, (x, branch_caches, phi, pre)
     return out
 
 
-def _block_backward(block, cache, grad_out, grads):
+def _block_backward(net, i, cache, grad_out, grads):
+    _, branches, fuse, skip = _BLOCKS[i]
     x, branch_caches, phi, pre = cache
     g_pre = relu_backward(pre, grad_out)
-    g_phi, gw, gb = conv2d_backward(phi, block.fuse, block.k * g_pre)
-    grads[block.fuse] = (gw, gb)
-    g_x, gw, gb = conv2d_backward(x, block.skip, g_pre)
-    grads[block.skip] = (gw, gb)
-    parts = split_channels(g_phi, [b.layers[-1].out_ch for b in block.branches])
-    for branch, cache_b, g in zip(block.branches, branch_caches, parts):
-        g_x = g_x + _conv_relu_stack_backward(branch.layers, cache_b, g, grads)
+    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.k[i] * g_pre)
+    grads[fuse] = (gw, gb)
+    g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre)
+    grads[skip] = (gw, gb)
+    parts = split_channels(g_phi, [net.layers[names[-1]].out_ch for names in branches])
+    for names, cache_b, g in zip(branches, branch_caches, parts):
+        g_x = g_x + _conv_relu_stack_backward(net, names, cache_b, g, grads)
     return g_x
 
 
@@ -215,16 +188,16 @@ def _trunk(net: GeneratorNet, x: np.ndarray, head_cache=None, block_caches=None)
     """Head and blocks, lazily: yields (stage name, activation) after each head
     conv and each block, so a caller can stop at any `FEATURE_SELECTORS` stage.
     Backward caches go to the given lists."""
-    for i, layer in enumerate(net.head, start=1):
-        x = _conv_relu_stack([layer], x, head_cache)
-        yield f"head{i}", x
-    for i, blk in enumerate(net.blocks, start=1):
+    for name in _HEAD:
+        x = _conv_relu_stack(net, (name,), x, head_cache)
+        yield name, x
+    for i, (stage, *_) in enumerate(_BLOCKS):
         if block_caches is None:
-            x = block_forward(blk, x)
+            x = block_forward(net, i, x)
         else:
-            x, cache = block_forward(blk, x, want_cache=True)
+            x, cache = block_forward(net, i, x, want_cache=True)
             block_caches.append(cache)
-        yield f"block{i}", x
+        yield stage, x
 
 
 def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
@@ -235,24 +208,24 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     head_cache, block_caches = ([], []) if want_cache else (None, None)
     for _, h in _trunk(net, x, head_cache, block_caches):
         pass
-    out = conv2d_forward(h, net.tail, whole=want_cache)
+    out = conv2d_forward(h, net.layers[_TAIL], whole=want_cache)
     if want_cache:
         return out, (head_cache, block_caches, h)
     return out
 
 
 def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True):
-    """Backward through the fixed graph; returns {name: (grad_w, grad_b)} and the
-    gradient w.r.t. the network input, or None for it when `want_grad_input` is
-    false (training needs only the parameter gradients)."""
+    """Backward through the fixed graph; returns {name: (grad_w, grad_b)} in
+    layer order and the gradient w.r.t. the network input, or None for it when
+    `want_grad_input` is false (training needs only the parameter gradients)."""
     head_cache, block_caches, tail_in = cache
     grads = {}
-    g, gw, gb = conv2d_backward(tail_in, net.tail, grad_out)
-    grads[net.tail] = (gw, gb)
-    for blk, blk_cache in zip(reversed(net.blocks), reversed(block_caches)):
-        g = _block_backward(blk, blk_cache, g, grads)
-    g = _conv_relu_stack_backward(net.head, head_cache, g, grads, want_grad_input)
-    return {name: grads[p] for name, p in named_params(net)}, g
+    g, gw, gb = conv2d_backward(tail_in, net.layers[_TAIL], grad_out)
+    grads[_TAIL] = (gw, gb)
+    for i in reversed(range(_NUM_BLOCKS)):
+        g = _block_backward(net, i, block_caches[i], g, grads)
+    g = _conv_relu_stack_backward(net, _HEAD, head_cache, g, grads, want_grad_input)
+    return {name: grads[name] for name in net.layers}, g
 
 
 def normalize_plane(planes: np.ndarray, dtype) -> np.ndarray:
@@ -271,17 +244,16 @@ def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ShapeMismatchError(f"frame must be 2-D, got {frame.shape}")
-    if min(frame.shape) < net.tail.kernel_size:
+    kernel = net.layers[_TAIL].kernel_size
+    if min(frame.shape) < kernel:
         raise ShapeMismatchError(
-            f"frame {frame.shape} smaller than the {net.tail.kernel_size}x"
-            f"{net.tail.kernel_size} tail kernel"
-        )
+            f"frame {frame.shape} smaller than the {kernel}x{kernel} tail kernel")
     x = normalize_plane(frame, np.dtype(net.config.dtype))
     y = net_forward(net, x)
     return denormalize_plane(y[0, 0])
 
 
-FEATURE_SELECTORS = ("head1", "head2", "block1", "block2", "block3")
+FEATURE_SELECTORS = (*_HEAD, *(stage for stage, *_ in _BLOCKS))
 
 
 def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str) -> list[np.ndarray]:
@@ -308,10 +280,10 @@ def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str)
 def save_weights(net: GeneratorNet, path) -> None:
     """Binary weight file: magic, version, then named little-endian f32 tensors."""
     tensors: list[tuple[str, np.ndarray]] = []
-    for name, p in named_params(net):
+    for name, p in net.layers.items():
         tensors.append((f"{name}.weight", p.weights))
         tensors.append((f"{name}.bias", p.bias))
-    tensors.append(("k", np.array([blk.k for blk in net.blocks], dtype=np.float32)))
+    tensors.append(("k", np.array(net.k, dtype=np.float32)))
 
     buf = bytearray()
     buf += WEIGHT_MAGIC
@@ -368,7 +340,8 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
 
 
 def load_weights(path) -> GeneratorNet:
-    """Rebuild a network from a weight file; shapes are validated per layer."""
+    """Build a network from a weight file's tensors; every name and shape is
+    checked against the layers its channel widths imply."""
     with open(path, "rb") as fh:
         tensors = _parse_weight_file(fh.read())
 
@@ -395,9 +368,10 @@ def load_weights(path) -> GeneratorNet:
         trunk_channels=tensors["head2.weight"].shape[0],
         k=float(ks[0]),
     )
-    # every name and shape is checked before build_network allocates the net
+    # every name and shape is checked before any layer is made
+    specs = _layer_specs(config)
     expected = {}
-    for name, cin, cout, kernel, _ in _layer_specs(config):
+    for name, cin, cout, kernel, _ in specs:
         expected[f"{name}.weight"] = (cout, cin, kernel, kernel)
         expected[f"{name}.bias"] = (cout,)
     missing = expected.keys() - tensors.keys()
@@ -413,10 +387,7 @@ def load_weights(path) -> GeneratorNet:
                 f"layer {layer}: {part} shape {tensors[name].shape} != expected {shape}"
             )
 
-    net = build_network(config)
-    for name, p in named_params(net):
-        p.weights = tensors[f"{name}.weight"].astype(np.float32)
-        p.bias = tensors[f"{name}.bias"].astype(np.float32)
-    for blk, k in zip(net.blocks, ks):
-        blk.k = float(k)
-    return net
+    layers = {name: ConvParams(tensors[f"{name}.weight"].astype(np.float32),
+                               tensors[f"{name}.bias"].astype(np.float32), dilation=dilation)
+              for name, _, _, _, dilation in specs}
+    return GeneratorNet(config, layers, [float(k) for k in ks])

@@ -61,7 +61,7 @@ class ConvParams:
     """Square-kernel 2-D convolution parameters; stride is fixed at 1.
 
     ``padding=None`` selects "same" mode, i.e. dilation*(k-1)/2 per side.
-    Compares and hashes by identity, so a layer can key its gradients.
+    Compares and hashes by identity.
     """
 
     weights: np.ndarray  # (out_ch, in_ch, k, k)

@@ -18,7 +18,6 @@ from .generator import (
     ModelConfig,
     build_network,
     generate_reference,
-    named_params,
     net_backward,
     net_forward,
     normalize_plane,
@@ -88,10 +87,10 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_interval_epochs)
 
 
-def _share_one_vector(params) -> np.ndarray:
-    """Copy every weight and bias of `params`, in order, into one flat vector
+def _share_one_vector(layers) -> np.ndarray:
+    """Copy every weight and bias of `layers`, in order, into one flat vector
     and make each of them a view into it; returns the vector."""
-    tensors = [(p, attr) for _, p in params for attr in ("weights", "bias")]
+    tensors = [(p, attr) for p in layers for attr in ("weights", "bias")]
     theta = np.concatenate([getattr(p, attr).ravel() for p, attr in tensors])
     start = 0
     for p, attr in tensors:
@@ -116,8 +115,7 @@ def train(
     ys = normalize_plane(np.stack([p.y_block for p in dataset]), dtype)
 
     net = copy.deepcopy(net)
-    params = named_params(net)
-    theta = _share_one_vector(params)
+    theta = _share_one_vector(net.layers.values())
     state = AdadeltaState.zeros_like(theta)
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = LossReport()
@@ -137,7 +135,7 @@ def train(
                 grads, _ = net_backward(net, cache, grad, want_grad_input=False)
                 # the update is elementwise, so one step over the concatenated
                 # tensors gives the bits of one step per tensor
-                grad_theta = np.concatenate([g.ravel() for name, _ in params
+                grad_theta = np.concatenate([g.ravel() for name in net.layers
                                              for g in grads[name]])
                 new_theta, state = adadelta_step(theta, grad_theta, state, lr)
             except NonFiniteError as exc:

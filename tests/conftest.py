@@ -105,6 +105,12 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def branch_layers(net, block, branch):
+    """The conv layers of one branch (both counted from 1), input side first."""
+    prefix = f"block{block}.branch{branch}."
+    return [p for name, p in net.layers.items() if name.startswith(prefix)]
+
+
 # The im2col + GEMM engine with its original copies and col2im, kept as the
 # byte-level oracle: the kernels in deepref.nn must return the same bits,
 # because training is chaotic and any change to a summation order moves the

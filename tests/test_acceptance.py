@@ -13,11 +13,11 @@ from deepref.codec import SearchConfig, encode_sequence, rd_sweep
 from deepref.fileio import read_csv
 from deepref.flow import ExtractionConfig, extract_pairs, lucas_kanade_mv, round_mv_topleft
 from deepref.generator import (
+    BRANCH_RECEPTIVE_FIELDS,
     ModelConfig,
     block_forward,
     build_network,
     generate_reference,
-    named_params,
     net_backward,
     net_forward,
 )
@@ -28,7 +28,7 @@ from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
 from deepref.training import TrainConfig, train
 from deepref.video_io import write_y4m
 
-from conftest import central_diff_grad, central_diff_grad_at, max_rel_err
+from conftest import branch_layers, central_diff_grad, central_diff_grad_at, max_rel_err
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, k=0.5, seed=3, dtype="float64")
@@ -114,7 +114,7 @@ def test_criterion_01_gradient_suite():
         _, cache = net_forward(net, x, want_cache=True)
         grads, grad_in = net_backward(net, cache, proj)
         checked = 0
-        for name, p in named_params(net):
+        for name, p in net.layers.items():
             gw, _ = grads[name]
             idx = rng.choice(p.weights.size, size=min(4, p.weights.size), replace=False)
             fd = central_diff_grad_at(loss, p.weights, idx)
@@ -129,23 +129,23 @@ def test_criterion_01_gradient_suite():
 def test_criterion_02_receptive_field_suite():
     with criterion(2, "receptive fields 3/9/15", 10):
         net = build_network(TINY)
-        for _, p in named_params(net):
+        for p in net.layers.values():
             p.weights = np.abs(p.weights)
-        for branch, expected in zip(net.blocks[0].branches, (3, 9, 15)):
-            assert branch.receptive_field == expected
+        assert BRANCH_RECEPTIVE_FIELDS == (3, 9, 15)
+        for branch, expected in zip((1, 2, 3), (3, 9, 15)):
             x = np.zeros((1, 4, 33, 33))
             x[0, 0, 16, 16] = 1.0
-            for layer in branch.layers:
+            for layer in branch_layers(net, 1, branch):
                 x = relu(conv2d_forward(x, layer))
             out = x.sum(axis=(0, 1))
             ys, xs = np.nonzero(out)
             assert (ys.max() - ys.min() + 1, xs.max() - xs.min() + 1) == (expected, expected)
 
-        blk = build_network(TINY).blocks[0]
+        net = build_network(TINY)
         base = np.full((1, 4, 33, 33), 0.3)
         bumped = base.copy()
         bumped[0, 2, 16, 16] += 0.5
-        diff = np.abs(block_forward(blk, bumped) - block_forward(blk, base)).sum(axis=(0, 1))
+        diff = np.abs(block_forward(net, 0, bumped) - block_forward(net, 0, base)).sum(axis=(0, 1))
         ys, xs = np.nonzero(diff)
         assert ys.min() >= 9 and ys.max() <= 23 and xs.min() >= 9 and xs.max() <= 23
 
@@ -154,15 +154,15 @@ def test_criterion_03_fusion_degeneracy():
     with criterion(3, "k=0 identity-skip degeneracy", 10):
         rng = np.random.default_rng(5)
         net = build_network(TINY)
-        blk = net.blocks[0]
-        blk.k = 0.0
-        eye = np.zeros_like(blk.skip.weights)
+        skip = net.layers["block1.skip"]
+        net.k[0] = 0.0
+        eye = np.zeros_like(skip.weights)
         for c in range(eye.shape[0]):
             eye[c, c, 0, 0] = 1.0
-        blk.skip.weights = eye
-        blk.skip.bias = np.zeros_like(blk.skip.bias)
+        skip.weights = eye
+        skip.bias = np.zeros_like(skip.bias)
         x = rng.uniform(0.0, 1.0, (2, 4, 11, 13))
-        out = block_forward(blk, x)
+        out = block_forward(net, 0, x)
         np.testing.assert_array_equal(out, x)  # bit-exact
 
 
@@ -191,20 +191,19 @@ def test_criterion_04_interpolation_suite():
 
 def test_criterion_05_flow_suite():
     with criterion(5, "Lucas-Kanade shift recovery", 30):
-        cfg = ExtractionConfig(block_size=32)
         for seed in (0, 1):
             ref = smooth_noise(seed, 96, 96)
             for sx, sy in [(-4, 0), (4, 4), (0, -4), (3, -2), (2, 1), (-4, 4)]:
                 cur = np.roll(np.roll(ref, -sy, axis=0), -sx, axis=1)
-                (vx, vy), degenerate = lucas_kanade_mv(ref, cur, (32, 32), 32, cfg)
+                (vx, vy), degenerate = lucas_kanade_mv(ref, cur, (32, 32), 32)
                 assert not degenerate
                 assert max(abs(vx - sx), abs(vy - sy)) < 0.1, (seed, sx, sy)
             for sx, sy in [(0.25, 0.0), (0.75, -0.5), (2.25, 1.75), (-3.25, 0.25)]:
                 cur = bilinear_shift(ref, sx, sy)
-                (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32, cfg)
+                (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32)
                 assert max(abs(vx - sx), abs(vy - sy)) < 0.25, (seed, sx, sy)
         flat = np.full((64, 64), 77, dtype=np.uint8)
-        mv, degenerate = lucas_kanade_mv(flat, flat, (16, 16), 32, cfg)
+        mv, degenerate = lucas_kanade_mv(flat, flat, (16, 16), 32)
         assert degenerate and mv == (0.0, 0.0)
 
 
@@ -247,7 +246,7 @@ def test_criterion_07_training_suite():
         net_a, rep_a = train(build_network(SMALL), pairs, short)
         net_b, rep_b = train(build_network(SMALL), pairs, short)
         assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
-        for (name, pa), (_, pb) in zip(named_params(net_a), named_params(net_b)):
+        for (name, pa), (_, pb) in zip(net_a.layers.items(), net_b.layers.items()):
             np.testing.assert_array_equal(pa.weights, pb.weights, err_msg=name)
 
         # loss trend on the 500-pair dataset

@@ -12,7 +12,6 @@ from deepref.generator import (
     build_network,
     generate_reference,
     load_weights,
-    named_params,
     save_weights,
 )
 from deepref.synthetic import pan_zoom_sequence
@@ -257,7 +256,7 @@ class TestMetricsCommand:
 def test_infer_rejects_weight_without_channel_axis(clip, tmp_path, capsys):
     net = build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
                                     branch_out_channels=2, trunk_channels=2))
-    dict(named_params(net))["head1"].weights = np.zeros((), dtype=np.float32)
+    net.layers["head1"].weights = np.zeros((), dtype=np.float32)
     weights = tmp_path / "w.drpg"
     save_weights(net, weights)
     code, _, err = run(["infer", "--input", str(clip), "--weights", str(weights),
@@ -331,6 +330,17 @@ class TestConfigFile:
         assert code == 0
         assert len(read_dataset(out_b)) == 9 * 4
 
+    def test_flow_constant_key_is_unknown(self, clip, tmp_path, capsys):
+        # MV_CLAMP is a flow constant, not a config field (test_config refuses
+        # the other former extraction keys the same way)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"extraction": {"mv_clamp": 8.0}}))
+        code, _, err = run(["extract", "--config", str(cfg_path), "--input", str(clip),
+                            "--output", str(tmp_path / "d.drpd")], capsys)
+        assert code == 1
+        assert err == "error: extraction: unknown keys ['mv_clamp']\n"
+        assert not (tmp_path / "d.drpd").exists()
+
 
 class TestSeedReproducibility:
     def test_fixed_seed_training_is_byte_identical(self, clip, tmp_path, capsys):
@@ -401,10 +411,6 @@ FLAG_CASES = [
     (["--block-size", "8"], "extraction.block_size", 8, ["extract"]),
     (["--block-size", "8"], "search.block_size", 8, ["encode", "sweep"]),
     (["--stride", "4"], "extraction.stride", 4, ["extract"]),
-    (["--lk-iterations", "3"], "extraction.lk_iterations", 3, ["extract"]),
-    (["--lk-eps", "0.5"], "extraction.lk_eps", 0.5, ["extract"]),
-    (["--mv-clamp", "2.5"], "extraction.mv_clamp", 2.5, ["extract"]),
-    (["--drop-degenerate"], "extraction.keep_degenerate", False, ["extract"]),
     (["--search-range", "3"], "search.search_range", 3, ["encode", "sweep"]),
     (["--lambda-mv", "1.5"], "search.lambda_mv", 1.5, ["encode", "sweep"]),
     (["--q-set", "4,12"], "q_set", [4, 12], ["sweep"]),
@@ -413,6 +419,10 @@ FLAG_CASES = [
 ACCEPTED = {}  # flag -> (its argv, every subcommand that takes it)
 for _flags, _, _, _commands in FLAG_CASES:
     ACCEPTED.setdefault(_flags[0], (_flags, set()))[1].update(_commands)
+# the extraction settings that became flow constants: no subcommand takes them
+for _flags in (["--lk-iterations", "3"], ["--lk-eps", "0.5"], ["--mv-clamp", "2.5"],
+               ["--drop-degenerate"]):
+    ACCEPTED[_flags[0]] = (_flags, set())
 
 
 def field_of(cfg, dotted):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from deepref.codec import (
     signed_exp_golomb_bits,
 )
 from deepref.errors import ConfigError, ShapeMismatchError
-from deepref.generator import ModelConfig, build_network, generate_reference, named_params
+from deepref.generator import ModelConfig, build_network, generate_reference
 from deepref.interp import MotionVectorQ, interpolate_block
 from deepref.metrics import psnr
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
@@ -153,6 +155,19 @@ class TestMotionSearch:
         cfg = SearchConfig(search_range=4, block_size=16)
         with pytest.raises(ShapeMismatchError):
             motion_search(ref, ref, (56, 0), cfg)
+
+    def test_range_beyond_the_frame_is_clamped(self):
+        # unclamped, the phase planes of this range would take 37 GiB
+        f = textured(4, 32, 32)
+        want = motion_search(f, f, (0, 0), SearchConfig(search_range=32, block_size=16))
+        tracemalloc.start()
+        try:
+            got = motion_search(f, f, (0, 0), SearchConfig(search_range=100000, block_size=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5_000_000
 
 
 class TestEncodeFrameProxy:
@@ -477,16 +492,17 @@ class TestRdSweep:
                                 branch_out_channels=2, trunk_channels=2,
                                 k=0.0, seed=0, dtype="float64")
         net = build_network(cfg_model)
-        for name, p in named_params(net):
+        for p in net.layers.values():
             p.weights = np.zeros_like(p.weights)
             p.bias = np.zeros_like(p.bias)
-        for conv in (net.head[0], net.head[1], net.tail):
+        for name in ("head1", "head2", "tail"):
+            conv = net.layers[name]
             center = conv.kernel_size // 2
             conv.weights[0, 0, center, center] = 1.0
-        for blk in net.blocks:
-            blk.k = 0.0
+        for i in range(3):
+            net.k[i] = 0.0
             for c in range(2):
-                blk.skip.weights[c, c, 0, 0] = 1.0
+                net.layers[f"block{i + 1}.skip"].weights[c, c, 0, 0] = 1.0
         tex = SinusoidTexture.random(16)
         frames = [tex.render(48, 48, offset=(0.3 * t, 0.5 * t)) for t in range(4)]
         search = SearchConfig(search_range=4, block_size=16)

@@ -95,14 +95,15 @@ def test_bad_q_set_rejected():
     {"train": {"epochs": True}}, {"q_set": [8.7]}, {"q_set": [True]},
     {"search": {"lambda_mv": float("nan")}}, {"train": {"lr0": float("inf")}},
     {"model": {"k": True}}, {"extraction": {"block_size": 16.5}},
-    {"extraction": {"mv_clamp": float("nan")}}, {"extraction": {"lk_eps": "x"}},
-    {"extraction": {"keep_degenerate": 0}},
     {"width": "ab"}, {"width": True}, {"height": 2.5}, {"input_format": "mp4"},
     # integers beyond the int range, a null dtype, and keys that are no fields:
-    # input_path and the flow.INTEGER_SNAP constant
+    # input_path and the flow constants INTEGER_SNAP, LK_ITERATIONS, LK_EPS and
+    # MV_CLAMP, with degenerate blocks always kept
     {"search": {"search_range": 99999999999999999999}}, {"q_set": [8, 2**31]},
     {"model": {"dtype": None}}, {"input_path": "seq.y4m"},
-    {"extraction": {"integer_snap": 0.02}},
+    {"extraction": {"integer_snap": 0.02}}, {"extraction": {"lk_iterations": 5}},
+    {"extraction": {"lk_eps": 0.01}}, {"extraction": {"mv_clamp": 8.0}},
+    {"extraction": {"keep_degenerate": True}},
 ])
 def test_malformed_values_rejected(tmp_path, doc):
     with pytest.raises(ConfigError):

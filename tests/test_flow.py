@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepref import flow as flow_mod
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
 from deepref.flow import (
+    MV_CLAMP,
     ExtractionConfig,
     SamplePair,
     extract_pairs,
@@ -50,20 +52,20 @@ CFG = ExtractionConfig(block_size=32)
 class TestLucasKanade:
     def test_static_textured_block_zero_mv_not_degenerate(self):
         ref = smooth_noise(0, 96, 96)
-        (vx, vy), degenerate = lucas_kanade_mv(ref, ref, (32, 32), 32, CFG)
+        (vx, vy), degenerate = lucas_kanade_mv(ref, ref, (32, 32), 32)
         assert (vx, vy) == (0.0, 0.0)
         assert not degenerate
 
     def test_integer_shift_two_one_recovered(self):
         ref = smooth_noise(1, 96, 96)
         cur = np.roll(np.roll(ref, -1, axis=0), -2, axis=1)  # cur(x) = ref(x + (2,1))
-        (vx, vy), degenerate = lucas_kanade_mv(ref, cur, (32, 32), 32, CFG)
+        (vx, vy), degenerate = lucas_kanade_mv(ref, cur, (32, 32), 32)
         assert not degenerate
         assert abs(vx - 2.0) < 0.1 and abs(vy - 1.0) < 0.1
 
     def test_flat_block_is_degenerate(self):
         flat = np.full((64, 64), 90, dtype=np.uint8)
-        mv, degenerate = lucas_kanade_mv(flat, flat, (16, 16), 32, CFG)
+        mv, degenerate = lucas_kanade_mv(flat, flat, (16, 16), 32)
         assert degenerate and mv == (0.0, 0.0)
 
     @pytest.mark.parametrize("shift", [(-4, 0), (4, 4), (0, -4), (3, -2), (-4, 4)])
@@ -72,7 +74,7 @@ class TestLucasKanade:
         for seed in (2, 3):
             ref = smooth_noise(seed, 96, 96)
             cur = np.roll(np.roll(ref, -sy, axis=0), -sx, axis=1)
-            (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32, CFG)
+            (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32)
             assert max(abs(vx - sx), abs(vy - sy)) < 0.1
 
     @pytest.mark.parametrize("shift", [(0.25, 0.0), (0.75, -0.5), (2.25, 1.75), (-3.25, 0.25)])
@@ -80,24 +82,28 @@ class TestLucasKanade:
         sx, sy = shift
         ref = smooth_noise(4, 96, 96)
         cur = bilinear_shift(ref, sx, sy)
-        (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32, CFG)
+        (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32)
         assert max(abs(vx - sx), abs(vy - sy)) < 0.25
 
-    def test_mv_clamped_to_configured_range(self):
-        cfg = ExtractionConfig(block_size=32, mv_clamp=1.5)
-        ref = smooth_noise(5, 96, 96)
-        cur = np.roll(ref, -4, axis=1)
-        (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32, cfg)
-        assert abs(vx) <= 1.5 and abs(vy) <= 1.5
+    def test_mv_clamped_to_configured_range(self, monkeypatch):
+        # on this smoother texture the solve finds the whole 12 px shift
+        ref = smooth_noise(5, 96, 96, radius=6)
+        cur = np.roll(ref, -12, axis=1)
+        assert MV_CLAMP == 8.0
+        (vx, vy), _ = lucas_kanade_mv(ref, cur, (32, 32), 32)
+        assert vx == 8.0 and abs(vy) <= 8.0
+        monkeypatch.setattr(flow_mod, "MV_CLAMP", np.inf)
+        (vx, _), _ = lucas_kanade_mv(ref, cur, (32, 32), 32)
+        assert abs(vx - 12.0) < 0.1
 
     def test_block_out_of_bounds_rejected(self):
         ref = smooth_noise(6, 64, 64)
         with pytest.raises(ShapeMismatchError):
-            lucas_kanade_mv(ref, ref, (40, 0), 32, CFG)
+            lucas_kanade_mv(ref, ref, (40, 0), 32)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            lucas_kanade_mv(np.zeros((64, 64)), np.zeros((64, 32)), (0, 0), 32, CFG)
+            lucas_kanade_mv(np.zeros((64, 64)), np.zeros((64, 32)), (0, 0), 32)
 
 
 class TestRoundTopLeft:
@@ -144,7 +150,7 @@ class TestExtractPairs:
     def test_integer_shift_aligns_x_to_matching_block(self):
         ref = smooth_noise(10, 96, 96)
         cur = np.roll(ref, -2, axis=1)  # cur(x) = ref(x + (2,0))
-        pairs = extract_pairs(ref, cur, ExtractionConfig(block_size=32, mv_clamp=4.0))
+        pairs = extract_pairs(ref, cur, CFG)
         # interior tiles recover mv ~ (2,0); X must equal the shifted ref block == Y
         middle = [p for p in pairs if p.origin == (32, 32)]
         assert middle
@@ -167,11 +173,6 @@ class TestExtractPairs:
         pairs = extract_pairs(flat, flat, ExtractionConfig(block_size=32))
         assert len(pairs) == 4
         assert all(p.mv == (0.0, 0.0) for p in pairs)
-
-    def test_degenerate_filter_flag(self):
-        flat = np.full((64, 64), 128, dtype=np.uint8)
-        pairs = extract_pairs(flat, flat, ExtractionConfig(block_size=32, keep_degenerate=False))
-        assert pairs == []
 
     def test_stride_overlap(self):
         frame = smooth_noise(12, 64, 64)
@@ -266,5 +267,3 @@ def test_config_validation():
         ExtractionConfig(block_size=4)
     with pytest.raises(ConfigError):
         ExtractionConfig(stride=0)
-    with pytest.raises(ConfigError):
-        ExtractionConfig(mv_clamp=0.0)

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import deepref.generator as generator_mod
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
 from deepref.nn import conv2d_forward, relu
 from deepref.generator import (
+    BRANCH_RECEPTIVE_FIELDS,
     FEATURE_SELECTORS,
     ModelConfig,
     block_forward,
@@ -17,20 +19,20 @@ from deepref.generator import (
     dump_feature_maps,
     generate_reference,
     load_weights,
-    named_params,
     net_backward,
     net_forward,
     save_weights,
 )
 
-from conftest import central_diff_grad_at, max_rel_err
+from conftest import branch_layers, central_diff_grad_at, max_rel_err
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, k=0.5, seed=3, dtype="float64")
+SWEEP_NET = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep_net.drpg"
 
 
 def abs_weights(net):
-    for _, p in named_params(net):
+    for p in net.layers.values():
         p.weights = np.abs(p.weights)
     return net
 
@@ -42,28 +44,31 @@ def support_box(plane):
 
 class TestBuild:
     def test_branch_receptive_fields(self):
+        assert BRANCH_RECEPTIVE_FIELDS == (3, 9, 15)
         net = build_network(TINY)
-        for blk in net.blocks:
-            assert [b.receptive_field for b in blk.branches] == [3, 9, 15]
+        for block in (1, 2, 3):
+            rfs = [1 + sum(p.dilation * (p.kernel_size - 1) for p in branch_layers(net, block, b))
+                   for b in (1, 2, 3)]
+            assert rfs == [3, 9, 15]
 
     def test_stacked_3x3_pair_spans_5x5_before_dilated_layer(self):
         net = build_network(TINY)
-        b3 = net.blocks[0].branches[2]
-        rf_before_dilated = 1 + sum(p.dilation * (p.kernel_size - 1) for p in b3.layers[:3])
+        b3 = branch_layers(net, 1, 3)
+        rf_before_dilated = 1 + sum(p.dilation * (p.kernel_size - 1) for p in b3[:3])
         assert rf_before_dilated == 5
-        assert b3.layers[3].dilation == 5
-        assert net.blocks[0].branches[1].layers[2].dilation == 3
+        assert b3[3].dilation == 5
+        assert net.layers["block1.branch2.conv3"].dilation == 3
 
     def test_same_seed_bit_identical(self):
         a, b = build_network(TINY), build_network(TINY)
-        for (name_a, pa), (_, pb) in zip(named_params(a), named_params(b)):
+        for (name_a, pa), (_, pb) in zip(a.layers.items(), b.layers.items()):
             np.testing.assert_array_equal(pa.weights, pb.weights, err_msg=name_a)
             np.testing.assert_array_equal(pa.bias, pb.bias)
 
     def test_different_seed_differs(self):
         a = build_network(TINY)
         b = build_network(ModelConfig(**{**TINY.__dict__, "seed": 99}))
-        assert not np.array_equal(a.head[0].weights, b.head[0].weights)
+        assert not np.array_equal(a.layers["head1"].weights, b.layers["head1"].weights)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -73,35 +78,35 @@ class TestBuild:
 
     def test_default_config_builds(self):
         net = build_network(ModelConfig())
-        assert len(net.blocks) == 3
-        assert net.head[0].in_ch == 1 and net.tail.out_ch == 1
+        assert net.k == [0.5] * 3
+        assert net.layers["head1"].in_ch == 1 and net.layers["tail"].out_ch == 1
 
 
 class TestBlockForward:
     def test_k_zero_identity_skip_reproduces_input(self, rng):
         net = build_network(TINY)
-        blk = net.blocks[0]
-        blk.k = 0.0
-        eye = np.zeros_like(blk.skip.weights)
+        skip = net.layers["block1.skip"]
+        net.k[0] = 0.0
+        eye = np.zeros_like(skip.weights)
         for c in range(eye.shape[0]):
             eye[c, c, 0, 0] = 1.0
-        blk.skip.weights = eye
-        blk.skip.bias = np.zeros_like(blk.skip.bias)
+        skip.weights = eye
+        skip.bias = np.zeros_like(skip.bias)
         x = rng.uniform(0.0, 1.0, (1, 4, 9, 9))
-        np.testing.assert_array_equal(block_forward(blk, x), x)
+        np.testing.assert_array_equal(block_forward(net, 0, x), x)
 
     def test_output_dims_equal_input_dims(self, rng):
-        blk = build_network(TINY).blocks[0]
+        net = build_network(TINY)
         for h, w in [(16, 16), (17, 11), (3, 29)]:
             x = rng.standard_normal((2, 4, h, w))
-            assert block_forward(blk, x).shape == (2, 4, h, w)
+            assert block_forward(net, 0, x).shape == (2, 4, h, w)
 
     def test_impulse_support_confined_to_15x15(self):
-        blk = build_network(TINY).blocks[1]
+        net = build_network(TINY)
         base = np.full((1, 4, 33, 33), 0.3)
         bumped = base.copy()
         bumped[0, 1, 16, 16] += 0.5
-        diff = np.abs(block_forward(blk, bumped) - block_forward(blk, base)).sum(axis=(0, 1))
+        diff = np.abs(block_forward(net, 1, bumped) - block_forward(net, 1, base)).sum(axis=(0, 1))
         ys, xs = np.nonzero(diff)
         assert ys.min() >= 16 - 7 and ys.max() <= 16 + 7
         assert xs.min() >= 16 - 7 and xs.max() <= 16 + 7
@@ -111,9 +116,9 @@ class TestBlockForward:
         x = rng.uniform(0.1, 1.0, (1, 4, 8, 8))
         pres = {}
         for k in (0.0, 0.5, 1.0):
-            blk = build_network(TINY).blocks[0]
-            blk.k = k
-            _, (_, _, _, pre) = block_forward(blk, x, want_cache=True)
+            net = build_network(TINY)
+            net.k[0] = k
+            _, (_, _, _, pre) = block_forward(net, 0, x, want_cache=True)
             pres[k] = pre
         np.testing.assert_allclose(pres[0.5], 0.5 * (pres[0.0] + pres[1.0]), rtol=1e-12)
 
@@ -122,10 +127,9 @@ class TestBranchImpulseResponse:
     @pytest.mark.parametrize("branch_idx,rf", [(0, 3), (1, 9), (2, 15)])
     def test_measured_receptive_field_exact(self, branch_idx, rf):
         net = abs_weights(build_network(TINY))
-        branch = net.blocks[0].branches[branch_idx]
         x = np.zeros((1, 4, 31, 31))
         x[0, 0, 15, 15] = 1.0
-        for layer in branch.layers:
+        for layer in branch_layers(net, 1, branch_idx + 1):
             x = relu(conv2d_forward(x, layer))
         out = x.sum(axis=(0, 1))
         assert support_box(out) == (rf, rf)
@@ -137,10 +141,10 @@ class TestBranchImpulseResponse:
 class TestGenerateReference:
     def test_zero_net_with_tail_bias_is_constant_map(self):
         net = build_network(TINY)
-        for _, p in named_params(net):
+        for p in net.layers.values():
             p.weights = np.zeros_like(p.weights)
             p.bias = np.zeros_like(p.bias)
-        net.tail.bias = np.array([0.4], dtype=np.float64)
+        net.layers["tail"].bias = np.array([0.4], dtype=np.float64)
         frame = np.random.default_rng(0).integers(0, 256, (12, 16)).astype(np.uint8)
         out = generate_reference(net, frame)
         assert np.all(out == int(round(0.4 * 255)))
@@ -194,7 +198,7 @@ class TestWholeNetGradient:
         grads, grad_in = net_backward(net, cache, proj)
 
         checked = 0
-        for name, p in named_params(net):
+        for name, p in net.layers.items():
             gw, gb = grads[name]
             idx = rng.choice(p.weights.size, size=min(4, p.weights.size), replace=False)
             fd = central_diff_grad_at(loss, p.weights, idx)
@@ -216,7 +220,7 @@ class TestWeightFile:
         save_weights(net, path)
         loaded = load_weights(path)
         assert loaded.config.trunk_channels == 4
-        assert [b.k for b in loaded.blocks] == [0.25] * 3
+        assert loaded.k == [0.25] * 3
         x = rng.uniform(0, 1, (1, 1, 10, 10)).astype(np.float32)
         np.testing.assert_array_equal(net_forward(net, x), net_forward(loaded, x))
 
@@ -258,7 +262,7 @@ class TestWeightFile:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, value):
         net = build_network(TINY)
-        net.tail.weights[0, 1, 2, 0] = value
+        net.layers["tail"].weights[0, 1, 2, 0] = value
         path = tmp_path / "w.drpg"
         save_weights(net, path)
         with pytest.raises(FormatError, match="'tail.weight' holds NaN or Inf"):
@@ -275,7 +279,7 @@ class TestWeightFile:
     def test_width_tensor_must_be_4d(self, tmp_path, name, shape):
         # the channel widths are read from these four tensors' first axis
         net = build_network(TINY)
-        dict(named_params(net))[name].weights = np.zeros(shape)
+        net.layers[name].weights = np.zeros(shape)
         path = tmp_path / "w.drpg"
         save_weights(net, path)
         with pytest.raises(FormatError, match=f"'{name}.weight' has shape"):
@@ -285,7 +289,7 @@ class TestWeightFile:
     def test_empty_dim_rejected(self, tmp_path, shape):
         # an empty head1 could claim any width without storing its weights
         net = build_network(TINY)
-        net.head[0].weights = np.zeros(shape)
+        net.layers["head1"].weights = np.zeros(shape)
         path = tmp_path / "w.drpg"
         save_weights(net, path)
         with pytest.raises(FormatError, match="'head1.weight' has an empty dim"):
@@ -294,8 +298,8 @@ class TestWeightFile:
     def test_mismatched_layer_shape_names_the_layer(self, tmp_path):
         net = build_network(TINY)
         # bypass constructor validation to emit an inconsistent file
-        net.blocks[1].fuse.weights = np.zeros((4, 7, 1, 1), dtype=np.float64)
-        net.blocks[1].fuse.bias = np.zeros(4, dtype=np.float64)
+        net.layers["block2.fuse"].weights = np.zeros((4, 7, 1, 1), dtype=np.float64)
+        net.layers["block2.fuse"].bias = np.zeros(4, dtype=np.float64)
         path = tmp_path / "w.drpg"
         save_weights(net, path)
         with pytest.raises(FormatError, match="block2.fuse"):
@@ -307,8 +311,8 @@ class TestWeightFile:
         # shapes must be refused first
         net = build_network(ModelConfig(head_channels=8, branch_reduce_channels=4,
                                         branch_out_channels=4, trunk_channels=8))
-        net.blocks[0].branches[0].layers[1].weights = np.zeros((800, 1, 3, 3), np.float32)
-        records = [(f"{name}.{part}", arr) for name, p in named_params(net)
+        net.layers["block1.branch1.conv2"].weights = np.zeros((800, 1, 3, 3), np.float32)
+        records = [(f"{name}.{part}", arr) for name, p in net.layers.items()
                    if ".branch2." not in name and ".branch3." not in name
                    for part, arr in (("weight", p.weights), ("bias", p.bias))]
         records.append(("k", np.full(3, 0.5)))
@@ -330,21 +334,59 @@ class TestWeightFile:
         assert peak < 5_000_000
 
 
+class TestLayerTable:
+    def test_layers_follow_the_spec_order(self, tmp_path):
+        net = build_network(TINY)
+        assert list(net.layers) == [spec[0] for spec in generator_mod._layer_specs(TINY)]
+        save_weights(net, tmp_path / "w.drpg")
+        loaded = load_weights(tmp_path / "w.drpg")
+        assert list(loaded.layers) == [spec[0] for spec in generator_mod._layer_specs(TINY)]
+
+    def test_sweep_net_round_trips_byte_for_byte(self, tmp_path):
+        save_weights(load_weights(SWEEP_NET), tmp_path / "again.drpg")
+        assert (tmp_path / "again.drpg").read_bytes() == SWEEP_NET.read_bytes()
+
+    def test_fusion_factor_kept_per_block(self, rng, tmp_path):
+        net = build_network(TINY)
+        net.k = [0.0, 0.5, 1.0]
+        save_weights(net, tmp_path / "w.drpg")
+        loaded = load_weights(tmp_path / "w.drpg")
+        assert loaded.k == [0.0, 0.5, 1.0]
+        x = rng.uniform(0, 1, (1, 4, 9, 9))
+        for i, k in enumerate(loaded.k):
+            _, (_, _, phi, pre) = block_forward(loaded, i, x, want_cache=True)
+            fuse = conv2d_forward(phi, loaded.layers[f"block{i + 1}.fuse"])
+            skip = conv2d_forward(x, loaded.layers[f"block{i + 1}.skip"])
+            np.testing.assert_array_equal(pre, k * fuse + skip)
+
+    def test_load_builds_the_net_from_the_file(self, tmp_path, monkeypatch):
+        # no random net is drawn and then overwritten
+        path = tmp_path / "w.drpg"
+        save_weights(build_network(TINY), path)
+        calls = []
+        build = generator_mod.build_network
+        monkeypatch.setattr(generator_mod, "build_network",
+                            lambda config: calls.append(config) or build(config))
+        load_weights(path)
+        assert calls == []
+
+
 def explicit_stage_activations(net, x):
     """Every `FEATURE_SELECTORS` stage by a plain conv/ReLU loop over the layers."""
     acts, h = {}, x
-    for i, layer in enumerate(net.head, start=1):
-        h = np.maximum(conv2d_forward(h, layer), 0)
-        acts[f"head{i}"] = h
-    for i, blk in enumerate(net.blocks, start=1):
+    for name in ("head1", "head2"):
+        h = np.maximum(conv2d_forward(h, net.layers[name]), 0)
+        acts[name] = h
+    for i in (1, 2, 3):
         outs = []
-        for branch in blk.branches:
+        for branch in (1, 2, 3):
             b = h
-            for layer in branch.layers:
+            for layer in branch_layers(net, i, branch):
                 b = np.maximum(conv2d_forward(b, layer), 0)
             outs.append(b)
         phi = np.concatenate(outs, axis=1)
-        h = np.maximum(blk.k * conv2d_forward(phi, blk.fuse) + conv2d_forward(h, blk.skip), 0)
+        fuse, skip = net.layers[f"block{i}.fuse"], net.layers[f"block{i}.skip"]
+        h = np.maximum(net.k[i - 1] * conv2d_forward(phi, fuse) + conv2d_forward(h, skip), 0)
         acts[f"block{i}"] = h
     return acts
 
@@ -353,7 +395,7 @@ class TestFeatureDump:
     def test_every_selector_matches_explicit_loop(self):
         net = build_network(TINY)
         rng = np.random.default_rng(9)
-        for _, p in named_params(net):
+        for p in net.layers.values():
             p.bias = rng.normal(0.0, 0.1, p.bias.shape)
         frame = rng.integers(0, 256, (15, 19)).astype(np.uint8)
         acts = explicit_stage_activations(net, (frame / 255.0)[None, None])

@@ -11,7 +11,6 @@ from deepref.generator import (
     ModelConfig,
     build_network,
     denormalize_plane,
-    named_params,
     net_backward,
     net_forward,
     normalize_plane,
@@ -116,7 +115,7 @@ class TestTrain:
         net_a, rep_a = run()
         net_b, rep_b = run()
         assert rep_a == rep_b or [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
-        for (name, pa), (_, pb) in zip(named_params(net_a), named_params(net_b)):
+        for (name, pa), (_, pb) in zip(net_a.layers.items(), net_b.layers.items()):
             np.testing.assert_array_equal(pa.weights, pb.weights, err_msg=name)
 
     def test_input_network_untouched(self):
@@ -170,7 +169,7 @@ class TestTrain:
     def test_nonfinite_loss_aborts_with_location(self):
         pairs = shift_pairs()
         net = build_network(TINY)
-        net.head[0].weights = np.full_like(net.head[0].weights, 1e30)
+        net.layers["head1"].weights = np.full_like(net.layers["head1"].weights, 1e30)
         with pytest.raises(NonFiniteError, match="epoch 0"):
             train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
 
@@ -186,7 +185,7 @@ class TestTrain:
 
 def param_bytes(net):
     return [np.ascontiguousarray(t).tobytes()
-            for _, p in named_params(net) for t in (p.weights, p.bias)]
+            for p in net.layers.values() for t in (p.weights, p.bias)]
 
 
 class TestFusedUpdate:
@@ -194,8 +193,8 @@ class TestFusedUpdate:
         rng = np.random.default_rng(4)
         net = build_network(TINY)
         per_tensor = copy.deepcopy(net)
-        params = named_params(net)
-        theta = training_mod._share_one_vector(params)
+        params = list(net.layers.items())
+        theta = training_mod._share_one_vector(net.layers.values())
         for _, p in params:
             assert np.shares_memory(p.weights, theta) and np.shares_memory(p.bias, theta)
         state = AdadeltaState.zeros_like(theta)
@@ -208,7 +207,7 @@ class TestFusedUpdate:
             grad_theta = np.concatenate([g.ravel() for name, _ in params for g in grads[name]])
             new_theta, state = adadelta_step(theta, grad_theta, state, lr)
             theta[...] = new_theta
-            for name, p in named_params(per_tensor):
+            for name, p in per_tensor.layers.items():
                 for attr, g in zip(("weights", "bias"), grads[name]):
                     prior = states.get((name, attr)) or AdadeltaState.zeros_like(g)
                     value, states[name, attr] = adadelta_step(getattr(p, attr), g, prior, lr)
@@ -268,7 +267,7 @@ class TestNoInputGradient:
         assert grad_in.shape == x.shape and np.any(grad_in != 0)
         grads_only, none = net_backward(net, cache, out, want_grad_input=False)
         assert none is None
-        for name, _ in named_params(net):
+        for name in net.layers:
             for a, b in zip(grads[name], grads_only[name]):
                 assert a.tobytes() == b.tobytes(), name
 
