@@ -8,15 +8,25 @@ It is deterministic and dependency-free; its bits are a ranking proxy, not
 VVC bits.
 
 Per frame, each reference is interpolated once into its 16 quarter-pel phase
-planes (`interp.subpel_planes`), padded by search_range + 1 samples. Every
-candidate prediction is then a window of those planes, with the same samples
-`interp.interpolate_block` gives for one block. The search runs one block row
-at a time, for all its blocks and all references together: the integer SADs
-one row of offsets at a time, then each refinement step gathers the 8
-neighbours of every block's incumbent with one fancy index and keeps, per
-block, the first least (cost, |mv|_1) in raster order, as a scan over the
-candidates would. Temporaries stay within one block row, and the Python-level
-loop count per frame grows with block rows times references, not with blocks.
+planes (`interp.subpel_planes`), padded by search_range + 1 samples and below
+and on the right to whole blocks. Every candidate prediction is then a window
+of those planes, with the same samples `interp.interpolate_block` gives for
+one block. The search runs on bands of whole block rows, for all their blocks
+and all references together: the integer SADs one row of offsets at a time,
+then each refinement step gathers the 8 neighbours of every block's incumbent
+with one fancy index and keeps, per block, the first least (cost, |mv|_1) in
+raster order, as a scan over the candidates would. |diff| samples past the
+frame count 0. `motion_search` runs the same search on one block.
+
+A band holds as many block rows as keep the int16 |diff| of one row of
+offsets within ``SAD_BYTES`` (1 MiB), and at least one. The benchmark's
+128x128 frame (range 8, block 16, one reference: 557 KB) is then one band,
+while a 1080p frame with the default `SearchConfig` (4.1 MB per block row)
+is searched one block row at a time. With range 8 and block 16 on 2 vCPUs
+(OpenBLAS at 1 thread; least/median ms per frame over 9 rounds), 256 KiB,
+1 MiB and 4 MiB bands took 7.9/8.5, 7.0/8.2 and 6.3/8.0 ms at 128x128 (one
+band from 1 MiB up), 34.0/41.1, 32.0/35.2 and 30.7/38.8 ms at 416x240, and
+173/186, 168/172 and 157/179 ms at 832x480: 1 MiB had the best medians.
 
 `encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
 against the previous reconstruction or the generated picture made from it.
@@ -101,8 +111,8 @@ def _check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
 
 
 class _Matches(NamedTuple):
-    """The best match of every block of a run, per reference: each field has
-    shape (refs, blocks) unless a reference has been chosen."""
+    """The best match of every block of a band, per reference: each field has
+    shape (refs, block rows, blocks per row) until a reference is chosen."""
 
     x4: np.ndarray
     y4: np.ndarray
@@ -117,114 +127,133 @@ def _first_min(cost: np.ndarray, l1: np.ndarray, axis: int) -> np.ndarray:
     return np.argmin(np.where(tie, l1, np.iinfo(np.int64).max), axis=axis)
 
 
+# largest int16 |diff| of one row of integer offsets, refs x (2r+1) x band rows
+# x padded width x 2 bytes, that a band may make (module docstring)
+SAD_BYTES = 1 << 20
+
 # (dx, dy) of a motion vector itself, then of its 8 neighbours in raster order
 _STEPS = np.array([(0, 0)] + [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy])
 
 
-def _integer_search(int_planes: np.ndarray, cur_rows: np.ndarray, origin,
+def _integer_search(int_planes: np.ndarray, cur: np.ndarray, origin, inside,
                     cfg: SearchConfig) -> _Matches:
-    """Full integer-pel search of every block of a horizontal run of blocks.
+    """Full integer-pel search of every block of a band of whole block rows.
 
-    `cur_rows` holds the run's rows of the current frame from column origin[0]
-    on, as int16, and a block starts every block_size columns.
-    `int_planes` holds the integer phase of every reference, padded by
-    search_range + 1, as int16. Per block, the best offset has the least cost,
-    then the least |mv|_1, then comes first in raster order.
+    `cur` holds the band of the current frame from `origin` on, as int16,
+    padded to whole blocks; its first `inside` (rows, columns) lie in the
+    frame, and |diff| samples past them count 0. `int_planes` holds the
+    integer phase of every reference, padded by search_range + 1 and below
+    and on the right by at least the padding of `cur`, as int16. Per block,
+    the best offset has the least cost, then the least |mv|_1, then comes
+    first in raster order.
     """
     x0, y0 = origin
-    h, width = cur_rows.shape
-    starts = np.arange(0, width, cfg.block_size)
+    height, width = cur.shape
+    bs = cfg.block_size
+    refs, rows, cols = len(int_planes), height // bs, width // bs
     radius = cfg.search_range
     n = 2 * radius + 1
     top, left = y0 + 1, x0 + 1  # offset -radius in a plane padded by radius + 1
     windows = np.lib.stride_tricks.sliding_window_view(
-        int_planes[:, top : top + h + n - 1, left : left + width + n - 1], (h, width),
-        axis=(1, 2))
-    col_dtype = np.int16 if 255 * h <= np.iinfo(np.int16).max else np.int32
-    sad = np.empty((len(int_planes), n, n, len(starts)), dtype=np.int64)
-    for dy in range(n):  # one row of offsets at a time keeps the temporaries small
-        diff = windows[:, dy] - cur_rows
-        col_sads = np.abs(diff, out=diff).sum(axis=2, dtype=col_dtype)
-        sad[:, dy] = np.add.reduceat(col_sads, starts, axis=2, dtype=np.int64)
+        int_planes[:, top : top + height + n - 1, left : left + width + n - 1],
+        (height, width), axis=(1, 2))
+    col_dtype = np.int16 if 255 * bs <= np.iinfo(np.int16).max else np.int32
+    sad = np.empty((refs, n, n, rows, cols), dtype=np.int64)
+    for dy in range(n):  # one row of offsets at a time bounds the temporaries
+        diff = windows[:, dy] - cur
+        np.abs(diff, out=diff)
+        diff[..., inside[0] :, :] = 0
+        diff[..., inside[1] :] = 0
+        # each block's rows, then its columns, over reshapes; einsum sums the
+        # short last axis twice as fast as sum, and reduceat was slower still
+        col_sads = diff.reshape(refs, n, rows, bs, width).sum(axis=3, dtype=col_dtype)
+        sad[:, dy] = np.einsum("rxyck->rxyc", col_sads.reshape(refs, n, rows, cols, bs),
+                               dtype=np.int64)
 
     offsets = np.arange(-radius, radius + 1)
     comp_bits = _component_bits(radius)[4 * offsets + 4 * radius + 3]
-    cost = sad + (cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :]))[:, :, None]
-    sad, cost = sad.reshape(len(sad), n * n, -1), cost.reshape(len(sad), n * n, -1)
+    cost = sad + (cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :]))[:, :, None, None]
+    sad, cost = sad.reshape(refs, n * n, -1), cost.reshape(refs, n * n, -1)
     l1 = (np.abs(offsets)[:, None] + np.abs(offsets)[None, :]).reshape(-1, 1)
     first = _first_min(cost, l1, axis=1)  # raster order breaks the last ties
-    refs, blocks = np.arange(len(sad))[:, None], np.arange(len(starts))
+    at = (np.arange(refs)[:, None], first, np.arange(rows * cols))
     dy, dx = np.divmod(first, n)
-    return _Matches(4 * (dx - radius), 4 * (dy - radius), cost[refs, first, blocks],
-                    sad[refs, first, blocks])
+    return _Matches(*(a.reshape(refs, rows, cols) for a in (
+        4 * (dx - radius), 4 * (dy - radius), cost[at], sad[at])))
 
 
 def _predict(windows: np.ndarray, ref_idx, x4: np.ndarray, y4: np.ndarray, origin,
              cfg: SearchConfig) -> np.ndarray:
-    """Predictions of the blocks of a run, shape (..., blocks, h, block_size).
+    """Predictions of the blocks of a band, shape (..., block rows, blocks per
+    row, block_size, block_size).
 
-    `windows` holds every (h, block_size) window of the phase planes of every
-    reference, padded by search_range + 1. Block j of the run at `origin` is
-    predicted from reference ref_idx[..., j] moved by (x4[..., j], y4[..., j]);
-    the three broadcast together.
+    `windows` holds every block-sized window of the phase planes of every
+    reference, padded by search_range + 1. Block (i, j) of the band at
+    `origin` is predicted from reference ref_idx[..., i, j] moved by
+    (x4[..., i, j], y4[..., i, j]); the three broadcast together.
     """
     x0, y0 = origin
-    margin = cfg.search_range + 1
-    left = margin + x0 + cfg.block_size * np.arange(x4.shape[-1]) + (x4 >> 2)
-    return windows[ref_idx, y4 & 3, x4 & 3, margin + y0 + (y4 >> 2), left]
+    bs, margin = cfg.block_size, cfg.search_range + 1
+    rows, cols = x4.shape[-2:]
+    top = margin + y0 + bs * np.arange(rows)[:, None] + (y4 >> 2)
+    left = margin + x0 + bs * np.arange(cols) + (x4 >> 2)
+    return windows[ref_idx, y4 & 3, x4 & 3, top, left]
 
 
-def _refine(windows: np.ndarray, cur_rows: np.ndarray, origin, coarse: _Matches,
+def _refine(windows: np.ndarray, cur: np.ndarray, origin, inside, coarse: _Matches,
             cfg: SearchConfig) -> _Matches:
-    """Half- then quarter-pel refinement of the integer matches of a run of
-    blocks, for every reference at once, on the windows `_predict` takes.
+    """Half- then quarter-pel refinement of the integer matches of a band,
+    for every reference at once, on the windows `_predict` takes; `cur` and
+    `inside` are as `_integer_search` takes them.
 
     Per step, each match becomes the first least (cost, |mv|_1) among itself
     and its 8 neighbours in raster order.
     """
-    h, width = cur_rows.shape
     bs = cfg.block_size
-    n_blocks = coarse.x4.shape[-1]
-    valid = width - (n_blocks - 1) * bs  # columns of the last block inside the frame
-    cur_blocks = np.zeros((h, n_blocks * bs), dtype=cur_rows.dtype)
-    cur_blocks[:, :width] = cur_rows
-    cur_blocks = cur_blocks.reshape(h, n_blocks, bs).swapaxes(0, 1)
+    rows, cols = coarse.x4.shape[-2:]
+    cur_blocks = np.ascontiguousarray(cur.reshape(rows, bs, cols, bs).swapaxes(1, 2))
+    # rows of the last block row and columns of the last block column in the frame
+    last_rows, last_cols = inside[0] - (rows - 1) * bs, inside[1] - (cols - 1) * bs
     bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
-    refs, blocks = np.arange(len(windows))[:, None], np.arange(n_blocks)
+    grid = np.ogrid[: len(windows), :rows, :cols]  # (refs, rows, cols) by broadcasting
     best = coarse
     for step in (2, 1):
-        x4 = best.x4 + step * _STEPS[:, :1, None]  # (9, refs, blocks), the incumbent first
-        y4 = best.y4 + step * _STEPS[:, 1:, None]
-        diff = _predict(windows, refs, x4[1:], y4[1:], origin, cfg) - cur_blocks
-        np.abs(diff, out=diff)[..., -1, :, valid:] = 0  # columns past the frame
-        sad = np.concatenate([best.sad[None], diff.sum(axis=(3, 4), dtype=np.int64)])
+        # (9, refs, rows, cols), the incumbent first
+        x4 = best.x4 + step * _STEPS[:, 0, None, None, None]
+        y4 = best.y4 + step * _STEPS[:, 1, None, None, None]
+        diff = _predict(windows, grid[0], x4[1:], y4[1:], origin, cfg) - cur_blocks
+        np.abs(diff, out=diff)
+        diff[:, :, -1, :, last_rows:] = 0
+        diff[:, :, :, -1, :, last_cols:] = 0
+        sad = np.concatenate([best.sad[None], diff.sum(axis=(4, 5), dtype=np.int64)])
         cost = np.concatenate([best.cost[None], sad[1:] + cfg.lambda_mv * (
             bits[x4[1:] + lim] + bits[y4[1:] + lim])])
         first = _first_min(cost, np.abs(x4) + np.abs(y4), axis=0)
-        best = _Matches(*(a[first, refs, blocks] for a in (x4, y4, cost, sad)))
+        best = _Matches(*(a[(first, *grid)] for a in (x4, y4, cost, sad)))
     return best
 
 
-def _search_run(planes: np.ndarray, int_planes: np.ndarray, cur_rows: np.ndarray, origin,
-                cfg: SearchConfig) -> tuple[np.ndarray, _Matches, np.ndarray]:
-    """Best reference, match and prediction of every block of a run.
+def _search_band(planes: np.ndarray, int_planes: np.ndarray, cur: np.ndarray, origin, inside,
+                 cfg: SearchConfig) -> tuple[np.ndarray, _Matches, np.ndarray]:
+    """Best reference, match and prediction of every block of a band of whole
+    block rows.
 
-    `planes` holds the phase planes of every reference, padded by
-    search_range + 1 and on the right by at least the columns the run's last
-    block reaches past the frame; `int_planes` is their integer phase as
-    int16. Per block, the first reference with the least refined cost wins.
-    Returns the reference index and match of each block and the prediction
-    of the run.
+    `cur` and `inside` are as `_integer_search` takes them. `planes` holds the
+    phase planes of every reference, padded by search_range + 1 and below and
+    on the right by at least the padding of `cur`; `int_planes` is their
+    integer phase as int16. Per block, the first reference with the least
+    refined cost wins. Returns the reference index and match of each block,
+    each of shape (block rows, blocks per row), and the prediction of `cur`.
     """
-    h, width = cur_rows.shape
-    windows = np.lib.stride_tricks.sliding_window_view(planes, (h, cfg.block_size),
-                                                       axis=(3, 4))
-    coarse = _integer_search(int_planes, cur_rows, origin, cfg)
-    refined = _refine(windows, cur_rows, origin, coarse, cfg)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        planes, (cfg.block_size, cfg.block_size), axis=(3, 4))
+    coarse = _integer_search(int_planes, cur, origin, inside, cfg)
+    refined = _refine(windows, cur, origin, inside, coarse, cfg)
     ref_idx = np.argmin(refined.cost, axis=0)
-    best = _Matches(*(field[ref_idx, np.arange(len(ref_idx))] for field in refined))
+    rows, cols = np.ogrid[: ref_idx.shape[0], : ref_idx.shape[1]]
+    best = _Matches(*(field[ref_idx, rows, cols] for field in refined))
     pred = _predict(windows, ref_idx, best.x4, best.y4, origin, cfg)
-    return ref_idx, best, pred.swapaxes(0, 1).reshape(h, -1)[:, :width]
+    return ref_idx, best, pred.swapaxes(1, 2).reshape(cur.shape)
 
 
 def _clamp_range(cfg: SearchConfig, shape) -> SearchConfig:
@@ -258,8 +287,9 @@ def motion_search(
     cfg = _clamp_range(cfg, cur.shape)
     planes = subpel_planes(ref, cfg.search_range + 1)[None]
     cur_blk = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int16)
-    _, best, _ = _search_run(planes, planes[:, 0, 0].astype(np.int16), cur_blk, origin, cfg)
-    return MotionVectorQ(int(best.x4[0]), int(best.y4[0])), float(best.cost[0])
+    _, best, _ = _search_band(planes, planes[:, 0, 0].astype(np.int16), cur_blk, origin,
+                              (bs, bs), cfg)
+    return MotionVectorQ(int(best.x4[0, 0]), int(best.y4[0, 0])), float(best.cost[0, 0])
 
 
 def encode_frame_proxy(
@@ -268,8 +298,9 @@ def encode_frame_proxy(
     """Inter-code one frame against a reference list at quantizer step q.
 
     The 16 quarter-pel phase planes of each reference are built once and
-    searched one block row at a time. Per block: best (reference, mv) by
-    `motion_search` cost (the first reference wins ties), with the prediction
+    searched in bands of whole block rows, as many per band as keep the
+    |diff| of one row of integer offsets within ``SAD_BYTES``. Per block: best
+    (reference, mv) by `motion_search` cost (the first reference wins ties), with the prediction
     taken from the planes; residual quantized as round(r/q); bits = mv bits +
     reference-index bits + signed exp-Golomb lengths of the quantized
     residual. Returns (frame bits, reconstruction, mv field).
@@ -288,27 +319,32 @@ def encode_frame_proxy(
     cfg = _clamp_range(cfg, cur.shape)
     bs = cfg.block_size
     m = cfg.search_range + 1
-    past = -(-fw // bs) * bs - fw  # columns the last block of a row reaches past the frame
-    planes = np.zeros((len(refs), 4, 4, fh + 2 * m, fw + 2 * m + past), dtype=np.uint8)
+    ph, pw = -(-fh // bs) * bs, -(-fw // bs) * bs  # the frame in whole blocks
+    planes = np.zeros((len(refs), 4, 4, ph + 2 * m, pw + 2 * m), dtype=np.uint8)
     for ref_planes, ref in zip(planes, refs):
-        ref_planes[..., : fw + 2 * m] = subpel_planes(ref, m)
+        ref_planes[..., : fh + 2 * m, : fw + 2 * m] = subpel_planes(ref, m)
     int_planes = planes[:, 0, 0].astype(np.int16)  # as cur_i16: no cast per SAD row
-    cur_i16 = cur.astype(np.int16)  # 8-bit samples; their differences fit too
-    starts = np.arange(0, fw, bs)
+    cur_i16 = np.zeros((ph, pw), dtype=np.int16)  # 8-bit samples; their differences fit too
+    cur_i16[:fh, :fw] = cur
+    row_bytes = len(refs) * (2 * cfg.search_range + 1) * bs * pw * cur_i16.itemsize
+    band = bs * max(1, SAD_BYTES // row_bytes)
 
-    pred = np.empty(cur.shape, dtype=np.uint8)
-    mv_field: list[MVRecord] = []
+    pred = np.empty((ph, pw), dtype=np.uint8)
+    found = []  # (ref_idx, *match) of each band
+    for by in range(0, ph, band):
+        ref_idx, best, band_pred = _search_band(planes, int_planes, cur_i16[by : by + band],
+                                                (0, by), (fh - by, fw), cfg)
+        pred[by : by + band] = band_pred
+        found.append((ref_idx, *best))
+    ref_idx, x4, y4, _, sad = (np.concatenate(field).ravel() for field in zip(*found))
+    block_y, block_x = np.divmod(np.arange(len(x4)), pw // bs)  # raster order
+    mv_field = list(map(MVRecord, (bs * block_x).tolist(), (bs * block_y).tolist(),
+                        ref_idx.tolist(), x4.tolist(), y4.tolist(), sad.tolist()))
     comp_bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
-    side_bits = 0
-    for by in range(0, fh, bs):
-        ref_idx, best, row_pred = _search_run(planes, int_planes, cur_i16[by : by + bs],
-                                              (0, by), cfg)
-        pred[by : by + bs] = row_pred
-        side_bits += int(comp_bits[best.x4 + lim].sum() + comp_bits[best.y4 + lim].sum())
-        mv_field += map(MVRecord, starts.tolist(), [by] * len(starts), ref_idx.tolist(),
-                        best.x4.tolist(), best.y4.tolist(), best.sad.tolist())
+    side_bits = int(comp_bits[x4 + lim].sum() + comp_bits[y4 + lim].sum())
     # every block's residual is quantized and priced on its own, so doing it
     # once for the whole frame gives the same samples and the same bit sum
+    pred = pred[:fh, :fw]
     qidx = np.rint((cur.astype(np.int64) - pred) / q).astype(np.int64)
     recon = np.clip(pred + qidx * q, 0, 255).astype(np.uint8)
     ref_idx_bits = (len(refs) - 1).bit_length()

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError, check_int, check_real
+from .errors import (ConfigError, FormatError, NonFiniteError, ShapeMismatchError, check_int,
+                     check_real)
 from .fileio import atomic_write_bytes
 from .nn import (
     ConvParams,
@@ -204,11 +205,14 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain.
 
     With `want_cache`, as training runs it, every conv builds its im2col
-    matrix whole (see the `nn` docstring)."""
+    matrix whole (see the `nn` docstring). A diverging net gives NaN or Inf
+    without a warning; callers check the output once (`generate_reference`,
+    `dump_feature_maps`, the training loss)."""
     head_cache, block_caches = ([], []) if want_cache else (None, None)
-    for _, h in _trunk(net, x, head_cache, block_caches):
-        pass
-    out = conv2d_forward(h, net.layers[_TAIL], whole=want_cache)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, h in _trunk(net, x, head_cache, block_caches):
+            pass
+        out = conv2d_forward(h, net.layers[_TAIL], whole=want_cache)
     if want_cache:
         return out, (head_cache, block_caches, h)
     return out
@@ -250,6 +254,8 @@ def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
             f"frame {frame.shape} smaller than the {kernel}x{kernel} tail kernel")
     x = normalize_plane(frame, np.dtype(net.config.dtype))
     y = net_forward(net, x)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError("generator output contains NaN or Inf")
     return denormalize_plane(y[0, 0])
 
 
@@ -266,7 +272,10 @@ def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str)
             f"unknown feature selector {layer_selector!r}; choose from {FEATURE_SELECTORS}"
         )
     x = normalize_plane(np.asarray(frame), np.dtype(net.config.dtype))
-    act = next(h for name, h in _trunk(net, x) if name == layer_selector)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = next(h for name, h in _trunk(net, x) if name == layer_selector)[0]
+    if not np.all(np.isfinite(act)):
+        raise NonFiniteError(f"{layer_selector} activation contains NaN or Inf")
     planes = []
     for chan in act:
         lo, hi = float(chan.min()), float(chan.max())
@@ -361,6 +370,8 @@ def load_weights(path) -> GeneratorNet:
     for k in ks:
         if not 0.0 <= k <= 1.0:
             raise FormatError(f"stored k {float(k)} outside [0,1]")
+    if len(set(ks.tolist())) > 1:  # so that config.k tells the truth
+        raise FormatError(f"stored k {ks.tolist()} differ between blocks; one k is used for all")
     config = ModelConfig(
         head_channels=tensors["head1.weight"].shape[0],
         branch_reduce_channels=tensors["block1.branch1.conv1.weight"].shape[0],
@@ -390,4 +401,4 @@ def load_weights(path) -> GeneratorNet:
     layers = {name: ConvParams(tensors[f"{name}.weight"].astype(np.float32),
                                tensors[f"{name}.bias"].astype(np.float32), dilation=dilation)
               for name, _, _, _, dilation in specs}
-    return GeneratorNet(config, layers, [float(k) for k in ks])
+    return GeneratorNet(config, layers, [config.k] * _NUM_BLOCKS)

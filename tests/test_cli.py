@@ -265,6 +265,35 @@ def test_infer_rejects_weight_without_channel_axis(clip, tmp_path, capsys):
     assert err.startswith("error:") and "'head1.weight'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["infer"],
+                                     ["dump-features", "--frame", "1", "--layer", "block3"]])
+def test_overflowing_weights_end_in_error(clip, tmp_path, capsys, command):
+    # head1 weights of 1e38 load (they are finite) but overflow the forward pass
+    net = build_network(ModelConfig(head_channels=4, branch_reduce_channels=3,
+                                    branch_out_channels=3, trunk_channels=4))
+    net.layers["head1"].weights = np.full_like(net.layers["head1"].weights, 1e38)
+    weights = tmp_path / "w.drpg"
+    save_weights(net, weights)
+    out_dir = tmp_path / "out"
+    code, _, err = run([*command, "--input", str(clip), "--weights", str(weights),
+                        "--output-dir", str(out_dir)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "NaN or Inf" in err and err.count("\n") == 1
+    assert not any(out_dir.glob("*.pgm"))
+
+
+def test_infer_refuses_unequal_fusion_factors(clip, tmp_path, capsys):
+    net = build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
+                                    branch_out_channels=2, trunk_channels=2))
+    net.k = [0.0, 0.5, 1.0]
+    weights = tmp_path / "w.drpg"
+    save_weights(net, weights)
+    code, _, err = run(["infer", "--input", str(clip), "--weights", str(weights),
+                        "--output-dir", str(tmp_path / "gen")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "[0.0, 0.5, 1.0]" in err and err.count("\n") == 1
+
+
 def test_diverging_training_names_its_batch_and_writes_no_weights(clip, tmp_path, capsys):
     dataset, weights = tmp_path / "d.drpd", tmp_path / "w.drpg"
     run(["extract", "--input", str(clip), "--block-size", "16",

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepref import codec
 from deepref.codec import (
     MVRecord,
     SearchConfig,
@@ -224,6 +226,23 @@ class TestEncodeFrameProxy:
         with pytest.raises(ShapeMismatchError):
             encode_frame_proxy([], textured(0), SearchConfig(), q=8)
 
+    def test_peak_memory_bounded_by_the_band(self):
+        # a whole-frame band would make a 61 MB |diff| per row of offsets here
+        tex = SinusoidTexture.random(5)
+        ref, cur = tex.render(1280, 720), tex.render(1280, 720, offset=(1.5, 0.5))
+        cfg = SearchConfig(search_range=16, lambda_mv=4.0, block_size=32)
+        planes = 16 * (736 + 34) * (1280 + 34)  # the frame in whole blocks, padded by 17
+        tracemalloc.start()
+        try:
+            encode_frame_proxy([ref], cur, cfg, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # temporaries of a 1 MiB band (`SAD_BYTES`), plus slack for the int32
+        # filter passes of `subpel_planes` or the int64 residual pricing of
+        # the frame, each about 36 MB
+        assert peak < planes + 8 * (1 << 20) + 40_000_000
+
     def test_partial_edge_blocks_handled(self):
         tex = SinusoidTexture.random(13)
         ref = tex.render(50, 42)  # not multiples of 16
@@ -300,8 +319,11 @@ class TestEncodeFrameProxyGolden:
     @given(data=st.data())
     def test_batched_search_matches_naive_per_block_loop(self, data):
         # sizes the block size may not divide, ranges past the block size,
-        # lambda 0 and few sample levels for many ties, and 1-3 references of
-        # which two may be the same picture
+        # lambda 0 and few sample levels for many ties, 1-3 references of
+        # which two may be the same picture, and the whole frame in one band
+        # or one block row per band, so that band borders sit above a
+        # partial last block row
+        sad_bytes = data.draw(st.sampled_from([codec.SAD_BYTES, 1]), label="SAD_BYTES")
         bs = data.draw(st.integers(2, 8), label="block_size")
         h, w = data.draw(st.integers(1, 3 * bs)), data.draw(st.integers(1, 3 * bs))
         cfg = SearchConfig(search_range=data.draw(st.integers(1, bs + 1)),
@@ -317,7 +339,8 @@ class TestEncodeFrameProxyGolden:
         pool = [picture(), np.roll(cur, (1, -1), axis=(0, 1)), picture()]
         refs = [pool[i] for i in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))]
         q = data.draw(st.sampled_from([1, 8, 64]))
-        got_bits, got_recon, got_field = encode_frame_proxy(refs, cur, cfg, q)
+        with mock.patch.object(codec, "SAD_BYTES", sad_bytes):
+            got_bits, got_recon, got_field = encode_frame_proxy(refs, cur, cfg, q)
         want_bits, want_recon, want_field = naive_encode_frame(refs, cur, cfg, q)
         assert got_bits == want_bits
         np.testing.assert_array_equal(got_recon, want_recon)

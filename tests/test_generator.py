@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepref.generator as generator_mod
-from deepref.errors import ConfigError, FormatError, ShapeMismatchError
+from deepref.errors import ConfigError, FormatError, NonFiniteError, ShapeMismatchError
 from deepref.nn import conv2d_forward, relu
 from deepref.generator import (
     BRANCH_RECEPTIVE_FIELDS,
@@ -34,6 +35,13 @@ SWEEP_NET = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "s
 def abs_weights(net):
     for p in net.layers.values():
         p.weights = np.abs(p.weights)
+    return net
+
+
+def overflowing_net():
+    """A float32 net whose head1 weights of 1e38 overflow on any non-zero input."""
+    net = build_network(replace(TINY, dtype="float32"))
+    net.layers["head1"].weights = np.full_like(net.layers["head1"].weights, 1e38)
     return net
 
 
@@ -166,6 +174,17 @@ class TestGenerateReference:
         net = build_network(TINY)
         with pytest.raises(ShapeMismatchError):
             generate_reference(net, np.zeros((2, 10), dtype=np.uint8))
+
+    def test_overflowing_net_raises_once_at_the_output(self):
+        # head1 overflows float32 to Inf and the layers after it make NaN; no
+        # conv checks its input, and no numpy warning escapes on the way
+        net = overflowing_net()
+        frame = np.random.default_rng(6).integers(1, 256, (16, 16)).astype(np.uint8)
+        with pytest.raises(NonFiniteError, match="generator output"):
+            generate_reference(net, frame)
+        for sel in FEATURE_SELECTORS:
+            with pytest.raises(NonFiniteError, match=sel):
+                dump_feature_maps(net, frame, sel)
 
     def test_only_training_builds_whole_im2col_matrices(self, monkeypatch):
         # a banded forward GEMM may round differently, and training is chaotic
@@ -346,18 +365,17 @@ class TestLayerTable:
         save_weights(load_weights(SWEEP_NET), tmp_path / "again.drpg")
         assert (tmp_path / "again.drpg").read_bytes() == SWEEP_NET.read_bytes()
 
-    def test_fusion_factor_kept_per_block(self, rng, tmp_path):
+    def test_unequal_fusion_factors_refused(self, tmp_path):
+        # the loaded config.k would name only one of them
         net = build_network(TINY)
         net.k = [0.0, 0.5, 1.0]
         save_weights(net, tmp_path / "w.drpg")
+        with pytest.raises(FormatError, match=r"\[0\.0, 0\.5, 1\.0\]"):
+            load_weights(tmp_path / "w.drpg")
+        net.k = [0.25] * 3
+        save_weights(net, tmp_path / "w.drpg")
         loaded = load_weights(tmp_path / "w.drpg")
-        assert loaded.k == [0.0, 0.5, 1.0]
-        x = rng.uniform(0, 1, (1, 4, 9, 9))
-        for i, k in enumerate(loaded.k):
-            _, (_, _, phi, pre) = block_forward(loaded, i, x, want_cache=True)
-            fuse = conv2d_forward(phi, loaded.layers[f"block{i + 1}.fuse"])
-            skip = conv2d_forward(x, loaded.layers[f"block{i + 1}.skip"])
-            np.testing.assert_array_equal(pre, k * fuse + skip)
+        assert loaded.config.k == 0.25 and loaded.k == [0.25] * 3
 
     def test_load_builds_the_net_from_the_file(self, tmp_path, monkeypatch):
         # no random net is drawn and then overwritten

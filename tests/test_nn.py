@@ -86,13 +86,6 @@ class TestConvForward:
         with pytest.raises(ShapeMismatchError, match="channel"):
             conv2d_forward(x, p)
 
-    def test_nonfinite_input_raises(self, rng):
-        x = rng.standard_normal((1, 1, 5, 5))
-        x[0, 0, 2, 2] = np.nan
-        p = make_params(rng, 1, 1, 3)
-        with pytest.raises(NonFiniteError):
-            conv2d_forward(x, p)
-
     def test_rectangular_kernel_rejected(self):
         with pytest.raises(ShapeMismatchError, match="square"):
             ConvParams(np.ones((1, 1, 3, 1)), np.zeros(1))

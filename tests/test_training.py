@@ -167,11 +167,14 @@ class TestTrain:
         np.testing.assert_allclose(np.sort(seen.reshape(6, -1), axis=0), expected)
 
     def test_nonfinite_loss_aborts_with_location(self):
+        # 1e30 overflows only the loss; 1e38 already overflows the forward
+        # pass, which checks nothing itself and lets the loss carry the NaN
         pairs = shift_pairs()
-        net = build_network(TINY)
-        net.layers["head1"].weights = np.full_like(net.layers["head1"].weights, 1e30)
-        with pytest.raises(NonFiniteError, match="epoch 0"):
-            train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
+        for scale in (1e30, 1e38):
+            net = build_network(TINY)
+            net.layers["head1"].weights = np.full_like(net.layers["head1"].weights, scale)
+            with pytest.raises(NonFiniteError, match="non-finite training loss at epoch 0"):
+                train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
 
     def test_loss_report_csv_rows(self):
         pairs = shift_pairs(n=4)
