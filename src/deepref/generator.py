@@ -74,7 +74,6 @@ class ModelConfig:
 class GeneratorNet:
     config: ModelConfig
     layers: dict[str, ConvParams]  # every convolution by name, in `_layer_specs` order
-    k: list[float]  # fusion factor of each block
 
 
 # The layer names, looked up by the passes below: the head convolutions, then
@@ -131,17 +130,18 @@ def build_network(config: ModelConfig) -> GeneratorNet:
             std = np.sqrt(2.0 / (cin * kernel * kernel))
             w = rng.normal(0.0, std, size=(cout, cin, kernel, kernel)).astype(dtype)
         layers[name] = ConvParams(w, np.zeros(cout, dtype=dtype), dilation=dilation)
-    return GeneratorNet(config, layers, [config.k] * _NUM_BLOCKS)
+    return GeneratorNet(config, layers)
 
 
 def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None) -> np.ndarray:
     """conv + ReLU per named layer; appends (input, pre-activation) to `cache`
-    if given, and then builds whole im2col matrices, so training keeps its bits."""
+    if given, and then builds whole im2col matrices, so training keeps its bits.
+    Without a cache the ReLU overwrites the pre-activation."""
     for name in names:
         z = conv2d_forward(x, net.layers[name], whole=cache is not None)
         if cache is not None:
             cache.append((x, z))
-        x = relu(z)
+        x = relu(z, out=None if cache is not None else z)
     return x
 
 
@@ -164,18 +164,19 @@ def block_forward(net: GeneratorNet, i: int, x: np.ndarray, want_cache: bool = F
     branch_caches = [[] if want_cache else None for _ in branches]
     phi = concat_channels([_conv_relu_stack(net, names, x, cache)
                            for names, cache in zip(branches, branch_caches)])
-    pre = net.k[i] * conv2d_forward(phi, net.layers[fuse]) + conv2d_forward(x, net.layers[skip])
-    out = relu(pre)
+    pre = conv2d_forward(phi, net.layers[fuse])
+    pre *= net.config.k
+    pre += conv2d_forward(x, net.layers[skip])
     if want_cache:
-        return out, (x, branch_caches, phi, pre)
-    return out
+        return relu(pre), (x, branch_caches, phi, pre)
+    return relu(pre, out=pre)
 
 
 def _block_backward(net, i, cache, grad_out, grads):
     _, branches, fuse, skip = _BLOCKS[i]
     x, branch_caches, phi, pre = cache
     g_pre = relu_backward(pre, grad_out)
-    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.k[i] * g_pre)
+    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.config.k * g_pre)
     grads[fuse] = (gw, gb)
     g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre)
     grads[skip] = (gw, gb)
@@ -292,7 +293,7 @@ def save_weights(net: GeneratorNet, path) -> None:
     for name, p in net.layers.items():
         tensors.append((f"{name}.weight", p.weights))
         tensors.append((f"{name}.bias", p.bias))
-    tensors.append(("k", np.array(net.k, dtype=np.float32)))
+    tensors.append(("k", np.full(_NUM_BLOCKS, net.config.k, dtype=np.float32)))
 
     buf = bytearray()
     buf += WEIGHT_MAGIC
@@ -401,4 +402,4 @@ def load_weights(path) -> GeneratorNet:
     layers = {name: ConvParams(tensors[f"{name}.weight"].astype(np.float32),
                                tensors[f"{name}.bias"].astype(np.float32), dilation=dilation)
               for name, _, _, _, dilation in specs}
-    return GeneratorNet(config, layers, [config.k] * _NUM_BLOCKS)
+    return GeneratorNet(config, layers)

@@ -127,8 +127,9 @@ def interpolate_block(
     return np.clip(out, 0, 255).astype(np.uint8)
 
 
-def subpel_planes(ref: np.ndarray, margin: int) -> np.ndarray:
-    """All 16 quarter-pel phases of an edge-padded reference, as one array.
+def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All 16 quarter-pel phases of an edge-padded reference, as one array:
+    `out` if given (a uint8 array or view of the shape below), else a new one.
 
     ``planes[fy, fx]`` has shape (H + 2*margin, W + 2*margin), and sample
     (Y, X) of it is the reference sampled at (Y - margin + fy/4,
@@ -146,7 +147,13 @@ def subpel_planes(ref: np.ndarray, margin: int) -> np.ndarray:
     ph, pw = fh + 2 * m, fw + 2 * m
     # 8-bit samples times taps summed twice stay far inside int32
     src = np.pad(ref, ((m + _MARGIN_LO, m + _MARGIN_HI),) * 2, mode="edge").astype(np.int32)
-    planes = np.empty((4, 4, ph, pw), dtype=np.uint8)
+    if out is None:
+        planes = np.empty((4, 4, ph, pw), dtype=np.uint8)
+    elif out.shape != (4, 4, ph, pw) or out.dtype != np.uint8:
+        raise ShapeMismatchError(f"phase planes need a (4, 4, {ph}, {pw}) uint8 array, "
+                                 f"got {out.shape} {out.dtype}")
+    else:
+        planes = out
     planes[0, 0] = src[_MARGIN_LO : _MARGIN_LO + ph, _MARGIN_LO : _MARGIN_LO + pw]
     for fx in range(4):
         if fx == 0:

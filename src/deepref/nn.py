@@ -276,9 +276,9 @@ def conv2d_backward(
     return np.ascontiguousarray(grad_input), grad_weights, grad_bias
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), into `out` if given (it may be x itself)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

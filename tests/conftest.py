@@ -1,6 +1,8 @@
-"""Shared oracles: finite-difference gradients and a brute-force convolution
-with its brute-force gradients."""
+"""Shared oracles: finite-difference gradients, a brute-force convolution
+with its brute-force gradients, the plain im2col engine and the per-block
+Lucas-Kanade solve."""
 
+import math
 import os
 
 # one BLAS thread, as the benchmark and its recorded references run; set
@@ -9,6 +11,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest
+
+from deepref import flow
+from deepref.errors import ShapeMismatchError
 
 
 def central_diff_grad(loss_fn, x, eps=1e-5):
@@ -189,3 +194,87 @@ def plain_conv2d_backward(x, params, grad_out):
 def where_relu_backward(x, grad_out):
     """ReLU backward as a select, the form `deepref.nn.relu_backward` replaced."""
     return np.where(np.asarray(x) > 0, grad_out, 0)
+
+
+
+def store_fusion_factors(path, ks):
+    """Overwrite the k tensor of a weight file, the last one `save_weights`
+    writes: a net holds one k, so unequal ones are made here."""
+    data = path.read_bytes()
+    path.write_bytes(data[: -4 * len(ks)] + np.asarray(ks, dtype="<f4").tobytes())
+
+# The per-block Lucas-Kanade solve that `deepref.flow` batched, kept as the
+# oracle: every block of a batch must get the bits this gives it.
+
+
+def naive_bilinear(img, ys, xs):
+    """Bilinear sampling with clamp addressing."""
+    h, w = img.shape
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = ys - y0
+    fx = xs - x0
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def naive_edge_gradients(frame):
+    """Central differences with edge replication, so border blocks work too."""
+    padded = np.pad(frame, 1, mode="edge")
+    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 0.5
+    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) * 0.5
+    return gx, gy
+
+
+def naive_lk_block(ref, gx, gy, cur, origin, size):
+    """((vx, vy), degenerate) of one block; reads the flow constants at call time."""
+    x0, y0 = origin
+    w, h = size
+    fh, fw = ref.shape
+    if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
+        raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
+
+    ix = gx[y0 : y0 + h, x0 : x0 + w]
+    iy = gy[y0 : y0 + h, x0 : x0 + w]
+    g11 = float(np.sum(ix * ix))
+    g12 = float(np.sum(ix * iy))
+    g22 = float(np.sum(iy * iy))
+    half_trace = 0.5 * (g11 + g22)
+    det = g11 * g22 - g12 * g12
+    min_eig = half_trace - math.sqrt(max(half_trace * half_trace - det, 0.0))
+    if min_eig < flow.DEGENERACY_THRESHOLD * (w * h):
+        return (0.0, 0.0), True
+
+    target = cur[y0 : y0 + h, x0 : x0 + w]
+    grid_y, grid_x = np.mgrid[y0 : y0 + h, x0 : x0 + w]
+    grid_y = grid_y.astype(np.float64)
+    grid_x = grid_x.astype(np.float64)
+    vx = vy = 0.0
+    for _ in range(flow.LK_ITERATIONS):
+        sy = grid_y + vy
+        sx = grid_x + vx
+        it = target - naive_bilinear(ref, sy, sx)
+        ixw = naive_bilinear(gx, sy, sx)
+        iyw = naive_bilinear(gy, sy, sx)
+        g11 = float(np.sum(ixw * ixw))
+        g12 = float(np.sum(ixw * iyw))
+        g22 = float(np.sum(iyw * iyw))
+        det = g11 * g22 - g12 * g12
+        if det <= 1e-12 * (w * h) ** 2:
+            break
+        b1 = float(np.sum(ixw * it))
+        b2 = float(np.sum(iyw * it))
+        dvx = (g22 * b1 - g12 * b2) / det
+        dvy = (g11 * b2 - g12 * b1) / det
+        vx += dvx
+        vy += dvy
+        if math.hypot(dvx, dvy) < flow.LK_EPS:
+            break
+    vx = min(max(vx, -flow.MV_CLAMP), flow.MV_CLAMP)
+    vy = min(max(vy, -flow.MV_CLAMP), flow.MV_CLAMP)
+    return (vx, vy), False

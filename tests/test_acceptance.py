@@ -4,6 +4,7 @@ and enforcing its runtime budget. Run with `pytest tests/test_acceptance.py -v -
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,9 +154,8 @@ def test_criterion_02_receptive_field_suite():
 def test_criterion_03_fusion_degeneracy():
     with criterion(3, "k=0 identity-skip degeneracy", 10):
         rng = np.random.default_rng(5)
-        net = build_network(TINY)
+        net = build_network(replace(TINY, k=0.0))
         skip = net.layers["block1.skip"]
-        net.k[0] = 0.0
         eye = np.zeros_like(skip.weights)
         for c in range(eye.shape[0]):
             eye[c, c, 0, 0] = 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from deepref import generator
 from deepref.cli import FLAG_TABLE, _resolve, build_parser, main
+from deepref.config import DEFAULT_Q_SET
 from deepref.fileio import read_csv
 from deepref.flow import read_dataset
 from deepref.generator import (
@@ -16,6 +17,8 @@ from deepref.generator import (
 )
 from deepref.synthetic import pan_zoom_sequence
 from deepref.video_io import read_sequence, write_y4m
+
+from conftest import store_fusion_factors
 
 TINY_MODEL_FLAGS = [
     "--head-channels", "4", "--branch-reduce-channels", "3",
@@ -35,6 +38,23 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_sweeps_in_one_process_carry_no_flags_over(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh
+    clip = tmp_path / "c.y4m"
+    write_y4m(pan_zoom_sequence(32, 32, 2, velocity=(0.5, 0.25), seed=4), clip)
+    weights = tmp_path / "w.drpg"
+    save_weights(build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
+                                           branch_out_channels=2, trunk_channels=2)), weights)
+    sweep = ["sweep", "--input", str(clip), "--weights", str(weights), "--block-size", "16",
+             "--search-range", "2", "--output"]
+    assert run([*sweep, str(tmp_path / "a.csv"), "--q-set", "8,16"], capsys)[0] == 0
+    assert run([*sweep, str(tmp_path / "b.csv")], capsys)[0] == 0
+    assert build_parser() is build_parser()
+    for name, q_set in (("a.csv", [8, 16]), ("b.csv", list(DEFAULT_Q_SET))):
+        _, rows = read_csv(tmp_path / name)
+        assert [int(r[1]) for r in rows] == q_set * 2
 
 
 class TestArgHandling:
@@ -285,9 +305,9 @@ def test_overflowing_weights_end_in_error(clip, tmp_path, capsys, command):
 def test_infer_refuses_unequal_fusion_factors(clip, tmp_path, capsys):
     net = build_network(ModelConfig(head_channels=2, branch_reduce_channels=2,
                                     branch_out_channels=2, trunk_channels=2))
-    net.k = [0.0, 0.5, 1.0]
     weights = tmp_path / "w.drpg"
     save_weights(net, weights)
+    store_fusion_factors(weights, [0.0, 0.5, 1.0])
     code, _, err = run(["infer", "--input", str(clip), "--weights", str(weights),
                         "--output-dir", str(tmp_path / "gen")], capsys)
     assert code == 1

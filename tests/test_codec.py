@@ -239,9 +239,10 @@ class TestEncodeFrameProxy:
         finally:
             tracemalloc.stop()
         # temporaries of a 1 MiB band (`SAD_BYTES`), plus slack for the int32
-        # filter passes of `subpel_planes` or the int64 residual pricing of
-        # the frame, each about 36 MB
-        assert peak < planes + 8 * (1 << 20) + 40_000_000
+        # filter passes of `subpel_planes` (about 20 MB), which fill the
+        # planes in place; the residual pricing runs after the planes are
+        # freed (36.2 MB measured)
+        assert peak < planes + 8 * (1 << 20) + 24_000_000
 
     def test_partial_edge_blocks_handled(self):
         tex = SinusoidTexture.random(13)
@@ -523,7 +524,6 @@ class TestRdSweep:
             center = conv.kernel_size // 2
             conv.weights[0, 0, center, center] = 1.0
         for i in range(3):
-            net.k[i] = 0.0
             for c in range(2):
                 net.layers[f"block{i + 1}.skip"].weights[c, c, 0, 0] = 1.0
         tex = SinusoidTexture.random(16)

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import naive_edge_gradients, naive_lk_block
 
 from deepref import flow as flow_mod
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
@@ -205,6 +209,136 @@ class TestExtractPairs:
             assert pair.y_block.shape == (16, 16)
             bx, by = pair.origin
             assert 0 <= bx and bx + 16 <= w and 0 <= by and by + 16 <= h
+
+
+def naive_extract_pairs(ref, cur, cfg):
+    """`extract_pairs` as a per-tile loop over the per-block oracle solve."""
+    ref_f, cur_f = ref.astype(np.float64), cur.astype(np.float64)
+    gx, gy = naive_edge_gradients(ref_f)
+    fh, fw = cur.shape
+    bs = cfg.block_size
+    pairs = []
+    for by in range(0, fh - bs + 1, cfg.effective_stride):
+        for bx in range(0, fw - bs + 1, cfg.effective_stride):
+            mv, _ = naive_lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs))
+            mv = flow_mod._snap_near_integers(mv)
+            ox, oy = round_mv_topleft(mv)
+            sx, sy = bx + ox, by + oy
+            if 0 <= sx and sx + bs <= fw and 0 <= sy and sy + bs <= fh:
+                pairs.append(SamplePair(ref[sy : sy + bs, sx : sx + bs].copy(),
+                                        cur[by : by + bs, bx : bx + bs].copy(), (bx, by), mv))
+    return pairs
+
+
+def sparse_patch_scene(seed, n=32):
+    """A small noise patch on a flat field. The solve of an 8x8 block near it
+    can leave the patch and stop at the det test: seed 14's block at
+    `sparse_patch_block(14)` does."""
+    rng = np.random.default_rng(seed)
+    ref = np.zeros((n, n))
+    p = int(rng.integers(2, 8))
+    y0, x0 = rng.integers(0, n - p, 2)
+    ref[y0 : y0 + p, x0 : x0 + p] = rng.uniform(0, 255, (p, p))
+    cur = rng.uniform(0, 255, (n, n)) * rng.integers(0, 2)
+    return np.rint(ref).astype(np.uint8), np.rint(cur).astype(np.uint8), rng
+
+
+def sparse_patch_block(seed, n=32):
+    _, _, rng = sparse_patch_scene(seed, n)
+    bx, by = rng.integers(0, n - 8, 2)
+    return int(bx), int(by)
+
+
+@st.composite
+def scenes(draw, min_side=8):
+    """(ref, cur) 8-bit frames: a textured pan and zoom, a pan of a smooth
+    texture far enough to reach MV_CLAMP, a flat frame, or a sparse patch."""
+    h, w = draw(st.integers(min_side, 48)), draw(st.integers(min_side, 48))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["texture", "smooth pan", "flat", "patch"]))
+    if kind == "texture":
+        tex = SinusoidTexture.random(seed, min_freq=0.02, max_freq=0.3)
+        offset = (draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
+        scale = draw(st.sampled_from([1.0, 1.02, 0.97]))
+        return tex.render(w, h), tex.render(w, h, offset=offset, scale=scale)
+    if kind == "smooth pan":
+        tex = SinusoidTexture.random(seed, min_freq=0.01, max_freq=0.03)
+        offset = (draw(st.floats(-14, 14)), draw(st.floats(-14, 14)))
+        return tex.render(w, h), tex.render(w, h, offset=offset)
+    if kind == "flat":
+        level = draw(st.integers(0, 255))
+        return np.full((h, w), level, np.uint8), np.full((h, w), level, np.uint8)
+    ref, cur, _ = sparse_patch_scene(seed, max(h, w))
+    return ref[:h, :w], cur[:h, :w]
+
+
+# the batch budget as it is, a whole frame per batch, one block per batch
+BUDGETS = st.sampled_from([flow_mod.LK_BYTES, 1 << 40, 1])
+
+
+def assert_same_pairs(got, want):
+    assert [p.origin for p in got] == [p.origin for p in want]
+    for g, p in zip(got, want):
+        assert g.mv == p.mv
+        assert g.x_block.dtype == p.x_block.dtype and g.y_block.dtype == p.y_block.dtype
+        assert g.x_block.tobytes() == p.x_block.tobytes()
+        assert g.y_block.tobytes() == p.y_block.tobytes()
+
+
+class TestBatchedSolveMatchesOracle:
+    """The batched solve gives every block the bits of the per-block oracle."""
+
+    @given(scenes(), st.integers(8, 19), st.one_of(st.none(), st.integers(4, 19)), BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_extract_pairs(self, scene, block, stride, budget):
+        ref, cur = scene
+        cfg = ExtractionConfig(block_size=block, stride=stride)
+        with mock.patch.object(flow_mod, "LK_BYTES", budget):
+            got = extract_pairs(ref, cur, cfg)
+        assert_same_pairs(got, naive_extract_pairs(ref, cur, cfg))
+
+    @given(scenes(min_side=20), st.integers(1, 20), st.integers(1, 20), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lucas_kanade_mv_non_square(self, scene, w, h, data):
+        ref, cur = scene
+        fh, fw = ref.shape
+        x0 = data.draw(st.integers(0, fw - w))
+        y0 = data.draw(st.integers(0, fh - h))
+        gx, gy = naive_edge_gradients(ref.astype(np.float64))
+        want = naive_lk_block(ref.astype(np.float64), gx, gy, cur.astype(np.float64),
+                              (x0, y0), (w, h))
+        assert lucas_kanade_mv(ref, cur, (x0, y0), (w, h)) == want
+
+    @pytest.mark.parametrize("budget", [flow_mod.LK_BYTES, 1 << 40, 1])
+    def test_det_break_flat_and_clamped_blocks(self, budget):
+        ref, cur, _ = sparse_patch_scene(14)
+        origin = sparse_patch_block(14)
+        smooth = smooth_noise(5, 96, 96, radius=6)
+        cases = [
+            (ref, cur, origin, (8, 8)),  # stops at the det test
+            (np.full((40, 40), 7, np.uint8), np.full((40, 40), 9, np.uint8), (3, 5), (16, 9)),
+            (smooth, np.roll(smooth, -12, axis=1), (32, 32), (32, 32)),  # reaches MV_CLAMP
+        ]
+        results = []
+        for a, b, at, size in cases:
+            a_f, b_f = a.astype(np.float64), b.astype(np.float64)
+            want = naive_lk_block(a_f, *naive_edge_gradients(a_f), b_f, at, size)
+            assert lucas_kanade_mv(a, b, at, size) == want
+            results.append(want)
+        assert results[1] == ((0.0, 0.0), True)
+        assert results[2][0][0] == MV_CLAMP
+        for a, b, _, (bs, _) in cases:
+            cfg = ExtractionConfig(block_size=max(bs, 8), stride=4)
+            with mock.patch.object(flow_mod, "LK_BYTES", budget):
+                got = extract_pairs(a, b, cfg)
+            assert_same_pairs(got, naive_extract_pairs(a, b, cfg))
+
+    @pytest.mark.parametrize("shape", [(15, 40), (40, 15), (7, 7), (0, 0), (0, 20)])
+    def test_frame_smaller_than_a_block_gives_no_pairs(self, shape):
+        frame = np.zeros(shape, np.uint8)
+        with mock.patch.object(flow_mod, "_lk_blocks", side_effect=AssertionError), \
+                np.errstate(all="raise"):
+            assert extract_pairs(frame, frame, ExtractionConfig(block_size=16, stride=4)) == []
 
 
 class TestDatasetFile:

@@ -25,7 +25,7 @@ from deepref.generator import (
     save_weights,
 )
 
-from conftest import branch_layers, central_diff_grad_at, max_rel_err
+from conftest import branch_layers, central_diff_grad_at, max_rel_err, store_fusion_factors
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, k=0.5, seed=3, dtype="float64")
@@ -86,15 +86,14 @@ class TestBuild:
 
     def test_default_config_builds(self):
         net = build_network(ModelConfig())
-        assert net.k == [0.5] * 3
+        assert net.config.k == 0.5
         assert net.layers["head1"].in_ch == 1 and net.layers["tail"].out_ch == 1
 
 
 class TestBlockForward:
     def test_k_zero_identity_skip_reproduces_input(self, rng):
-        net = build_network(TINY)
+        net = build_network(replace(TINY, k=0.0))
         skip = net.layers["block1.skip"]
-        net.k[0] = 0.0
         eye = np.zeros_like(skip.weights)
         for c in range(eye.shape[0]):
             eye[c, c, 0, 0] = 1.0
@@ -124,8 +123,7 @@ class TestBlockForward:
         x = rng.uniform(0.1, 1.0, (1, 4, 8, 8))
         pres = {}
         for k in (0.0, 0.5, 1.0):
-            net = build_network(TINY)
-            net.k[0] = k
+            net = build_network(replace(TINY, k=k))
             _, (_, _, _, pre) = block_forward(net, 0, x, want_cache=True)
             pres[k] = pre
         np.testing.assert_allclose(pres[0.5], 0.5 * (pres[0.0] + pres[1.0]), rtol=1e-12)
@@ -239,7 +237,7 @@ class TestWeightFile:
         save_weights(net, path)
         loaded = load_weights(path)
         assert loaded.config.trunk_channels == 4
-        assert loaded.k == [0.25] * 3
+        assert loaded.config.k == 0.25
         x = rng.uniform(0, 1, (1, 1, 10, 10)).astype(np.float32)
         np.testing.assert_array_equal(net_forward(net, x), net_forward(loaded, x))
 
@@ -367,15 +365,13 @@ class TestLayerTable:
 
     def test_unequal_fusion_factors_refused(self, tmp_path):
         # the loaded config.k would name only one of them
-        net = build_network(TINY)
-        net.k = [0.0, 0.5, 1.0]
-        save_weights(net, tmp_path / "w.drpg")
+        path = tmp_path / "w.drpg"
+        save_weights(build_network(TINY), path)
+        store_fusion_factors(path, [0.0, 0.5, 1.0])
         with pytest.raises(FormatError, match=r"\[0\.0, 0\.5, 1\.0\]"):
-            load_weights(tmp_path / "w.drpg")
-        net.k = [0.25] * 3
-        save_weights(net, tmp_path / "w.drpg")
-        loaded = load_weights(tmp_path / "w.drpg")
-        assert loaded.config.k == 0.25 and loaded.k == [0.25] * 3
+            load_weights(path)
+        store_fusion_factors(path, [0.25] * 3)
+        assert load_weights(path).config.k == 0.25
 
     def test_load_builds_the_net_from_the_file(self, tmp_path, monkeypatch):
         # no random net is drawn and then overwritten
@@ -404,7 +400,7 @@ def explicit_stage_activations(net, x):
             outs.append(b)
         phi = np.concatenate(outs, axis=1)
         fuse, skip = net.layers[f"block{i}.fuse"], net.layers[f"block{i}.skip"]
-        h = np.maximum(net.k[i - 1] * conv2d_forward(phi, fuse) + conv2d_forward(h, skip), 0)
+        h = np.maximum(net.config.k * conv2d_forward(phi, fuse) + conv2d_forward(h, skip), 0)
         acts[f"block{i}"] = h
     return acts
 

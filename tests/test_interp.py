@@ -182,3 +182,18 @@ class TestSubpelPlanes:
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError, match="margin"):
             subpel_planes(np.zeros((8, 8), dtype=np.uint8), -1)
+
+    def test_planes_written_into_a_view(self, rng):
+        ref = rng.integers(0, 256, (13, 11)).astype(np.uint8)
+        stack = np.full((2, 4, 4, 24, 20), 7, dtype=np.uint8)
+        view = stack[1, ..., : 13 + 6, : 11 + 6]
+        assert subpel_planes(ref, 3, out=view) is view
+        np.testing.assert_array_equal(view, subpel_planes(ref, 3))
+        assert (stack[0] == 7).all() and (stack[1, ..., 19:, :] == 7).all()
+        assert (stack[1, ..., 17:] == 7).all()
+
+    def test_out_of_the_wrong_shape_or_dtype_rejected(self):
+        ref = np.zeros((8, 8), dtype=np.uint8)
+        for out in (np.empty((4, 4, 10, 10), np.uint8), np.empty((4, 4, 12, 12), np.int16)):
+            with pytest.raises(ShapeMismatchError, match="phase planes"):
+                subpel_planes(ref, 2, out=out)
