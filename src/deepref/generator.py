@@ -26,7 +26,6 @@ from .errors import (ConfigError, FormatError, NonFiniteError, ShapeMismatchErro
 from .fileio import atomic_write_bytes
 from .nn import (
     ConvParams,
-    concat_channels,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -133,56 +132,76 @@ def build_network(config: ModelConfig) -> GeneratorNet:
     return GeneratorNet(config, layers)
 
 
-def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """conv + ReLU per named layer; appends (input, pre-activation) to `cache`
-    if given, and then builds whole im2col matrices, so training keeps its bits.
-    Without a cache the ReLU overwrites the pre-activation."""
-    for name in names:
-        z = conv2d_forward(x, net.layers[name], whole=cache is not None)
+def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """conv + ReLU per named layer, each ReLU overwriting its conv output but
+    the last, which writes into `out` if given (a block's channels of `phi`).
+    With a `cache`, appends each conv's input to it (the ReLU output of the
+    layer before, so each activation is held once) and builds whole im2col
+    matrices, so training keeps its bits."""
+    last = len(names) - 1
+    for li, name in enumerate(names):
         if cache is not None:
-            cache.append((x, z))
-        x = relu(z, out=None if cache is not None else z)
+            cache.append(x)
+        z = conv2d_forward(x, net.layers[name], whole=cache is not None)
+        x = relu(z, out=out if li == last and out is not None else z)
     return x
 
 
-def _conv_relu_stack_backward(net, names, cache, g, grads, want_grad_input=True):
-    """Backward through `_conv_relu_stack`; stores each layer's (grad_w, grad_b)
-    under its name and returns the gradient w.r.t. the stack input (None when
-    `want_grad_input` is false)."""
+def _conv_relu_stack_backward(net, names, inputs, output, g, grads, want_grad_input=True):
+    """Backward through `_conv_relu_stack` from its cached conv inputs and its
+    output; each ReLU's mask is read from its output, which is the next conv's
+    input. Stores each layer's (grad_w, grad_b) under its name and returns the
+    gradient w.r.t. the stack input (None when `want_grad_input` is false)."""
+    outputs = [*inputs[1:], output]
     for li in reversed(range(len(names))):
-        h_in, z = cache[li]
-        g, gw, gb = conv2d_backward(h_in, net.layers[names[li]], relu_backward(z, g),
+        g, gw, gb = conv2d_backward(inputs[li], net.layers[names[li]],
+                                    relu_backward(outputs[li], g),
                                     want_grad_input=li > 0 or want_grad_input)
         grads[names[li]] = (gw, gb)
     return g
 
 
+def _branch_widths(net, branches) -> list[int]:
+    return [net.layers[names[-1]].out_ch for names in branches]
+
+
 def block_forward(net: GeneratorNet, i: int, x: np.ndarray, want_cache: bool = False):
     """Block i (from 0): out = ReLU(k * fuse(concat(branches(x))) + skip(x));
-    spatial dims preserved."""
+    spatial dims preserved. Each branch's last ReLU writes into its channels
+    of the concatenation `phi`. The cache is (x, the branches' conv inputs,
+    phi); the block output, the next stage's input, completes it."""
     _, branches, fuse, skip = _BLOCKS[i]
+    widths = _branch_widths(net, branches)
+    dtype = np.result_type(x, *(net.layers[name].weights for names in branches for name in names))
+    # channel-major, as conv outputs and their concatenation are: the fuse
+    # conv's GEMM operands keep their layouts, and so training its bits
+    phi = np.empty((sum(widths), x.shape[0], *x.shape[2:]), dtype=dtype).transpose(1, 0, 2, 3)
     branch_caches = [[] if want_cache else None for _ in branches]
-    phi = concat_channels([_conv_relu_stack(net, names, x, cache)
-                           for names, cache in zip(branches, branch_caches)])
-    pre = conv2d_forward(phi, net.layers[fuse])
-    pre *= net.config.k
-    pre += conv2d_forward(x, net.layers[skip])
+    for names, cache, part in zip(branches, branch_caches, split_channels(phi, widths)):
+        _conv_relu_stack(net, names, x, cache, out=part)
+    out = conv2d_forward(phi, net.layers[fuse])
+    out *= net.config.k
+    out += conv2d_forward(x, net.layers[skip])
+    relu(out, out=out)
     if want_cache:
-        return relu(pre), (x, branch_caches, phi, pre)
-    return relu(pre, out=pre)
+        return out, (x, branch_caches, phi)
+    return out
 
 
-def _block_backward(net, i, cache, grad_out, grads):
+def _block_backward(net, i, cache, out, grad_out, grads):
+    """Backward through block i from its cache and its output `out`."""
     _, branches, fuse, skip = _BLOCKS[i]
-    x, branch_caches, phi, pre = cache
-    g_pre = relu_backward(pre, grad_out)
+    x, branch_caches, phi = cache
+    g_pre = relu_backward(out, grad_out)
     g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.config.k * g_pre)
     grads[fuse] = (gw, gb)
     g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre)
     grads[skip] = (gw, gb)
-    parts = split_channels(g_phi, [net.layers[names[-1]].out_ch for names in branches])
-    for names, cache_b, g in zip(branches, branch_caches, parts):
-        g_x = g_x + _conv_relu_stack_backward(net, names, cache_b, g, grads)
+    widths = _branch_widths(net, branches)
+    for names, inputs, phi_b, g in zip(branches, branch_caches, split_channels(phi, widths),
+                                       split_channels(g_phi, widths)):
+        g_x = g_x + _conv_relu_stack_backward(net, names, inputs, phi_b, g, grads)
     return g_x
 
 
@@ -206,9 +225,13 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain.
 
     With `want_cache`, as training runs it, every conv builds its im2col
-    matrix whole (see the `nn` docstring). A diverging net gives NaN or Inf
-    without a warning; callers check the output once (`generate_reference`,
-    `dump_feature_maps`, the training loss)."""
+    matrix whole (see the `nn` docstring), and the output comes with the
+    cache `net_backward` reads: the input of every conv and each block's
+    `phi`, no pre-activation. Every ReLU runs in place, so each activation
+    is held once, and each ReLU's backward mask is read from its output (the
+    next conv's input, or its branch's channels of `phi`). A diverging net
+    gives NaN or Inf without a warning; callers check the output once
+    (`generate_reference`, `dump_feature_maps`, the training loss)."""
     head_cache, block_caches = ([], []) if want_cache else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, h in _trunk(net, x, head_cache, block_caches):
@@ -222,14 +245,18 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
 def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True):
     """Backward through the fixed graph; returns {name: (grad_w, grad_b)} in
     layer order and the gradient w.r.t. the network input, or None for it when
-    `want_grad_input` is false (training needs only the parameter gradients)."""
+    `want_grad_input` is false (training needs only the parameter gradients).
+    The cache is only read, so it can be backpropagated again."""
     head_cache, block_caches, tail_in = cache
+    # each stage's output is the next stage's cached input
+    stage_inputs = [block_cache[0] for block_cache in block_caches] + [tail_in]
     grads = {}
     g, gw, gb = conv2d_backward(tail_in, net.layers[_TAIL], grad_out)
     grads[_TAIL] = (gw, gb)
     for i in reversed(range(_NUM_BLOCKS)):
-        g = _block_backward(net, i, block_caches[i], g, grads)
-    g = _conv_relu_stack_backward(net, _HEAD, head_cache, g, grads, want_grad_input)
+        g = _block_backward(net, i, block_caches[i], stage_inputs[i + 1], g, grads)
+    g = _conv_relu_stack_backward(net, _HEAD, head_cache, stage_inputs[0], g, grads,
+                                  want_grad_input)
     return {name: grads[name] for name in net.layers}, g
 
 

@@ -155,20 +155,40 @@ def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -
     else:
         planes = out
     planes[0, 0] = src[_MARGIN_LO : _MARGIN_LO + ph, _MARGIN_LO : _MARGIN_LO + pw]
+    # the column pass, the row pass and one product scratch for both, each
+    # allocated once; the arithmetic is integer, so any order gives the same planes
+    mid = np.empty((src.shape[0], pw), dtype=np.int32)
+    acc = np.empty((ph, pw), dtype=np.int32)
+    prod = np.empty_like(mid)
     for fx in range(4):
         if fx == 0:
-            mid = src[:, _MARGIN_LO : _MARGIN_LO + pw]
+            mid_fx = src[:, _MARGIN_LO : _MARGIN_LO + pw]
         else:
             taps, start = _PHASES[fx]
-            mid = _filter_cols(src, taps, _MARGIN_LO + start, pw)
-        for fy in range(4):
+            c0 = _MARGIN_LO + start
+            mid_fx = _filter_into(mid, prod, [src[:, c0 + k : c0 + k + pw]
+                                              for k in range(len(taps))], taps)
+        # fy = 0 last: it rounds the column pass in place
+        for fy in (1, 2, 3, 0):
             if fy == 0:
                 if fx == 0:
                     continue
-                acc, s = mid[_MARGIN_LO : _MARGIN_LO + ph], _SHIFT
+                phase, s = mid_fx[_MARGIN_LO : _MARGIN_LO + ph], _SHIFT
             else:
                 taps, start = _PHASES[fy]
-                acc = _filter_rows(mid, taps, _MARGIN_LO + start, ph)
+                r0 = _MARGIN_LO + start
+                phase = _filter_into(acc, prod[:ph], [mid_fx[r0 + k : r0 + k + ph]
+                                                      for k in range(len(taps))], taps)
                 s = _SHIFT if fx == 0 else 2 * _SHIFT
-            planes[fy, fx] = np.clip((acc + (1 << (s - 1))) >> s, 0, 255)
+            phase += 1 << (s - 1)
+            phase >>= s
+            planes[fy, fx] = np.clip(phase, 0, 255, out=phase)
     return planes
+
+
+def _filter_into(acc: np.ndarray, prod: np.ndarray, windows, taps) -> np.ndarray:
+    """acc = sum over k of taps[k] * windows[k], through the scratch `prod`."""
+    np.multiply(windows[0], taps[0], out=acc)
+    for window, tap in zip(windows[1:], taps[1:]):
+        acc += np.multiply(window, tap, out=prod)
+    return acc

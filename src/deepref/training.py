@@ -101,12 +101,28 @@ def _share_one_vector(layers) -> np.ndarray:
     return theta
 
 
+def _batch_gradient(net: GeneratorNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """MSE loss of one batch and its gradient w.r.t. every parameter, as one
+    vector in layer order. The batch's output, cache and loss gradient are
+    freed on return, so the next batch's forward runs without them."""
+    out, cache = net_forward(net, x, want_cache=True)
+    loss, grad = mse_loss(out, y)
+    if not math.isfinite(loss):
+        raise NonFiniteError("non-finite training loss")
+    grads, _ = net_backward(net, cache, grad, want_grad_input=False)
+    # the update is elementwise, so one step over the concatenated tensors
+    # gives the bits of one step per tensor
+    return loss, np.concatenate([g.ravel() for name in net.layers for g in grads[name]])
+
+
 def train(
     net: GeneratorNet, dataset: list[SamplePair], cfg: TrainConfig
 ) -> tuple[GeneratorNet, LossReport]:
     """Optimize a copy of `net` on the dataset; the input network is untouched.
 
-    Bit-deterministic for a fixed shuffle seed on a fixed machine.
+    Bit-deterministic for a fixed shuffle seed on a fixed machine. One batch's
+    activations are alive at a time: each is freed before the next batch's
+    forward, so the peak is one batch's cache and its backward.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -128,19 +144,10 @@ def train(
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             try:
-                out, cache = net_forward(net, xs[idx], want_cache=True)
-                loss, grad = mse_loss(out, ys[idx])
-                if not math.isfinite(loss):
-                    raise NonFiniteError("non-finite training loss")
-                grads, _ = net_backward(net, cache, grad, want_grad_input=False)
-                # the update is elementwise, so one step over the concatenated
-                # tensors gives the bits of one step per tensor
-                grad_theta = np.concatenate([g.ravel() for name in net.layers
-                                             for g in grads[name]])
-                new_theta, state = adadelta_step(theta, grad_theta, state, lr)
+                loss, grad_theta = _batch_gradient(net, xs[idx], ys[idx])
+                theta[...], state = adadelta_step(theta, grad_theta, state, lr)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
-            theta[...] = new_theta
             epoch_loss += loss * len(idx)
         report.epochs.append(
             EpochStats(epoch, lr, epoch_loss / n, time.perf_counter() - started)

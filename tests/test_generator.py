@@ -124,8 +124,11 @@ class TestBlockForward:
         pres = {}
         for k in (0.0, 0.5, 1.0):
             net = build_network(replace(TINY, k=k))
-            _, (_, _, _, pre) = block_forward(net, 0, x, want_cache=True)
-            pres[k] = pre
+            # the cache holds the ReLU output; rebuild the pre-activation
+            # k * fuse(phi) + skip(x) from its phi and x
+            _, (x_cached, _, phi) = block_forward(net, 0, x, want_cache=True)
+            pres[k] = (k * conv2d_forward(phi, net.layers["block1.fuse"])
+                       + conv2d_forward(x_cached, net.layers["block1.skip"]))
         np.testing.assert_allclose(pres[0.5], 0.5 * (pres[0.0] + pres[1.0]), rtol=1e-12)
 
 
@@ -226,6 +229,35 @@ class TestWholeNetGradient:
         idx = rng.choice(x.size, size=20, replace=False)
         fd = central_diff_grad_at(loss, x, idx)
         assert max_rel_err(grad_in.reshape(-1)[idx], fd, floor=1e-6) < 1e-5
+
+
+def array_leaves(tree):
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    return [leaf for item in tree for leaf in array_leaves(item)]
+
+
+class TestCache:
+    def test_each_activation_held_once(self, monkeypatch):
+        # every ReLU output is the next conv's cached input or its branch's
+        # channels of phi, and the cache holds nothing else but the input
+        outputs = []
+
+        def spy(x, out=None):
+            outputs.append(relu(x, out=out))
+            return outputs[-1]
+
+        monkeypatch.setattr(generator_mod, "relu", spy)
+        net = build_network(TINY)
+        x = np.random.default_rng(2).uniform(0, 1, (2, 1, 9, 9))
+        _, cache = net_forward(net, x, want_cache=True)
+        cached = array_leaves(cache)
+        assert len(outputs) == 2 + 3 * 10  # two head convs, nine branch convs and a fuse per block
+        for i, a in enumerate(outputs):
+            assert any(np.shares_memory(a, c) for c in cached), f"ReLU output {i} is not cached"
+        for i, c in enumerate(cached):
+            assert any(np.shares_memory(c, a) for a in [x, *outputs]), \
+                f"cached array {i} {c.shape} is no activation"
 
 
 class TestWeightFile:

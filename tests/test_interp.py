@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,21 @@ class TestSubpelPlanes:
         np.testing.assert_array_equal(view, subpel_planes(ref, 3))
         assert (stack[0] == 7).all() and (stack[1, ..., 19:, :] == 7).all()
         assert (stack[1, ..., 17:] == 7).all()
+
+    def test_temporaries_at_720p_are_four_int32_planes(self, rng):
+        # the column pass, the row pass, one product scratch and the int32
+        # source: no new frame-sized array per tap or per rounding step
+        ref = rng.integers(0, 256, (720, 1280)).astype(np.uint8)
+        margin = 17
+        out = np.empty((4, 4, 720 + 2 * margin, 1280 + 2 * margin), dtype=np.uint8)
+        source = 4 * (720 + 2 * margin + 7) * (1280 + 2 * margin + 7)  # int32 bytes
+        tracemalloc.start()
+        try:
+            subpel_planes(ref, margin, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * source + (256 << 10), f"peak {peak / 2**20:.2f} MiB"
 
     def test_out_of_the_wrong_shape_or_dtype_rejected(self):
         ref = np.zeros((8, 8), dtype=np.uint8)

@@ -337,6 +337,15 @@ class TestRelu:
     def test_subgradient_at_zero_is_zero(self):
         assert relu_backward(np.array([0.0]), np.array([7.0]))[0] == 0.0
 
+    def test_mask_from_the_output_equals_the_mask_from_the_input(self, rng):
+        # so a ReLU run in place needs no copy of its input
+        x = np.concatenate([rng.standard_normal(64),
+                            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45]])
+        g = rng.standard_normal(x.size)
+        for dtype in (np.float32, np.float64):
+            xd, gd = x.astype(dtype), g.astype(dtype)
+            assert relu_backward(relu(xd), gd).tobytes() == relu_backward(xd, gd).tobytes()
+
     def test_conv_relu_composite_finite_difference(self, rng):
         x = rng.uniform(0.1, 1.0, (1, 1, 6, 6)) * rng.choice([-1.0, 1.0], (1, 1, 6, 6))
         p = make_params(rng, 2, 1, 3)

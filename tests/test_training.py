@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from deepref import generator as generator_mod
 from deepref import training as training_mod
 from deepref.errors import ConfigError, NonFiniteError, ShapeMismatchError
-from deepref.flow import ExtractionConfig, extract_pairs
+from deepref.flow import ExtractionConfig, SamplePair, extract_pairs
 from deepref.generator import (
     ModelConfig,
     build_network,
@@ -244,6 +245,30 @@ class TestFusedUpdate:
         net_b, rep_b = train(build_network(small), pairs, cfg)
         assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
         assert param_bytes(net_a) == param_bytes(net_b)
+
+
+class TestPeakMemory:
+    def test_one_batch_of_activations_alive_at_a_time(self):
+        # 16/8/8/16 widths, 2 batches of 8 32x32 blocks: the epoch's peak
+        # stays within 1.6x one batch's conv outputs and phi (13.0 MiB). Kept
+        # pre-activations, branch outputs beside phi, or the last batch's
+        # cache through the next forward each break that
+        model = ModelConfig(head_channels=16, branch_reduce_channels=8, branch_out_channels=8,
+                            trunk_channels=16, k=0.5, seed=0, dtype="float32")
+        rng = np.random.default_rng(5)
+        pairs = [SamplePair(*rng.integers(0, 256, (2, 32, 32), dtype=np.uint8), (0, 0), (0.0, 0.0))
+                 for _ in range(16)]
+        net = build_network(model)
+        channels = (sum(p.out_ch for p in net.layers.values())
+                    + 3 * 3 * model.branch_out_channels)  # + phi of each block
+        footprint = channels * 8 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            train(net, pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * footprint, f"peak {peak / 2**20:.1f} MiB, {peak / footprint:.2f}x"
 
 
 class TestNoInputGradient:
