@@ -109,6 +109,15 @@ def mv_bits(mv: MotionVectorQ) -> int:
     return signed_exp_golomb_bits(mv.x4) + signed_exp_golomb_bits(mv.y4)
 
 
+def _check_frame(frame, what: str) -> np.ndarray:
+    """`frame` as a 2-D uint8 array; anything else is refused, not priced."""
+    frame = np.asarray(frame)
+    if frame.ndim != 2 or frame.dtype != np.uint8:
+        raise ShapeMismatchError(
+            f"{what} must be a 2-D uint8 array, got {frame.shape} {frame.dtype}")
+    return frame
+
+
 def _check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
     fh, fw = frame.shape
     if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
@@ -282,8 +291,8 @@ def motion_search(
     Each call builds the phase planes of the whole reference; to search many
     blocks of one frame, `encode_frame_proxy` builds them once and shares them.
     """
-    ref = np.asarray(ref)
-    cur = np.asarray(cur)
+    ref = _check_frame(ref, "reference")
+    cur = _check_frame(cur, "frame")
     x0, y0 = origin
     bs = cfg.block_size
     _check_block(cur, x0, y0, bs, bs)
@@ -310,16 +319,14 @@ def encode_frame_proxy(
     reference-index bits + signed exp-Golomb lengths of the quantized
     residual. Returns (frame bits, reconstruction, mv field).
     """
-    refs = list(refs)
-    cur = np.asarray(cur)
+    cur = _check_frame(cur, "frame")
+    refs = [_check_frame(ref, f"reference {i}") for i, ref in enumerate(refs)]
     if not refs:
         raise ShapeMismatchError("reference list must hold at least one picture")
     check_int("quantizer step", q, 1)
     for i, ref in enumerate(refs):
-        if np.asarray(ref).shape != cur.shape:
-            raise ShapeMismatchError(
-                f"reference {i} dims {np.asarray(ref).shape} != frame dims {cur.shape}"
-            )
+        if ref.shape != cur.shape:
+            raise ShapeMismatchError(f"reference {i} dims {ref.shape} != frame dims {cur.shape}")
     fh, fw = cur.shape
     cfg = _clamp_range(cfg, cur.shape)
     bs = cfg.block_size
@@ -364,8 +371,9 @@ def encode_frame_proxy(
 
 def intra_frame_proxy(frame: np.ndarray, q: int) -> tuple[float, np.ndarray]:
     """Stand-in for the first frame: quantize raw samples, price with exp-Golomb."""
+    frame = _check_frame(frame, "frame")
     check_int("quantizer step", q, 1)
-    qidx = np.rint(np.asarray(frame, dtype=np.float64) / q).astype(np.int64)
+    qidx = np.rint(frame.astype(np.float64) / q).astype(np.int64)
     bits = float(_se_bits_array(qidx).sum())
     recon = np.clip(qidx * q, 0, 255).astype(np.uint8)
     return bits, recon

@@ -137,13 +137,12 @@ def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None,
     """conv + ReLU per named layer, each ReLU overwriting its conv output but
     the last, which writes into `out` if given (a block's channels of `phi`).
     With a `cache`, appends each conv's input to it (the ReLU output of the
-    layer before, so each activation is held once) and builds whole im2col
-    matrices, so training keeps its bits."""
+    layer before, so each activation is held once)."""
     last = len(names) - 1
     for li, name in enumerate(names):
         if cache is not None:
             cache.append(x)
-        z = conv2d_forward(x, net.layers[name], whole=cache is not None)
+        z = conv2d_forward(x, net.layers[name])
         x = relu(z, out=out if li == last and out is not None else z)
     return x
 
@@ -224,19 +223,20 @@ def _trunk(net: GeneratorNet, x: np.ndarray, head_cache=None, block_caches=None)
 def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain.
 
-    With `want_cache`, as training runs it, every conv builds its im2col
-    matrix whole (see the `nn` docstring), and the output comes with the
-    cache `net_backward` reads: the input of every conv and each block's
-    `phi`, no pre-activation. Every ReLU runs in place, so each activation
-    is held once, and each ReLU's backward mask is read from its output (the
-    next conv's input, or its branch's channels of `phi`). A diverging net
-    gives NaN or Inf without a warning; callers check the output once
-    (`generate_reference`, `dump_feature_maps`, the training loss)."""
+    Training and inference run the same banded convs (see the `nn`
+    docstring). With `want_cache`, as training runs it, the output comes
+    with the cache `net_backward` reads: the input of every conv and each
+    block's `phi`, no pre-activation. Every ReLU runs in place, so each
+    activation is held once, and each ReLU's backward mask is read from its
+    output (the next conv's input, or its branch's channels of `phi`). A
+    diverging net gives NaN or Inf without a warning; callers check the
+    output once (`generate_reference`, `dump_feature_maps`, the training
+    loss)."""
     head_cache, block_caches = ([], []) if want_cache else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, h in _trunk(net, x, head_cache, block_caches):
             pass
-        out = conv2d_forward(h, net.layers[_TAIL], whole=want_cache)
+        out = conv2d_forward(h, net.layers[_TAIL])
     if want_cache:
         return out, (head_cache, block_caches, h)
     return out
@@ -271,8 +271,9 @@ def denormalize_plane(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.asarray(x, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
 
 
-def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
-    """Run the whole frame through the generator; output dims equal input dims."""
+def _frame_input(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
+    """A 2-D frame, at least as large as the tail kernel, as the (1, 1, H, W)
+    network input."""
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ShapeMismatchError(f"frame must be 2-D, got {frame.shape}")
@@ -280,8 +281,12 @@ def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
     if min(frame.shape) < kernel:
         raise ShapeMismatchError(
             f"frame {frame.shape} smaller than the {kernel}x{kernel} tail kernel")
-    x = normalize_plane(frame, np.dtype(net.config.dtype))
-    y = net_forward(net, x)
+    return normalize_plane(frame, np.dtype(net.config.dtype))
+
+
+def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
+    """Run the whole frame through the generator; output dims equal input dims."""
+    y = net_forward(net, _frame_input(net, frame))
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("generator output contains NaN or Inf")
     return denormalize_plane(y[0, 0])
@@ -299,7 +304,7 @@ def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str)
         raise ConfigError(
             f"unknown feature selector {layer_selector!r}; choose from {FEATURE_SELECTORS}"
         )
-    x = normalize_plane(np.asarray(frame), np.dtype(net.config.dtype))
+    x = _frame_input(net, frame)
     with np.errstate(over="ignore", invalid="ignore"):
         act = next(h for name, h in _trunk(net, x) if name == layer_selector)[0]
     if not np.all(np.isfinite(act)):

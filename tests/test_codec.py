@@ -226,6 +226,24 @@ class TestEncodeFrameProxy:
         with pytest.raises(ShapeMismatchError):
             encode_frame_proxy([], textured(0), SearchConfig(), q=8)
 
+    def test_frame_that_is_not_2d_uint8_refused(self):
+        # each of these was priced or failed deep inside: a sample above 255,
+        # a float beyond the search's tables, a stack of planes, a NaN
+        ref = textured(3, 32, 32)
+        cur = shifted_cur(ref, 2, 1)
+        hot = cur.astype(np.int64)
+        hot[5, 7] = 300
+        bad = [hot, np.full((32, 32), 1e6), np.stack([cur, cur]), np.full((32, 32), np.nan)]
+        cfg = SearchConfig(search_range=4, block_size=8)
+        for frame in bad:
+            for call in (lambda: encode_frame_proxy([ref], frame, cfg, 8),
+                         lambda: encode_frame_proxy([frame], cur, cfg, 8),
+                         lambda: intra_frame_proxy(frame, 8),
+                         lambda: motion_search(ref, frame, (8, 8), cfg),
+                         lambda: motion_search(frame, cur, (8, 8), cfg)):
+                with pytest.raises(ShapeMismatchError, match="must be a 2-D uint8 array"):
+                    call()
+
     def test_peak_memory_bounded_by_the_band(self):
         # a whole-frame band would make a 61 MB |diff| per row of offsets here
         tex = SinusoidTexture.random(5)

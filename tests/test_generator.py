@@ -187,23 +187,6 @@ class TestGenerateReference:
             with pytest.raises(NonFiniteError, match=sel):
                 dump_feature_maps(net, frame, sel)
 
-    def test_only_training_builds_whole_im2col_matrices(self, monkeypatch):
-        # a banded forward GEMM may round differently, and training is chaotic
-        seen = []
-
-        def spy(x, p, whole=False):
-            seen.append((p.kernel_size, whole))
-            return conv2d_forward(x, p, whole)
-
-        monkeypatch.setattr(generator_mod, "conv2d_forward", spy)
-        net = build_network(TINY)
-        x = np.random.default_rng(4).uniform(0, 1, (2, 1, 12, 12))
-        net_forward(net, x, want_cache=True)
-        assert {whole for k, whole in seen if k > 1} == {True}
-        seen.clear()
-        net_forward(net, x)
-        assert {whole for _, whole in seen} == {False}
-
 
 class TestWholeNetGradient:
     def test_backprop_matches_finite_differences(self, rng):
@@ -258,6 +241,24 @@ class TestCache:
         for i, c in enumerate(cached):
             assert any(np.shares_memory(c, a) for a in [x, *outputs]), \
                 f"cached array {i} {c.shape} is no activation"
+
+    def test_cached_forward_builds_no_whole_im2col_matrix(self):
+        # 2 items of 32x32 at ModelConfig(): the whole im2col matrix of a
+        # 64-channel 3x3 layer would take 4.5 MiB, a band at most 256 KiB
+        net = build_network(ModelConfig())
+        x = np.random.default_rng(8).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out, cache = net_forward(net, x, want_cache=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = {}
+        for a in array_leaves([out, cache]):
+            while a.base is not None:  # the buffer that a view or reshape reads
+                a = a.base
+            held[id(a)] = a.nbytes
+        assert peak < sum(held.values()) + (2 << 20)
 
 
 class TestWeightFile:
@@ -486,6 +487,15 @@ class TestFeatureDump:
         net = build_network(TINY)
         with pytest.raises(ConfigError, match="selector"):
             dump_feature_maps(net, np.zeros((8, 8), dtype=np.uint8), "bogus")
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (1, 2)])
+    def test_frame_checked_as_generate_reference_checks_it(self, shape):
+        # a stack of planes, or a frame smaller than the tail kernel
+        net = build_network(TINY)
+        frame = np.zeros(shape, dtype=np.uint8)
+        for run in (generate_reference, lambda n, f: dump_feature_maps(n, f, "head1")):
+            with pytest.raises(ShapeMismatchError, match="frame"):
+                run(net, frame)
 
 
 @given(st.integers(3, 24), st.integers(3, 24))

@@ -225,8 +225,7 @@ class TestFusedUpdate:
         pairs = shift_pairs(n=7)
         cfg = TrainConfig(lr0=1.0, epochs=3, batch_size=3, shuffle_seed=2)
         net_a, rep_a = train(build_network(TINY), pairs, cfg)
-        monkeypatch.setattr(generator_mod, "conv2d_forward",
-                            lambda x, p, whole=False: plain_conv2d_forward(x, p))
+        monkeypatch.setattr(generator_mod, "conv2d_forward", plain_conv2d_forward)
         monkeypatch.setattr(generator_mod, "conv2d_backward",
                             lambda x, p, g, want_grad_input=True: plain_conv2d_backward(x, p, g))
         net_b, rep_b = train(build_network(TINY), pairs, cfg)
