@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_int, check_real
+from .errors import ShapeMismatchError, check_block, check_int, check_plane, check_real
 from .generator import GeneratorNet, generate_reference
 from .interp import MotionVectorQ, subpel_planes
 from .metrics import RDPoint, psnr
@@ -107,21 +107,6 @@ _RESIDUAL_BITS = _se_bits_array(np.arange(-255, 256)).astype(np.uint8)
 def mv_bits(mv: MotionVectorQ) -> int:
     """Signed exp-Golomb lengths of both quarter-pel components, zero predictor."""
     return signed_exp_golomb_bits(mv.x4) + signed_exp_golomb_bits(mv.y4)
-
-
-def _check_frame(frame, what: str) -> np.ndarray:
-    """`frame` as a 2-D uint8 array; anything else is refused, not priced."""
-    frame = np.asarray(frame)
-    if frame.ndim != 2 or frame.dtype != np.uint8:
-        raise ShapeMismatchError(
-            f"{what} must be a 2-D uint8 array, got {frame.shape} {frame.dtype}")
-    return frame
-
-
-def _check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
-    fh, fw = frame.shape
-    if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
-        raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
 
 
 class _Matches(NamedTuple):
@@ -288,14 +273,14 @@ def motion_search(
 
     Cost = SAD + lambda_mv * mv_bits. Ties broken by smaller |mv|_1, then by
     raster order of candidates (incumbents win against later equal candidates).
-    Each call builds the phase planes of the whole reference; to search many
-    blocks of one frame, `encode_frame_proxy` builds them once and shares them.
+    Both pictures are 8-bit planes (`check_plane`). Each call builds the phase
+    planes of the whole reference; `encode_frame_proxy` builds them once a frame.
     """
-    ref = _check_frame(ref, "reference")
-    cur = _check_frame(cur, "frame")
+    ref = check_plane(ref, "reference")
+    cur = check_plane(cur, "frame")
     x0, y0 = origin
     bs = cfg.block_size
-    _check_block(cur, x0, y0, bs, bs)
+    check_block(cur, x0, y0, bs, bs)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     cfg = _clamp_range(cfg, cur.shape)
@@ -316,11 +301,11 @@ def encode_frame_proxy(
     |diff| of one row of integer offsets within ``SAD_BYTES``. Per block: best
     (reference, mv) by `motion_search` cost (the first reference wins ties), with the prediction
     taken from the planes; residual quantized as round(r/q); bits = mv bits +
-    reference-index bits + signed exp-Golomb lengths of the quantized
-    residual. Returns (frame bits, reconstruction, mv field).
+    reference-index bits + `_code_residual`'s. The frame and every reference
+    are 8-bit planes (`check_plane`). Returns (frame bits, reconstruction, mv field).
     """
-    cur = _check_frame(cur, "frame")
-    refs = [_check_frame(ref, f"reference {i}") for i, ref in enumerate(refs)]
+    cur = check_plane(cur, "frame")
+    refs = [check_plane(ref, f"reference {i}") for i, ref in enumerate(refs)]
     if not refs:
         raise ShapeMismatchError("reference list must hold at least one picture")
     check_int("quantizer step", q, 1)
@@ -357,26 +342,30 @@ def encode_frame_proxy(
     del planes, int_planes  # searched: the pricing's temporaries do not stack on them
     # every block's residual is quantized and priced on its own, so doing it
     # once for the whole frame gives the same samples and the same bit sum
-    pred = pred[:fh, :fw]
-    # 8-bit samples keep |residual|, and so |round(residual / q)|, within 255:
-    # int16. residual / q stays float64 for q up to 2**31 - 1, and the index
-    # is 0 wherever q > 510, so min(q, 511) keeps its product in int16
-    qidx = np.rint((cur_i16[:fh, :fw] - pred) / q).astype(np.int16)
-    recon = np.clip(pred + qidx * min(q, 511), 0, 255).astype(np.uint8)
+    residual_bits, recon = _code_residual(cur, pred[:fh, :fw], q)
     ref_idx_bits = (len(refs) - 1).bit_length()
-    residual_bits = int(_RESIDUAL_BITS[qidx + 255].sum())
     total_bits = side_bits + ref_idx_bits * len(mv_field) + residual_bits
     return float(total_bits), recon, mv_field
 
 
+def _code_residual(cur: np.ndarray, pred: np.ndarray, q: int) -> tuple[int, np.ndarray]:
+    """(bits, reconstruction) of an 8-bit frame's residual r against an 8-bit
+    prediction, quantized as round(r / q) and priced from `_RESIDUAL_BITS`.
+    |r| and the index stay within 255: int16. r / q stays float64 for q up to
+    2**31 - 1, and the index is 0 wherever q > 510, so min(q, 511) keeps its
+    product in int16."""
+    qidx = np.rint(np.subtract(cur, pred, dtype=np.int16) / q).astype(np.int16)
+    recon = np.clip(pred + qidx * min(q, 511), 0, 255).astype(np.uint8)
+    return int(_RESIDUAL_BITS[qidx + 255].sum()), recon
+
+
 def intra_frame_proxy(frame: np.ndarray, q: int) -> tuple[float, np.ndarray]:
-    """Stand-in for the first frame: quantize raw samples, price with exp-Golomb."""
-    frame = _check_frame(frame, "frame")
+    """Stand-in for the first frame: the residual of an 8-bit plane
+    (`check_plane`) against a zero prediction, coded as inter frames code theirs."""
+    frame = check_plane(frame, "frame")
     check_int("quantizer step", q, 1)
-    qidx = np.rint(frame.astype(np.float64) / q).astype(np.int64)
-    bits = float(_se_bits_array(qidx).sum())
-    recon = np.clip(qidx * q, 0, 255).astype(np.uint8)
-    return bits, recon
+    bits, recon = _code_residual(frame, np.zeros_like(frame), q)
+    return float(bits), recon
 
 
 class EncodedSequence(NamedTuple):

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the two checks every
-numeric config value goes through."""
+"""Exception types shared across the package, the two checks every numeric
+config value goes through, and the checks of an 8-bit picture and of a block
+in a picture."""
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class DeepRefError(Exception):
@@ -48,3 +51,21 @@ def check_real(name: str, value, low: float, high: float = math.inf, open_low: b
         bound = (f"{'>' if open_low else '>='} {low}" if high == math.inf
                  else f"in {'(' if open_low else '['}{low}, {high}]")
         raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_plane(frame, what: str, min_side: int = 1) -> np.ndarray:
+    """`frame` as a 2-D uint8 array with both sides at least `min_side`; for
+    anything else, ShapeMismatchError naming `what`, the shape and the dtype."""
+    frame = np.asarray(frame)
+    if frame.ndim != 2 or frame.dtype != np.uint8 or min(frame.shape) < min_side:
+        raise ShapeMismatchError(
+            f"{what} must be a 2-D uint8 array of at least {min_side}x{min_side} samples, "
+            f"got {frame.shape} {frame.dtype}")
+    return frame
+
+
+def check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
+    """Raise ShapeMismatchError unless the w x h block at (x0, y0) lies in `frame`."""
+    fh, fw = frame.shape
+    if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
+        raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")

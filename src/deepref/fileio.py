@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_plane
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -33,11 +33,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def write_plane_pgm(plane: np.ndarray, path) -> None:
-    """Binary PGM (P5), maxval 255."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise FormatError(f"PGM plane must be 2-D, got shape {plane.shape}")
-    plane = plane.astype(np.uint8)
+    """An 8-bit plane (`check_plane`) as binary PGM (P5), maxval 255."""
+    plane = check_plane(plane, "PGM plane")
     h, w = plane.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + plane.tobytes())

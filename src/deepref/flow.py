@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatchError, check_int
+from .errors import FormatError, ShapeMismatchError, check_block, check_int, check_plane
 from .fileio import atomic_write_bytes
 
 DATASET_MAGIC = b"DRPD"
@@ -165,9 +165,7 @@ def lucas_kanade_mv(ref, cur, origin, size):
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     w, h = (size, size) if np.isscalar(size) else (int(size[0]), int(size[1]))
     x0, y0 = origin
-    fh, fw = ref.shape
-    if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
-        raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
+    check_block(ref, x0, y0, w, h)
     return _lk_blocks(_warp_planes(ref), cur, [(x0, y0)], (w, h))[0]
 
 
@@ -189,12 +187,12 @@ def _snap_near_integers(mv) -> tuple[float, float]:
 def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     """Tile the current frame and build one (X, Y) pair per tile.
 
+    Both frames are 8-bit planes (`check_plane`), as the dataset stores them.
     Tiles whose integer-aligned X window would leave the reference frame are
-    dropped; degenerate tiles are kept with offset (0,0). Output order is
-    raster-scan tile order.
+    dropped; degenerate tiles are kept with offset (0,0). Raster tile order.
     """
-    ref = np.asarray(ref)
-    cur = np.asarray(cur)
+    ref = check_plane(ref, "reference")
+    cur = check_plane(cur, "frame")
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     fh, fw = cur.shape

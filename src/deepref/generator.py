@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, FormatError, NonFiniteError, ShapeMismatchError, check_int,
+from .errors import (ConfigError, FormatError, NonFiniteError, check_int, check_plane,
                      check_real)
 from .fileio import atomic_write_bytes
 from .nn import (
@@ -272,20 +272,15 @@ def denormalize_plane(x: np.ndarray) -> np.ndarray:
 
 
 def _frame_input(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
-    """A 2-D frame, at least as large as the tail kernel, as the (1, 1, H, W)
-    network input."""
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise ShapeMismatchError(f"frame must be 2-D, got {frame.shape}")
-    kernel = net.layers[_TAIL].kernel_size
-    if min(frame.shape) < kernel:
-        raise ShapeMismatchError(
-            f"frame {frame.shape} smaller than the {kernel}x{kernel} tail kernel")
+    """An 8-bit plane (`check_plane`) with both sides at least the tail
+    kernel, as the (1, 1, H, W) network input."""
+    frame = check_plane(frame, "frame", min_side=net.layers[_TAIL].kernel_size)
     return normalize_plane(frame, np.dtype(net.config.dtype))
 
 
 def generate_reference(net: GeneratorNet, frame: np.ndarray) -> np.ndarray:
-    """Run the whole frame through the generator; output dims equal input dims."""
+    """Run the whole 8-bit frame (`_frame_input`) through the generator: an
+    8-bit plane of the same dims."""
     y = net_forward(net, _frame_input(net, frame))
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("generator output contains NaN or Inf")
@@ -296,7 +291,8 @@ FEATURE_SELECTORS = (*_HEAD, *(stage for stage, *_ in _BLOCKS))
 
 
 def dump_feature_maps(net: GeneratorNet, frame: np.ndarray, layer_selector: str) -> list[np.ndarray]:
-    """Min-max normalize every channel of the selected activation to 8-bit planes.
+    """Min-max normalize every channel of the selected activation to 8-bit
+    planes; the frame is checked as `generate_reference` checks it.
 
     Constant channels map to 0.
     """

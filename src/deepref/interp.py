@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_int
+from .errors import ShapeMismatchError, check_block, check_int, check_plane
 
 
 class MotionVectorQ(NamedTuple):
@@ -83,24 +83,20 @@ def interpolate_block(
 ) -> np.ndarray:
     """Motion-compensated prediction block for a quarter-pel motion vector.
 
-    Sample (x, y) of the result is the reference sampled at
-    (origin + (x, y) + mv/4); integer mv components bypass filtering in that
-    dimension and the result is clamped to [0, 255].
+    Sample (x, y) of the result is the 8-bit reference (`check_plane`) sampled
+    at (origin + (x, y) + mv/4); integer mv components bypass filtering in
+    that dimension and the result is clamped to [0, 255].
     """
-    ref = np.asarray(ref)
+    ref = check_plane(ref, "reference")
     x0, y0 = origin
     w, h = _block_size(size)
-    fh, fw = ref.shape
-    if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
-        raise ShapeMismatchError(
-            f"block origin {origin} size {w}x{h} outside {fw}x{fh} frame"
-        )
+    check_block(ref, x0, y0, w, h)
     ix, fx = mv.x4 >> 2, mv.x4 & 3
     iy, fy = mv.y4 >> 2, mv.y4 & 3
     bx, by = x0 + ix, y0 + iy
 
     if fx == 0 and fy == 0:
-        return gather_block(ref, bx, by, w, h).astype(np.uint8)
+        return gather_block(ref, bx, by, w, h)
 
     win = gather_block(
         ref, bx - _MARGIN_LO, by - _MARGIN_LO, w + _MARGIN_LO + _MARGIN_HI,
@@ -128,8 +124,8 @@ def interpolate_block(
 
 
 def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -> np.ndarray:
-    """All 16 quarter-pel phases of an edge-padded reference, as one array:
-    `out` if given (a uint8 array or view of the shape below), else a new one.
+    """All 16 quarter-pel phases of an edge-padded 8-bit reference (`check_plane`)
+    as one array: `out` if given (a uint8 array or view of the shape below), else a new one.
 
     ``planes[fy, fx]`` has shape (H + 2*margin, W + 2*margin), and sample
     (Y, X) of it is the reference sampled at (Y - margin + fy/4,
@@ -140,7 +136,7 @@ def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -
     of its size, whenever the integer parts x4 >> 2 and y4 >> 2 lie in
     [-margin, margin].
     """
-    ref = np.asarray(ref)
+    ref = check_plane(ref, "reference")
     check_int("margin", margin, 0)
     m = margin
     fh, fw = ref.shape

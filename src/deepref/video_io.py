@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_plane
 from .fileio import atomic_write_bytes
 
 _Y4M_MAGIC = b"YUV4MPEG2"
@@ -118,8 +118,8 @@ def _read_y4m(path) -> list[np.ndarray]:
 
 
 def write_y4m(frames, path) -> None:
-    """Write luma planes as 25 fps C420 Y4M with mid-gray chroma (for demo inputs)."""
-    frames = [np.asarray(f, dtype=np.uint8) for f in frames]
+    """8-bit luma planes (`check_plane`) as 25 fps C420 Y4M, mid-gray chroma."""
+    frames = [check_plane(frame, f"frame {i}") for i, frame in enumerate(frames)]
     if not frames:
         raise ConfigError("write_y4m needs at least one frame")
     height, width = frames[0].shape

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,10 +21,13 @@ from deepref.codec import (
     signed_exp_golomb_bits,
 )
 from deepref.errors import ConfigError, ShapeMismatchError
-from deepref.generator import ModelConfig, build_network, generate_reference
-from deepref.interp import MotionVectorQ, interpolate_block
+from deepref.fileio import write_plane_pgm
+from deepref.flow import ExtractionConfig, extract_pairs
+from deepref.generator import ModelConfig, build_network, dump_feature_maps, generate_reference
+from deepref.interp import MotionVectorQ, interpolate_block, subpel_planes
 from deepref.metrics import psnr
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+from deepref.video_io import write_y4m
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
                    trunk_channels=4, seed=3)
@@ -226,24 +230,6 @@ class TestEncodeFrameProxy:
         with pytest.raises(ShapeMismatchError):
             encode_frame_proxy([], textured(0), SearchConfig(), q=8)
 
-    def test_frame_that_is_not_2d_uint8_refused(self):
-        # each of these was priced or failed deep inside: a sample above 255,
-        # a float beyond the search's tables, a stack of planes, a NaN
-        ref = textured(3, 32, 32)
-        cur = shifted_cur(ref, 2, 1)
-        hot = cur.astype(np.int64)
-        hot[5, 7] = 300
-        bad = [hot, np.full((32, 32), 1e6), np.stack([cur, cur]), np.full((32, 32), np.nan)]
-        cfg = SearchConfig(search_range=4, block_size=8)
-        for frame in bad:
-            for call in (lambda: encode_frame_proxy([ref], frame, cfg, 8),
-                         lambda: encode_frame_proxy([frame], cur, cfg, 8),
-                         lambda: intra_frame_proxy(frame, 8),
-                         lambda: motion_search(ref, frame, (8, 8), cfg),
-                         lambda: motion_search(frame, cur, (8, 8), cfg)):
-                with pytest.raises(ShapeMismatchError, match="must be a 2-D uint8 array"):
-                    call()
-
     def test_peak_memory_bounded_by_the_band(self):
         # a whole-frame band would make a 61 MB |diff| per row of offsets here
         tex = SinusoidTexture.random(5)
@@ -270,6 +256,74 @@ class TestEncodeFrameProxy:
         bits, recon, field = encode_frame_proxy([ref], cur, cfg, q=8)
         assert recon.shape == cur.shape
         assert len(field) == 3 * 4  # ceil(42/16) rows x ceil(50/16) cols
+
+
+class TestIntraFrameProxy:
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 16, 64, 255, 256, 509, 510, 511, 512, 1000,
+                                   2**31 - 1])
+    def test_matches_float_formula(self, q, rng):
+        # the oracle: rint(frame / q) in float64, priced by `_se_bits_array`,
+        # then clip(qidx * q); at q of 510 and up the int16 coder's index is 0
+        # and its product takes min(q, 511)
+        frames = [rng.integers(0, 256, (h, w), dtype=np.uint8)
+                  for h, w in ((1, 1), (7, 13), (64, 64))]
+        frames += [np.full((9, 5), 255, dtype=np.uint8), np.zeros((3, 4), dtype=np.uint8)]
+        for frame in frames:
+            qidx = np.rint(frame.astype(np.float64) / q).astype(np.int64)
+            bits, recon = intra_frame_proxy(frame, q)
+            assert bits == float(_se_bits_array(qidx).sum())
+            np.testing.assert_array_equal(recon, np.clip(qidx * q, 0, 255).astype(np.uint8))
+            assert recon.dtype == np.uint8
+
+
+def _hot(frame):
+    hot = frame.astype(np.int64)
+    hot[5, 7] = 300
+    return hot
+
+
+# inputs that are no 8-bit plane: each was priced, cast, stored wrapped or
+# failed deep inside some entry point, or was accepted as an empty picture
+MALFORMED_PLANES = {
+    "int64_holding_300": _hot,
+    "float_1e6": lambda frame: np.full(frame.shape, 1e6),
+    "float_nan": lambda frame: np.full(frame.shape, np.nan),
+    "stack_of_two": lambda frame: np.stack([frame, frame]),
+    "empty_0x8": lambda frame: np.zeros((0, 8), dtype=np.uint8),
+}
+
+_CFG8 = SearchConfig(search_range=4, block_size=8)
+_EXTRACT = ExtractionConfig(block_size=8)
+
+# every function whose arithmetic or file format assumes 8-bit samples, called
+# with a good 32x32 plane `ok` and the plane under test `bad`
+PLANE_READERS = {
+    "encode_frame_proxy_frame": lambda ok, bad, tmp: encode_frame_proxy([ok], bad, _CFG8, 8),
+    "encode_frame_proxy_reference": lambda ok, bad, tmp: encode_frame_proxy([bad], ok, _CFG8, 8),
+    "intra_frame_proxy": lambda ok, bad, tmp: intra_frame_proxy(bad, 8),
+    "motion_search_frame": lambda ok, bad, tmp: motion_search(ok, bad, (8, 8), _CFG8),
+    "motion_search_reference": lambda ok, bad, tmp: motion_search(bad, ok, (8, 8), _CFG8),
+    "generate_reference": lambda ok, bad, tmp: generate_reference(build_network(TINY), bad),
+    "dump_feature_maps": lambda ok, bad, tmp: dump_feature_maps(build_network(TINY), bad,
+                                                                "head1"),
+    "subpel_planes": lambda ok, bad, tmp: subpel_planes(bad, 2),
+    "interpolate_block": lambda ok, bad, tmp: interpolate_block(bad, (0, 0), 4,
+                                                                MotionVectorQ(0, 0)),
+    "extract_pairs_frame": lambda ok, bad, tmp: extract_pairs(ok, bad, _EXTRACT),
+    "extract_pairs_reference": lambda ok, bad, tmp: extract_pairs(bad, ok, _EXTRACT),
+    "write_y4m": lambda ok, bad, tmp: write_y4m([bad], tmp / "out.y4m"),
+    "write_plane_pgm": lambda ok, bad, tmp: write_plane_pgm(bad, tmp / "out.pgm"),
+}
+
+
+@pytest.mark.parametrize("make_bad", MALFORMED_PLANES.values(), ids=MALFORMED_PLANES.keys())
+@pytest.mark.parametrize("call", PLANE_READERS.values(), ids=PLANE_READERS.keys())
+def test_malformed_plane_refused(call, make_bad, tmp_path):
+    ok = textured(3, 32, 32)
+    bad = make_bad(ok)
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"got {bad.shape} {bad.dtype}")):
+        call(ok, bad, tmp_path)
+    assert list(tmp_path.iterdir()) == []  # nothing written either
 
 
 def naive_encode_frame(refs, cur, cfg, q):
