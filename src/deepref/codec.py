@@ -3,7 +3,8 @@ closed encoding loop.
 
 The proxy codes each block by full integer-pel search (SAD + lambda * mv
 bits) followed by half- then quarter-pel refinement, scalar-quantizes the
-spatial residual, and prices everything with signed exp-Golomb code lengths.
+spatial residual, and prices every mv component and quantized residual with
+its signed exp-Golomb code length, read from one table (`_se_table`).
 It is deterministic and dependency-free; its bits are a ranking proxy, not
 VVC bits.
 
@@ -76,37 +77,21 @@ def signed_exp_golomb_bits(v: int) -> int:
     return 2 * (code + 1).bit_length() - 1
 
 
-def _se_bits_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised `signed_exp_golomb_bits`: 2 * bit_length(|v|) + 1, exact for every int64."""
-    mag = np.abs(np.asarray(values, dtype=np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
-    # frexp's exponent is the bit length of a positive integer below 2**53
-    if mag.size and mag.max() >= 2**53:  # a float64 would round: take 32 bits at a time
-        hi, lo = mag >> np.uint64(32), mag & np.uint64(0xFFFFFFFF)
-        bit_length = np.where(hi > 0, np.frexp(hi.astype(np.float64))[1] + 32,
-                              np.frexp(lo.astype(np.float64))[1])
-    else:
-        bit_length = np.frexp(mag.astype(np.float64))[1]
-    return 2 * bit_length.astype(np.int64) + 1
-
-
 @lru_cache(maxsize=8)
-def _component_bits(search_range: int) -> np.ndarray:
-    """`signed_exp_golomb_bits` of every mv component within 4 * search_range + 3
-    of 0, the reach of a search, at index component + 4 * search_range + 3."""
-    lim = 4 * search_range + 3
-    bits = _se_bits_array(np.arange(-lim, lim + 1))
+def _se_table(lim: int) -> np.ndarray:
+    """The one code-length table: `signed_exp_golomb_bits` of every integer in
+    [-lim, lim], at index v + lim, as 2 * bit_length(|v|) + 1. frexp's exponent
+    is that bit length below 2**53; the codec asks for lim = 255 (a quantized
+    residual) and 4 * search_range + 3 (the reach of an mv component), with the
+    range clamped to the larger frame side."""
+    mag = np.abs(np.arange(-lim, lim + 1, dtype=np.float64))
+    bits = 2 * np.frexp(mag)[1].astype(np.int64) + 1
     bits.flags.writeable = False
     return bits
 
 
-# `signed_exp_golomb_bits` of every quantized residual of 8-bit samples, at
-# index value + 255
-_RESIDUAL_BITS = _se_bits_array(np.arange(-255, 256)).astype(np.uint8)
-
-
-def mv_bits(mv: MotionVectorQ) -> int:
-    """Signed exp-Golomb lengths of both quarter-pel components, zero predictor."""
-    return signed_exp_golomb_bits(mv.x4) + signed_exp_golomb_bits(mv.y4)
+# as uint8, so a frame's worth of residual lengths stays small
+_RESIDUAL_BITS = _se_table(255).astype(np.uint8)
 
 
 class _Matches(NamedTuple):
@@ -169,8 +154,8 @@ def _integer_search(int_planes: np.ndarray, cur: np.ndarray, origin, inside,
         sad[:, dy] = np.einsum("rxyck->rxyc", col_sads.reshape(refs, n, rows, cols, bs),
                                dtype=np.int64)
 
-    offsets = np.arange(-radius, radius + 1)
-    comp_bits = _component_bits(radius)[4 * offsets + 4 * radius + 3]
+    offsets, lim = np.arange(-radius, radius + 1), 4 * radius + 3
+    comp_bits = _se_table(lim)[4 * offsets + lim]
     cost = sad + (cfg.lambda_mv * (comp_bits[:, None] + comp_bits[None, :]))[:, :, None, None]
     sad, cost = sad.reshape(refs, n * n, -1), cost.reshape(refs, n * n, -1)
     l1 = (np.abs(offsets)[:, None] + np.abs(offsets)[None, :]).reshape(-1, 1)
@@ -213,7 +198,8 @@ def _refine(windows: np.ndarray, cur: np.ndarray, origin, inside, coarse: _Match
     cur_blocks = np.ascontiguousarray(cur.reshape(rows, bs, cols, bs).swapaxes(1, 2))
     # rows of the last block row and columns of the last block column in the frame
     last_rows, last_cols = inside[0] - (rows - 1) * bs, inside[1] - (cols - 1) * bs
-    bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
+    lim = 4 * cfg.search_range + 3
+    bits = _se_table(lim)
     grid = np.ogrid[: len(windows), :rows, :cols]  # (refs, rows, cols) by broadcasting
     best = coarse
     for step in (2, 1):
@@ -271,8 +257,9 @@ def motion_search(
 ) -> tuple[MotionVectorQ, float]:
     """Full integer search then half- and quarter-pel refinement.
 
-    Cost = SAD + lambda_mv * mv_bits. Ties broken by smaller |mv|_1, then by
-    raster order of candidates (incumbents win against later equal candidates).
+    Cost = SAD + lambda_mv * (the code lengths of both mv components). Ties
+    broken by smaller |mv|_1, then by raster order of candidates (incumbents
+    win against later equal candidates).
     Both pictures are 8-bit planes (`check_plane`). Each call builds the phase
     planes of the whole reference; `encode_frame_proxy` builds them once a frame.
     """
@@ -337,7 +324,8 @@ def encode_frame_proxy(
     block_y, block_x = np.divmod(np.arange(len(x4)), pw // bs)  # raster order
     mv_field = list(map(MVRecord, (bs * block_x).tolist(), (bs * block_y).tolist(),
                         ref_idx.tolist(), x4.tolist(), y4.tolist(), sad.tolist()))
-    comp_bits, lim = _component_bits(cfg.search_range), 4 * cfg.search_range + 3
+    lim = 4 * cfg.search_range + 3
+    comp_bits = _se_table(lim)
     side_bits = int(comp_bits[x4 + lim].sum() + comp_bits[y4 + lim].sum())
     del planes, int_planes  # searched: the pricing's temporaries do not stack on them
     # every block's residual is quantized and priced on its own, so doing it

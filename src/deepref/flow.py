@@ -228,19 +228,15 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     return pairs
 
 
-def write_dataset(pairs: list[SamplePair], path, block_size: int | None = None) -> None:
-    """Binary dataset: magic, version, block size, count, then per-pair records."""
-    if pairs:
-        block_size = pairs[0].x_block.shape[0]
-        for i, pair in enumerate(pairs):
-            for name, blk in (("X", pair.x_block), ("Y", pair.y_block)):
-                if blk.shape != (block_size, block_size):
-                    raise ShapeMismatchError(
-                        f"pair {i}: {name} block shape {blk.shape} != "
-                        f"({block_size},{block_size})"
-                    )
-    else:
-        block_size = int(block_size or 0)
+def write_dataset(pairs: list[SamplePair], path, block_size: int) -> None:
+    """Binary dataset: magic, version, block size, count, then per-pair
+    records. Every X and Y block is an 8-bit (block_size, block_size) plane."""
+    check_int("block_size", block_size, 1)
+    for i, pair in enumerate(pairs):
+        for name, blk in (("X", pair.x_block), ("Y", pair.y_block)):
+            if check_plane(blk, f"pair {i} {name} block").shape != (block_size, block_size):
+                raise ShapeMismatchError(
+                    f"pair {i}: {name} block shape {blk.shape} != ({block_size},{block_size})")
     buf = bytearray()
     buf += DATASET_MAGIC
     buf += struct.pack("<II", DATASET_VERSION, block_size)
@@ -248,8 +244,8 @@ def write_dataset(pairs: list[SamplePair], path, block_size: int | None = None) 
     for pair in pairs:
         buf += struct.pack("<II", int(pair.origin[0]), int(pair.origin[1]))
         buf += struct.pack("<ff", float(pair.mv[0]), float(pair.mv[1]))
-        buf += pair.x_block.astype(np.uint8).tobytes()
-        buf += pair.y_block.astype(np.uint8).tobytes()
+        buf += pair.x_block.tobytes()
+        buf += pair.y_block.tobytes()
     atomic_write_bytes(path, bytes(buf))
 
 
@@ -263,6 +259,8 @@ def read_dataset(path) -> list[SamplePair]:
     version, block_size = struct.unpack_from("<II", data, 4)
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}")
+    if block_size < 1:
+        raise FormatError("dataset block size is 0; it must be at least 1")
     (count,) = struct.unpack_from("<Q", data, 12)
     record = 16 + 2 * block_size * block_size
     expected = 20 + count * record

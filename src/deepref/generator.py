@@ -353,6 +353,8 @@ def _parse_weight_file(data: bytes) -> dict[str, np.ndarray]:
                 name = data[offset : offset + name_len].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"tensor name at byte {offset} is not UTF-8") from exc
+            if name in tensors:
+                raise FormatError(f"tensor {name!r} appears twice in the weight file")
             offset += name_len
             (ndim,) = struct.unpack_from("<B", data, offset)
             offset += 1

@@ -2,11 +2,13 @@
 
 Luma positions between integer samples are synthesized by separable filtering:
 a symmetric 8-tap filter at half-sample offsets and an asymmetric 7-tap filter
-at quarter-sample offsets (the 3/4 filter is the mirrored 1/4 filter). The
-horizontal stage keeps full integer precision; the final stage adds a rounding
-offset of 2^(s-1) and arithmetic-shifts right by s, with s = 6 when only one
-dimension is fractional and s = 12 when both are. Frame edges are handled by
-sample replication.
+at quarter-sample offsets (the 3/4 filter is the mirrored 1/4 filter). One
+rule: filter each fractional dimension, columns first, at full integer
+precision, take the integer samples of each integer dimension, then round once
+by 6 bits per fractional dimension (add 2^(s-1), shift right by s, s = 0, 6 or
+12) and clip to 8 bits. Frame edges are handled by sample replication.
+`interpolate_block` applies the rule to one block along one path;
+`subpel_planes` applies it to all 16 phases of a plane at once.
 """
 
 from __future__ import annotations
@@ -61,20 +63,6 @@ def gather_block(ref: np.ndarray, x0: int, y0: int, w: int, h: int) -> np.ndarra
     return ref[rows[:, None], cols[None, :]]
 
 
-def _filter_cols(arr: np.ndarray, taps: np.ndarray, col0: int, width: int) -> np.ndarray:
-    acc = taps[0] * arr[:, col0 : col0 + width]
-    for k in range(1, len(taps)):
-        acc += taps[k] * arr[:, col0 + k : col0 + k + width]
-    return acc
-
-
-def _filter_rows(arr: np.ndarray, taps: np.ndarray, row0: int, height: int) -> np.ndarray:
-    acc = taps[0] * arr[row0 : row0 + height, :]
-    for k in range(1, len(taps)):
-        acc += taps[k] * arr[row0 + k : row0 + k + height, :]
-    return acc
-
-
 def interpolate_block(
     ref: np.ndarray,
     origin: tuple[int, int],
@@ -84,43 +72,27 @@ def interpolate_block(
     """Motion-compensated prediction block for a quarter-pel motion vector.
 
     Sample (x, y) of the result is the 8-bit reference (`check_plane`) sampled
-    at (origin + (x, y) + mv/4); integer mv components bypass filtering in
-    that dimension and the result is clamped to [0, 255].
+    at (origin + (x, y) + mv/4), clamped to [0, 255]. This is the per-block
+    reference of the rule `subpel_planes` applies to whole planes.
     """
     ref = check_plane(ref, "reference")
     x0, y0 = origin
     w, h = _block_size(size)
     check_block(ref, x0, y0, w, h)
-    ix, fx = mv.x4 >> 2, mv.x4 & 3
-    iy, fy = mv.y4 >> 2, mv.y4 & 3
-    bx, by = x0 + ix, y0 + iy
-
-    if fx == 0 and fy == 0:
-        return gather_block(ref, bx, by, w, h)
-
-    win = gather_block(
-        ref, bx - _MARGIN_LO, by - _MARGIN_LO, w + _MARGIN_LO + _MARGIN_HI,
-        h + _MARGIN_LO + _MARGIN_HI,
+    fx, fy = mv.x4 & 3, mv.y4 & 3
+    acc = gather_block(
+        ref, x0 + (mv.x4 >> 2) - _MARGIN_LO, y0 + (mv.y4 >> 2) - _MARGIN_LO,
+        w + _MARGIN_LO + _MARGIN_HI, h + _MARGIN_LO + _MARGIN_HI,
     ).astype(np.int64)
-
-    if fy == 0:
-        taps, start = _PHASES[fx]
-        rows = win[_MARGIN_LO : _MARGIN_LO + h, :]
-        acc = _filter_cols(rows, taps, _MARGIN_LO + start, w)
-        out = (acc + (1 << (_SHIFT - 1))) >> _SHIFT
-    elif fx == 0:
-        taps, start = _PHASES[fy]
-        cols = win[:, _MARGIN_LO : _MARGIN_LO + w]
-        acc = _filter_rows(cols, taps, _MARGIN_LO + start, h)
-        out = (acc + (1 << (_SHIFT - 1))) >> _SHIFT
-    else:
-        taps_x, start_x = _PHASES[fx]
-        mid = _filter_cols(win, taps_x, _MARGIN_LO + start_x, w)  # full precision
-        taps_y, start_y = _PHASES[fy]
-        acc = _filter_rows(mid, taps_y, _MARGIN_LO + start_y, h)
-        out = (acc + (1 << (2 * _SHIFT - 1))) >> (2 * _SHIFT)
-
-    return np.clip(out, 0, 255).astype(np.uint8)
+    # the column pass, then the row pass: each filters the last axis at full
+    # precision, or takes its integer samples (one tap of 1), then transposes
+    # the block so that the next pass takes the other axis
+    for frac, n in ((fx, w), (fy, h)):
+        taps, start = _PHASES[frac] if frac else ((1,), 0)
+        first = _MARGIN_LO + start
+        acc = sum(t * acc[:, first + k : first + k + n] for k, t in enumerate(taps)).T
+    s = _SHIFT * (bool(fx) + bool(fy))
+    return np.clip((acc + ((1 << s) >> 1)) >> s, 0, 255).astype(np.uint8)
 
 
 def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -> np.ndarray:

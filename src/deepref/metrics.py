@@ -84,6 +84,8 @@ def _prepare_curve(points, label: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"{label} RD curve must have exactly {RD_CURVE_POINTS} points, got {len(points)}"
         )
+    if not all(math.isfinite(v) for pt in points for v in pt):
+        raise ConfigError(f"{label} RD curve has non-finite bits or PSNR")
     points.sort(key=lambda pt: pt.bits)
     bits = np.array([pt.bits for pt in points])
     quality = np.array([pt.psnr for pt in points])
@@ -93,8 +95,6 @@ def _prepare_curve(points, label: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"{label} RD curve has duplicate bit values")
     if np.any(np.diff(quality) <= 0):
         raise ConfigError(f"{label} RD curve is not monotone: PSNR must rise with bits")
-    if not np.all(np.isfinite(quality)):
-        raise ConfigError(f"{label} RD curve has non-finite PSNR")
     return bits, quality
 
 

@@ -179,6 +179,16 @@ class TestBdrateCommand:
         assert code == 0
         assert float(out.split(":")[1].strip().rstrip("%")) == pytest.approx(10.0, abs=1e-4)
 
+    @pytest.mark.parametrize("bits", ["inf", "nan"])
+    def test_non_finite_bits_rejected(self, tmp_path, capsys, bits):
+        # an error, not "BD-rate (test vs anchor): nan%" and exit 0
+        anchor = self.rd_file(tmp_path, "a.csv")
+        path = self.rd_file(tmp_path, "b.csv")
+        path.write_text(path.read_text().replace("6000.0", bits))
+        code, out, err = run(["bdrate", str(anchor), str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_missing_columns_rejected(self, tmp_path, capsys):
         from deepref.fileio import write_csv
 

@@ -11,12 +11,11 @@ from deepref import codec
 from deepref.codec import (
     MVRecord,
     SearchConfig,
-    _se_bits_array,
+    _se_table,
     encode_frame_proxy,
     encode_sequence,
     intra_frame_proxy,
     motion_search,
-    mv_bits,
     rd_sweep,
     signed_exp_golomb_bits,
 )
@@ -52,24 +51,12 @@ class TestExpGolomb:
         lengths = [signed_exp_golomb_bits(v) for v in range(0, 200)]
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
-    def test_array_form_matches_scalar_over_all_int64(self, rng):
-        edges = [0, 1, -1, 2, -2, 1023, 1024, -1024, 2**31, -(2**31), 2**32 - 1, 2**32,
-                 2**53 + 1, -(2**53) - 1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
-        values = np.concatenate([
-            np.array(edges, dtype=np.int64),
-            rng.integers(-(2**63), 2**63 - 1, 2000, dtype=np.int64, endpoint=True),
-            rng.integers(-5000, 5000, 2000),
-        ])
-        want = [signed_exp_golomb_bits(int(v)) for v in values]
-        assert _se_bits_array(values).tolist() == want
-        for v in edges:  # each alone, so no other element picks the code path
-            assert _se_bits_array(np.array([v], dtype=np.int64)).tolist() == [
-                signed_exp_golomb_bits(v)]
-        assert _se_bits_array(values.reshape(2, -1)).shape == (2, values.size // 2)
-
-    def test_mv_bits_sums_components(self):
-        assert mv_bits(MotionVectorQ(0, 0)) == 2
-        assert mv_bits(MotionVectorQ(1, -2)) == 3 + 5
+    @pytest.mark.parametrize("lim", [255, 35, 4 * 1920 + 3])
+    def test_table_matches_scalar(self, lim):
+        # the residual's reach, a range-8 search's and a 1080p frame's clamped range
+        table = _se_table(lim)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == [signed_exp_golomb_bits(v) for v in range(-lim, lim + 1)]
 
 
 class TestMotionSearch:
@@ -86,7 +73,7 @@ class TestMotionSearch:
         cfg = SearchConfig(search_range=8, lambda_mv=4.0, block_size=16)
         mv, cost = motion_search(ref, cur, (24, 24), cfg)
         assert mv == MotionVectorQ(12, -8)
-        assert cost == pytest.approx(cfg.lambda_mv * (mv_bits(mv)))
+        assert cost == pytest.approx(cfg.lambda_mv * sum(map(signed_exp_golomb_bits, mv)))
 
     def test_tie_break_prefers_smaller_l1_then_raster(self):
         # period-4 vertical stripes: shifting by 2 makes -2 and +2 both SAD 0
@@ -106,7 +93,7 @@ class TestMotionSearch:
         cfg = SearchConfig(search_range=2, lambda_mv=4.0, block_size=8)
         mv, cost = motion_search(ref, cur, (8, 8), cfg)
         assert mv == MotionVectorQ(-2, 0)
-        assert cost == cfg.lambda_mv * mv_bits(mv)
+        assert cost == cfg.lambda_mv * sum(map(signed_exp_golomb_bits, mv))
 
     def test_quarter_pel_refinement_improves_on_integer(self):
         tex = SinusoidTexture.random(3, min_freq=0.05, max_freq=0.18)
@@ -129,7 +116,7 @@ class TestMotionSearch:
         def cost_of(mv):
             pred = interpolate_block(ref, origin, (8, 8), mv).astype(np.int64)
             sad = int(np.abs(pred - blk).sum())
-            return sad + cfg.lambda_mv * mv_bits(mv)
+            return sad + cfg.lambda_mv * sum(map(signed_exp_golomb_bits, mv))
 
         def better(cand, best):
             ca, la = cand
@@ -262,7 +249,7 @@ class TestIntraFrameProxy:
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 16, 64, 255, 256, 509, 510, 511, 512, 1000,
                                    2**31 - 1])
     def test_matches_float_formula(self, q, rng):
-        # the oracle: rint(frame / q) in float64, priced by `_se_bits_array`,
+        # the oracle: rint(frame / q) in float64, priced by `signed_exp_golomb_bits`,
         # then clip(qidx * q); at q of 510 and up the int16 coder's index is 0
         # and its product takes min(q, 511)
         frames = [rng.integers(0, 256, (h, w), dtype=np.uint8)
@@ -271,7 +258,7 @@ class TestIntraFrameProxy:
         for frame in frames:
             qidx = np.rint(frame.astype(np.float64) / q).astype(np.int64)
             bits, recon = intra_frame_proxy(frame, q)
-            assert bits == float(_se_bits_array(qidx).sum())
+            assert bits == float(sum(map(signed_exp_golomb_bits, qidx.ravel().tolist())))
             np.testing.assert_array_equal(recon, np.clip(qidx * q, 0, 255).astype(np.uint8))
             assert recon.dtype == np.uint8
 
@@ -342,7 +329,8 @@ def naive_encode_frame(refs, cur, cfg, q):
             for ri, ref in enumerate(refs):
                 def cost_of(mv):
                     pred = interpolate_block(ref, (bx, by), (w, h), mv).astype(np.int64)
-                    return int(np.abs(pred - blk).sum()) + cfg.lambda_mv * mv_bits(mv)
+                    rate = sum(map(signed_exp_golomb_bits, mv))
+                    return int(np.abs(pred - blk).sum()) + cfg.lambda_mv * rate
 
                 key = None
                 for dy in range(-r, r + 1):
@@ -366,7 +354,7 @@ def naive_encode_frame(refs, cur, cfg, q):
             pred = interpolate_block(refs[ri], (bx, by), (w, h), mv).astype(np.int64)
             qidx = np.rint((blk - pred) / q).astype(np.int64)
             recon[by : by + h, bx : bx + w] = np.clip(pred + qidx * q, 0, 255)
-            bits += mv_bits(mv) + (len(refs) - 1).bit_length()
+            bits += sum(map(signed_exp_golomb_bits, mv)) + (len(refs) - 1).bit_length()
             bits += sum(signed_exp_golomb_bits(int(v)) for v in qidx.ravel())
             field.append(MVRecord(bx, by, ri, mv.x4, mv.y4, int(np.abs(pred - blk).sum())))
     return float(bits), recon, field
@@ -449,7 +437,8 @@ class TestEncodeFrameProxyGolden:
 
         def key(mv):
             pred = interpolate_block(ref, (4, 4), 4, mv).astype(np.int64)
-            cost = int(np.abs(pred - blk).sum()) + cfg.lambda_mv * mv_bits(mv)
+            rate = sum(map(signed_exp_golomb_bits, mv))
+            cost = int(np.abs(pred - blk).sum()) + cfg.lambda_mv * rate
             return cost, abs(mv.x4) + abs(mv.y4)
 
         assert key(MotionVectorQ(0, -2)) == key(MotionVectorQ(-1, -1)) == (319.0, 2)
@@ -520,7 +509,7 @@ class TestDecoderRebuild:
                     qidx = np.rint((blk - pred) / q).astype(np.int64)
                     recon[y0 : y0 + h, x0 : x0 + w] = np.clip(pred + qidx * q, 0, 255)
                     covered[y0 : y0 + h, x0 : x0 + w] += 1
-                    bits += mv_bits(mv) + (len(refs) - 1).bit_length()
+                    bits += sum(map(signed_exp_golomb_bits, mv)) + (len(refs) - 1).bit_length()
                     bits += sum(signed_exp_golomb_bits(v) for v in qidx.ravel().tolist())
                     assert rec.sad == int(np.abs(pred - blk).sum())
                 assert (covered == 1).all()

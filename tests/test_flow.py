@@ -358,7 +358,7 @@ class TestDatasetFile:
     def test_round_trip(self, tmp_path):
         pairs = self.make_pairs()
         path = tmp_path / "d.drpd"
-        write_dataset(pairs, path)
+        write_dataset(pairs, path, 16)
         back = read_dataset(path)
         assert len(back) == len(pairs)
         for a, b in zip(pairs, back):
@@ -369,12 +369,12 @@ class TestDatasetFile:
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.drpd"
-        write_dataset([], path)
+        write_dataset([], path, 16)
         assert read_dataset(path) == []
 
     def test_count_payload_mismatch_rejected(self, tmp_path):
         path = tmp_path / "d.drpd"
-        write_dataset(self.make_pairs(), path)
+        write_dataset(self.make_pairs(), path, 16)
         data = bytearray(path.read_bytes())
         data[12:20] = (99).to_bytes(8, "little")  # corrupt the pair count
         (tmp_path / "bad.drpd").write_bytes(bytes(data))
@@ -394,7 +394,30 @@ class TestDatasetFile:
     def test_mixed_block_sizes_rejected(self, tmp_path):
         pairs = self.make_pairs(2, bs=16) + self.make_pairs(1, bs=32)
         with pytest.raises(ShapeMismatchError):
-            write_dataset(pairs, tmp_path / "d.drpd")
+            write_dataset(pairs, tmp_path / "d.drpd", 16)
+
+    @pytest.mark.parametrize("block", [np.full((16, 16), 300, dtype=np.int64),
+                                       np.full((16, 16), 1e6), np.zeros((1, 16, 16), np.uint8)])
+    def test_block_that_is_no_8bit_plane_rejected(self, tmp_path, block):
+        # a uint8 cast would store an int64 300 as 44 and a float 1e6 as 64
+        for i, pair in enumerate(self.make_pairs(2)):
+            pairs = self.make_pairs(2)
+            pairs[i] = SamplePair(block, pair.y_block, pair.origin, pair.mv)
+            with pytest.raises(ShapeMismatchError, match=f"pair {i} X block"):
+                write_dataset(pairs, tmp_path / "d.drpd", 16)
+            pairs[i] = SamplePair(pair.x_block, block, pair.origin, pair.mv)
+            with pytest.raises(ShapeMismatchError, match=f"pair {i} Y block"):
+                write_dataset(pairs, tmp_path / "d.drpd", 16)
+        assert not (tmp_path / "d.drpd").exists()
+
+    @pytest.mark.parametrize("block_size", [0, -1, 16.0, None, True])
+    def test_block_size_is_a_positive_integer(self, tmp_path, block_size):
+        with pytest.raises(ConfigError, match="block_size"):
+            write_dataset([], tmp_path / "d.drpd", block_size)
+
+    def test_block_size_other_than_the_pairs_rejected(self, tmp_path):
+        with pytest.raises(ShapeMismatchError, match=r"\(16, 16\) != \(8,8\)"):
+            write_dataset(self.make_pairs(), tmp_path / "d.drpd", 8)
 
 
 def test_config_validation():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from deepref.cli import _load_curve
 from deepref.config import load_run_config
-from deepref.errors import DeepRefError
+from deepref.errors import DeepRefError, FormatError
 from deepref.fileio import write_csv
 from deepref.flow import SamplePair, read_dataset, write_dataset
 from deepref.generator import (
@@ -79,7 +79,7 @@ def samples(tmp_path_factory):
     pairs = [SamplePair(rng.integers(0, 256, (4, 4), dtype=np.uint8),
                         rng.integers(0, 256, (4, 4), dtype=np.uint8), (4 * i, 0), (0.5, -0.25))
              for i in range(2)]
-    write_dataset(pairs, work / "d.drpd")
+    write_dataset(pairs, work / "d.drpd", 4)
     write_y4m([rng.integers(0, 256, (4, 6), dtype=np.uint8) for _ in range(2)], work / "s.y4m")
     write_csv([("baseline", 8, 1000.5, 38.25), ("net", 8, 900.0, 38.0)], work / "rd.csv",
               header=["scheme", "q", "bits_per_frame", "psnr_db"])
@@ -112,6 +112,15 @@ def test_only_deepref_errors_escape(samples, name):
             pass
 
     check()
+
+
+def test_dataset_of_zero_block_size_rejected(tmp_path):
+    # three pairs of 0x0 blocks: the payload matches the count, so only the
+    # header's block size is wrong; `deepref train` must not reach normalize_plane
+    path = tmp_path / "zero.drpd"
+    path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 0, 3) + bytes(3 * 16))
+    with pytest.raises(FormatError, match="block size is 0"):
+        read_dataset(path)
 
 
 # the tensors load_weights reads the channel widths from

@@ -292,6 +292,19 @@ class TestWeightFile:
         with pytest.raises(FormatError, match="UTF-8"):
             load_weights(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # a second `tail.bias` after the whole file: a dict would keep the later copy
+        path = tmp_path / "w.drpg"
+        save_weights(build_network(TINY), path)
+        data = bytearray(path.read_bytes())
+        (count,) = struct.unpack_from("<I", data, 8)
+        struct.pack_into("<I", data, 8, count + 1)
+        name = b"tail.bias"
+        data += struct.pack("<H", len(name)) + name + struct.pack("<BIf", 1, 1, 5.0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="'tail.bias' appears twice"):
+            load_weights(path)
+
     def test_dims_whose_int64_product_wraps_rejected(self, tmp_path):
         # 2**31 * 2**31 * 4 is 0 in int64; the exact size is far past the file end
         name = b"head1.weight"

@@ -101,6 +101,24 @@ class TestInterpolateBlock:
         want = naive_interpolate(ref, (5, 4), (7, 9), mv)
         np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_naive_oracle_on_drawn_blocks(self, data):
+        # blocks of 1-12 by 1-12 anywhere in a frame, at each of its edges
+        # included, for all 16 phases with integer parts within 10 samples
+        bw, bh = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        w, h = bw + data.draw(st.integers(0, 12)), bh + data.draw(st.integers(0, 12))
+        x0 = data.draw(st.sampled_from([0, w - bw]) | st.integers(0, w - bw))
+        y0 = data.draw(st.sampled_from([0, h - bh]) | st.integers(0, h - bh))
+        fx, fy = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        ix, iy = data.draw(st.integers(-10, 10)), data.draw(st.integers(-10, 10))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ref = np.random.default_rng(seed).integers(0, 256, (h, w)).astype(np.uint8)
+        mv = (4 * ix + fx, 4 * iy + fy)
+        got = interpolate_block(ref, (x0, y0), (bw, bh), MotionVectorQ(*mv))
+        np.testing.assert_array_equal(got, naive_interpolate(ref, (x0, y0), (bw, bh), mv))
+        assert got.dtype == np.uint8
+
     def test_edge_replication_near_borders(self, rng):
         # block touching the frame corner pulls support from replicated samples
         ref = rng.integers(0, 256, (16, 16)).astype(np.uint8)

@@ -112,6 +112,17 @@ class TestBdRate:
         with pytest.raises(ConfigError, match="duplicate"):
             bd_rate(bad, ANCHOR)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["bits", "psnr"])
+    def test_non_finite_point_rejected(self, field, value):
+        # checked before the sort: inf bits would give a nan BD-rate, nan bits
+        # a misleading "not monotone" error
+        bad = list(ANCHOR)
+        bad[2] = bad[2]._replace(**{field: value})
+        for anchor, test in ((bad, ANCHOR), (ANCHOR, bad)):
+            with pytest.raises(ConfigError, match="non-finite"):
+                bd_rate(anchor, test)
+
     def test_disjoint_psnr_ranges_rejected(self):
         high = make_curve([1000, 2000, 4000, 8000], [50.0, 52.0, 54.0, 56.0])
         with pytest.raises(ConfigError, match="overlap"):
