@@ -31,7 +31,8 @@ band from 1 MiB up), 34.0/41.1, 32.0/35.2 and 30.7/38.8 ms at 416x240, and
 
 `encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
 against the previous reconstruction or the generated picture made from it.
-`rd_sweep` and the `encode` command both run it.
+`rd_sweep` and the `encode` command both run it; `rd_sweep` runs its
+quantizers' chains on every usable CPU, one fork per call (`parallel`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import ShapeMismatchError, check_block, check_int, check_plane, che
 from .generator import GeneratorNet, generate_reference
 from .interp import MotionVectorQ, subpel_planes
 from .metrics import RDPoint, psnr
+from .parallel import map_jobs
 
 
 @dataclass
@@ -387,10 +389,12 @@ def encode_sequence(frames, net: GeneratorNet | None, cfg: SearchConfig, q: int)
 
 def rd_sweep(sequence, net: GeneratorNet | None, cfg: SearchConfig, q_set) -> list[RDPoint]:
     """One RD point per quantizer step of `encode_sequence`: (mean bits/frame,
-    mean luma PSNR)."""
+    mean luma PSNR). The quantizers' chains run on every usable CPU
+    (`parallel.map_jobs`)."""
     frames = list(sequence)
-    points = []
-    for q in q_set:
+
+    def point(q) -> RDPoint:
         run = encode_sequence(frames, net, cfg, q)
-        points.append(RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr))))
-    return points
+        return RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr)))
+
+    return map_jobs(point, q_set)

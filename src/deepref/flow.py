@@ -31,11 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatchError, check_block, check_int, check_plane
+from .errors import (
+    FormatError,
+    ShapeMismatchError,
+    check_block,
+    check_int,
+    check_plane,
+    check_real,
+)
 from .fileio import atomic_write_bytes
 
 DATASET_MAGIC = b"DRPD"
 DATASET_VERSION = 1
+_F32_MAX = float(np.finfo(np.float32).max)  # the largest mv component a record holds
 DEGENERACY_THRESHOLD = 1e-3  # per-pixel floor on the structure tensor's min eigenvalue
 INTEGER_SNAP = 0.02  # px; snap near-integer flow before the floor rule
 LK_ITERATIONS = 5  # Lucas-Kanade updates per block, at most
@@ -230,9 +238,13 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
 
 def write_dataset(pairs: list[SamplePair], path, block_size: int) -> None:
     """Binary dataset: magic, version, block size, count, then per-pair
-    records. Every X and Y block is an 8-bit (block_size, block_size) plane."""
+    records. Every X and Y block is an 8-bit (block_size, block_size) plane,
+    every origin component a uint32 and every mv component a finite float32."""
     check_int("block_size", block_size, 1)
     for i, pair in enumerate(pairs):
+        for k in range(2):
+            check_int(f"pair {i} origin[{k}]", pair.origin[k], 0, 2**32 - 1)
+            check_real(f"pair {i} mv[{k}]", pair.mv[k], -_F32_MAX, _F32_MAX)
         for name, blk in (("X", pair.x_block), ("Y", pair.y_block)):
             if check_plane(blk, f"pair {i} {name} block").shape != (block_size, block_size):
                 raise ShapeMismatchError(
@@ -274,6 +286,8 @@ def read_dataset(path) -> list[SamplePair]:
     for _ in range(count):
         ox, oy = struct.unpack_from("<II", data, offset)
         mvx, mvy = struct.unpack_from("<ff", data, offset + 8)
+        if not (math.isfinite(mvx) and math.isfinite(mvy)):
+            raise FormatError(f"pair {len(pairs)} has a non-finite mv ({mvx}, {mvy})")
         offset += 16
         n = block_size * block_size
         x_blk = np.frombuffer(data, np.uint8, n, offset).reshape(block_size, block_size)

@@ -24,6 +24,7 @@ from .generator import (
 )
 from .metrics import psnr
 from .nn import AdadeltaState, adadelta_step
+from .parallel import map_jobs
 
 
 @dataclass
@@ -165,7 +166,8 @@ def block_size_sweep(
 ) -> list[tuple[int, str, float]]:
     """Train one fresh `model` per block size and measure whole-frame PSNR of
     generated references on the last third of the frames (at least 2).
-    Rows: (block_size, name, psnr)."""
+    Rows: (block_size, name, psnr). The sizes train on every usable CPU
+    (`parallel.map_jobs`), each worker holding its own net and batches."""
     frames = [np.asarray(f) for f in frames]
     if len(frames) < 4:
         raise ConfigError(f"block_size_sweep needs at least 4 frames, got {len(frames)}")
@@ -173,8 +175,7 @@ def block_size_sweep(
     train_frames = frames[: len(frames) - n_hold]
     holdout = frames[len(frames) - n_hold :]
 
-    rows = []
-    for size in sizes:
+    def row(size) -> tuple[int, str, float]:
         ex = replace(extraction, block_size=int(size))
         pairs: list[SamplePair] = []
         for prev, cur in zip(train_frames, train_frames[1:]):
@@ -186,5 +187,6 @@ def block_size_sweep(
             psnr(generate_reference(trained, holdout[i - 1]), holdout[i])
             for i in range(1, len(holdout))
         ]
-        rows.append((int(size), sequence_name, float(np.mean(scores))))
-    return rows
+        return int(size), sequence_name, float(np.mean(scores))
+
+    return map_jobs(row, sizes)

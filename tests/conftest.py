@@ -110,6 +110,19 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """`usable_cpus(n)` makes `parallel.map_jobs` see n usable CPUs, so it
+    deals its jobs over n shares (n - 1 forked children) on any machine.
+    On leaving, the test process must have no child, reaped or not."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def branch_layers(net, block, branch):
     """The conv layers of one branch (both counted from 1), input side first."""
     prefix = f"block{block}.branch{branch}."

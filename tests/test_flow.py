@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -409,6 +410,34 @@ class TestDatasetFile:
             with pytest.raises(ShapeMismatchError, match=f"pair {i} Y block"):
                 write_dataset(pairs, tmp_path / "d.drpd", 16)
         assert not (tmp_path / "d.drpd").exists()
+
+    @pytest.mark.parametrize("origin", [(-1, 0), (2**32, 0), (0.0, 0), (np.float64(3), 0)])
+    def test_origin_that_is_no_uint32_rejected(self, tmp_path, origin):
+        # -1 used to end in a raw struct.error
+        pairs = self.make_pairs(2)
+        pairs[1] = SamplePair(pairs[1].x_block, pairs[1].y_block, origin, pairs[1].mv)
+        with pytest.raises(ConfigError, match=r"pair 1 origin\[0\]"):
+            write_dataset(pairs, tmp_path / "d.drpd", 16)
+        assert not (tmp_path / "d.drpd").exists()
+
+    @pytest.mark.parametrize("mv", [(0, 1e40), (0, -3.5e38), (0, math.nan), (0, math.inf),
+                                    (0, 10**40), (0, "1"), (0, True)])
+    def test_mv_that_is_no_finite_float32_rejected(self, tmp_path, mv):
+        # 1e40 used to end in a raw OverflowError, and NaN was written
+        pairs = self.make_pairs(2)
+        pairs[1] = SamplePair(pairs[1].x_block, pairs[1].y_block, pairs[1].origin, mv)
+        with pytest.raises(ConfigError, match=r"pair 1 mv\[1\]"):
+            write_dataset(pairs, tmp_path / "d.drpd", 16)
+        assert not (tmp_path / "d.drpd").exists()
+
+    def test_extreme_origin_and_mv_round_trip(self, tmp_path):
+        f32_max = float(np.finfo(np.float32).max)
+        pair = self.make_pairs(1)[0]
+        pairs = [SamplePair(pair.x_block, pair.y_block, (2**32 - 1, np.uint32(0)),
+                            (f32_max, np.float32(-f32_max)))]
+        write_dataset(pairs, tmp_path / "d.drpd", 16)
+        (back,) = read_dataset(tmp_path / "d.drpd")
+        assert back.origin == (2**32 - 1, 0) and back.mv == (f32_max, -f32_max)
 
     @pytest.mark.parametrize("block_size", [0, -1, 16.0, None, True])
     def test_block_size_is_a_positive_integer(self, tmp_path, block_size):

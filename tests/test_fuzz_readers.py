@@ -123,6 +123,16 @@ def test_dataset_of_zero_block_size_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("mv", [(math.nan, 0.0), (0.5, math.inf), (0.0, -math.inf)])
+def test_dataset_of_non_finite_mv_rejected(tmp_path, mv):
+    # one pair of 1x1 blocks whose stored mv is no finite number
+    path = tmp_path / "nan_mv.drpd"
+    path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 1, 1) + struct.pack("<II", 0, 0)
+                     + struct.pack("<ff", *mv) + bytes(2))
+    with pytest.raises(FormatError, match="pair 0 has a non-finite mv"):
+        read_dataset(path)
+
+
 # the tensors load_weights reads the channel widths from
 WIDTH_TENSORS = ["head1.weight", "head2.weight",
                  "block1.branch1.conv1.weight", "block1.branch1.conv2.weight"]

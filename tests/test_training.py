@@ -332,3 +332,16 @@ class TestBlockSizeSweep:
     def test_too_few_frames_rejected(self):
         with pytest.raises(ConfigError):
             self.sweep(self.make_frames(2), [8])
+
+    def test_rows_identical_forked_and_in_process(self, usable_cpus):
+        frames = self.make_frames()
+        usable_cpus(1)
+        in_process = self.sweep(frames, [8, 16, 12])
+        usable_cpus(2)
+        assert self.sweep(frames, [8, 16, 12]) == in_process
+
+    def test_error_of_a_size_trained_in_a_child_reported(self, usable_cpus):
+        # size 64 (job 1, a child's) leaves no tile in a 48x48 frame
+        usable_cpus(2)
+        with pytest.raises(ConfigError, match="no training pairs extracted at block size 64"):
+            self.sweep(self.make_frames(), [8, 64])
