@@ -3,10 +3,13 @@
 The jobs are dealt round-robin over one share per usable CPU (at most one per
 job). The caller runs share 0; each other share runs in an `os.fork` child
 that pickles its results, or the exception that stopped it, back through a
-pipe and always leaves by `os._exit`. The results, and the exception raised
-(that of the first failing job in job order), are those of the plain loop; a
-child that ends without sending them gives a `DeepRefError`. Every child is
-killed and reaped before `map_jobs` returns or raises.
+pipe and always leaves by `os._exit`; the shares that cannot be forked (no
+process or memory to spare) run in the caller too. The results, and the
+exception raised (that of the first failing job in job order), are those of
+the plain loop. A child that ends without sending them gives a `DeepRefError`
+ranked at its first job, and a child whose jobs all come after a failure
+already seen is not waited for. Every child is killed and reaped before
+`map_jobs` returns or raises.
 
 The jobs run in the calling process alone with one usable CPU, without
 `os.fork`, off Linux, inside a child, or while another Python thread lives: a
@@ -64,52 +67,60 @@ def _child(fn, jobs, reader: int, writer: int):
         os._exit(code)
 
 
-def _receive(pid: int, children: dict[int, int]) -> tuple[list, Exception | None]:
-    """The outcome child `pid` sends; if it sends none, reap it and raise."""
+def _receive(pid: int, children: dict[int, tuple[int, int]]) -> tuple[list, Exception | None]:
+    """The outcome child `pid` sends; if it sends none, reap it and give a `DeepRefError`."""
     chunks = []
-    while chunk := os.read(children[pid], 1 << 16):
+    while chunk := os.read(children[pid][1], 1 << 16):
         chunks.append(chunk)
     try:
         return pickle.loads(b"".join(chunks))
     except Exception:
-        os.close(children.pop(pid))
+        os.close(children.pop(pid)[1])
         _, status = os.waitpid(pid, 0)
-        raise DeepRefError(f"worker process {pid} ended without a result "
-                           f"(exit status {os.waitstatus_to_exitcode(status)})") from None
+        return [], DeepRefError(f"worker process {pid} ended without a result "
+                                f"(exit status {os.waitstatus_to_exitcode(status)})")
 
 
 def map_jobs(fn, jobs) -> list:
     """`[fn(job) for job in jobs]`, on one share of the jobs per usable CPU."""
     jobs = list(jobs)
     n = _shares(len(jobs))
-    if n == 1:
-        return [fn(job) for job in jobs]
-    children: dict[int, int] = {}  # unreaped child pid -> read end of its pipe
+    children: dict[int, tuple[int, int]] = {}  # unreaped child pid -> (its share, read end of its pipe)
     try:
         for share in range(1, n):
             reader, writer = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # no process to spare: the shares not forked run in this process
                 os.close(reader)
                 os.close(writer)
-                raise
+                break
             if pid == 0:
                 _child(fn, jobs[share::n], reader, writer)
             os.close(writer)
-            children[pid] = reader
-        outcomes = [_run(fn, jobs[0::n])]
-        outcomes += [_receive(pid, children) for pid in list(children)]
+            children[pid] = share, reader
+        forked = {share for share, _ in children.values()}
+        mine = [i for i in range(len(jobs)) if i % n not in forked]
+        results, exc = _run(fn, [jobs[i] for i in mine])
+        outcomes = [(mine, results)]
+        first, error = (mine[len(results)], exc) if exc is not None else (len(jobs), None)
+        for pid, (share, _) in list(children.items()):
+            if share > first:  # every job of this child comes after the first failure so far
+                break
+            indices = range(share, len(jobs), n)
+            results, exc = _receive(pid, children)
+            outcomes.append((indices, results))
+            if exc is not None and indices[len(results)] < first:
+                first, error = indices[len(results)], exc
     finally:
-        for pid, reader in children.items():
+        for pid, (_, reader) in children.items():
             os.close(reader)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failed = [(share + n * len(results), exc)
-              for share, (results, exc) in enumerate(outcomes) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+    if error is not None:
+        raise error
     out = [None] * len(jobs)
-    for share, (results, _) in enumerate(outcomes):
-        out[share::n] = results
+    for indices, results in outcomes:
+        for i, result in zip(indices, results):
+            out[i] = result
     return out

@@ -77,6 +77,25 @@ def test_no_nested_fork_inside_a_child(usable_cpus):
     assert inner[1] == [inner[1][0]] * 3 and inner[1][0] != os.getpid()
 
 
+def test_shares_that_cannot_be_forked_run_in_this_process(usable_cpus, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    usable_cpus(3)
+    pids = map_jobs(lambda j: (j, os.getpid()), range(7))
+    assert len(forks) == 2
+    assert [j for j, _ in pids] == list(range(7))
+    assert [pid for j, pid in pids if j % 3 != 1] == [os.getpid()] * 5
+    assert pids[1][1] == pids[4][1] != os.getpid()
+
+
 def test_child_exception_comes_back_with_type_and_message(usable_cpus):
     usable_cpus(2)
 
@@ -101,6 +120,42 @@ def test_first_failing_job_in_job_order_is_raised(usable_cpus, failing):
     usable_cpus(2)
     with pytest.raises(ConfigError, match=f"^job {min(failing)}$"):
         map_jobs(job, range(6))
+
+
+@pytest.mark.parametrize("case, raised", [
+    ("child 1 fails at job 1, child 2 dies", "job 1"),
+    ("this process fails at job 3, child 2 dies", "ended without a result"),
+])
+def test_child_that_dies_ranked_at_its_first_job(usable_cpus, case, raised):
+    # jobs 0, 3 run in this process, 1, 4 in child 1 and 2, 5 in child 2
+    parent = os.getpid()
+
+    def job(j):
+        if j == 2:
+            assert os.getpid() != parent, "must die in the child, never in the test process"
+            os._exit(1)
+        if j == (1 if case.startswith("child 1") else 3):
+            raise ConfigError(f"job {j}")
+        return j
+
+    usable_cpus(3)
+    with pytest.raises(ConfigError if raised == "job 1" else DeepRefError, match=raised):
+        map_jobs(job, range(6))
+
+
+def test_failure_before_every_child_job_raised_without_waiting(usable_cpus):
+    parent = os.getpid()
+
+    def job(j):
+        if os.getpid() == parent:
+            raise ConfigError(f"job {j}")
+        time.sleep(60)
+
+    usable_cpus(3)
+    started = time.monotonic()
+    with pytest.raises(ConfigError, match="^job 0$"):
+        map_jobs(job, range(3))
+    assert time.monotonic() - started < 30
 
 
 def test_unpicklable_outcome_becomes_a_deepref_error(usable_cpus):
