@@ -32,7 +32,8 @@ band from 1 MiB up), 34.0/41.1, 32.0/35.2 and 30.7/38.8 ms at 416x240, and
 `encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
 against the previous reconstruction or the generated picture made from it.
 `rd_sweep` and the `encode` command both run it; `rd_sweep` runs its
-quantizers' chains on every usable CPU, one fork per call (`parallel`).
+quantizers' chains on every usable CPU, on workers kept for the process
+(`parallel`), each of which receives its own copy of the frames and the net.
 """
 
 from __future__ import annotations
@@ -390,11 +391,14 @@ def encode_sequence(frames, net: GeneratorNet | None, cfg: SearchConfig, q: int)
 def rd_sweep(sequence, net: GeneratorNet | None, cfg: SearchConfig, q_set) -> list[RDPoint]:
     """One RD point per quantizer step of `encode_sequence`: (mean bits/frame,
     mean luma PSNR). The quantizers' chains run on every usable CPU
-    (`parallel.map_jobs`)."""
+    (`parallel.map_jobs`): each job carries the frames, the net and `cfg`, so
+    a worker holds its own copy of them for the call."""
     frames = list(sequence)
+    return map_jobs(_rd_point, [(frames, net, cfg, q) for q in q_set])
 
-    def point(q) -> RDPoint:
-        run = encode_sequence(frames, net, cfg, q)
-        return RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr)))
 
-    return map_jobs(point, q_set)
+def _rd_point(job) -> RDPoint:
+    """The RD point of one `rd_sweep` job, (frames, net, cfg, q)."""
+    frames, net, cfg, q = job
+    run = encode_sequence(frames, net, cfg, q)
+    return RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr)))

@@ -175,18 +175,23 @@ def block_size_sweep(
     train_frames = frames[: len(frames) - n_hold]
     holdout = frames[len(frames) - n_hold :]
 
-    def row(size) -> tuple[int, str, float]:
-        ex = replace(extraction, block_size=int(size))
-        pairs: list[SamplePair] = []
-        for prev, cur in zip(train_frames, train_frames[1:]):
-            pairs.extend(extract_pairs(prev, cur, ex))
-        if not pairs:
-            raise ConfigError(f"no training pairs extracted at block size {size}")
-        trained, _ = train(build_network(model), pairs, cfg)
-        scores = [
-            psnr(generate_reference(trained, holdout[i - 1]), holdout[i])
-            for i in range(1, len(holdout))
-        ]
-        return int(size), sequence_name, float(np.mean(scores))
+    return map_jobs(_size_row, [(train_frames, holdout, model, cfg, extraction, sequence_name, size)
+                                for size in sizes])
 
-    return map_jobs(row, sizes)
+
+def _size_row(job) -> tuple[int, str, float]:
+    """The row of one `block_size_sweep` job, (train_frames, holdout, model,
+    cfg, extraction, sequence_name, size)."""
+    train_frames, holdout, model, cfg, extraction, sequence_name, size = job
+    ex = replace(extraction, block_size=int(size))
+    pairs: list[SamplePair] = []
+    for prev, cur in zip(train_frames, train_frames[1:]):
+        pairs.extend(extract_pairs(prev, cur, ex))
+    if not pairs:
+        raise ConfigError(f"no training pairs extracted at block size {size}")
+    trained, _ = train(build_network(model), pairs, cfg)
+    scores = [
+        psnr(generate_reference(trained, holdout[i - 1]), holdout[i])
+        for i in range(1, len(holdout))
+    ]
+    return int(size), sequence_name, float(np.mean(scores))

@@ -12,7 +12,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
-from deepref import flow
+from deepref import flow, parallel
 from deepref.errors import ShapeMismatchError
 
 
@@ -113,12 +113,16 @@ def rng():
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """`usable_cpus(n)` makes `parallel.map_jobs` see n usable CPUs, so it
-    deals its jobs over n shares (n - 1 forked children) on any machine.
-    On leaving, the test process must have no child, reaped or not."""
+    deals its jobs over n shares (n - 1 worker processes) on any machine.
+    The workers are shut down on entry, so that the test's monkeypatches are
+    in every worker it forks, and on leaving, after which the test process
+    must have no child, reaped or not."""
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
+    parallel.shutdown()
     yield use
+    parallel.shutdown()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
