@@ -10,7 +10,9 @@ from .codec import (
     SearchConfig,
     encode_frame_proxy,
     encode_sequence,
+    generated,
     motion_search,
+    previous,
     rd_sweep,
 )
 from .config import RunConfig, load_run_config

@@ -189,17 +189,24 @@ def cmd_dump_features(args) -> int:
     return 0
 
 
+def _schemes(weights) -> dict:
+    """Scheme name -> reference rule, in RD-row order; `net` only given weights."""
+    schemes = {"baseline": codec.previous}
+    if weights:
+        schemes["net"] = functools.partial(codec.generated, generator.load_weights(weights))
+    return schemes
+
+
 def cmd_encode(args) -> int:
     cfg = _resolve(args)
     frames = _read_frames(cfg)
-    net = generator.load_weights(args.weights) if args.weights else None
-    run = codec.encode_sequence(frames, net, cfg.search, args.q)
+    scheme = "net" if args.weights else "baseline"
+    run = codec.encode_sequence(frames, _schemes(args.weights)[scheme], cfg.search, args.q)
     if args.mv_csv_dir:
         mv_dir = Path(args.mv_csv_dir)
         mv_dir.mkdir(parents=True, exist_ok=True)
         for t in range(1, len(frames)):
             write_csv(run.mv_fields[t], mv_dir / f"mv_f{t:04d}.csv", header=MV_HEADER)
-    scheme = "net" if net is not None else "baseline"
     bits, quality = float(np.mean(run.bits)), float(np.mean(run.psnr))
     print(f"{scheme} Q={args.q}: {bits:.1f} bits/frame, {quality:.3f} dB "
           f"({len(frames)} frames)")
@@ -209,13 +216,11 @@ def cmd_encode(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     frames = _read_frames(cfg)
-    net = generator.load_weights(args.weights)
-    baseline = codec.rd_sweep(frames, None, cfg.search, cfg.q_set)
-    with_net = codec.rd_sweep(frames, net, cfg.search, cfg.q_set)
-    rows = [("baseline", q, pt.bits, pt.psnr) for q, pt in zip(cfg.q_set, baseline)]
-    rows += [("net", q, pt.bits, pt.psnr) for q, pt in zip(cfg.q_set, with_net)]
+    schemes = _schemes(args.weights)
+    rows = [(scheme, q, pt.bits, pt.psnr) for scheme, refs in schemes.items()
+            for q, pt in zip(cfg.q_set, codec.rd_sweep(frames, refs, cfg.search, cfg.q_set))]
     write_csv(rows, args.output, header=RD_HEADER)
-    print(f"swept {len(cfg.q_set)} quantizers x 2 schemes on {len(frames)} frames "
+    print(f"swept {len(cfg.q_set)} quantizers x {len(schemes)} schemes on {len(frames)} frames "
           f"-> {args.output}")
     return 0
 

@@ -30,16 +30,16 @@ band from 1 MiB up), 34.0/41.1, 32.0/35.2 and 30.7/38.8 ms at 416x240, and
 173/186, 168/172 and 157/179 ms at 832x480: 1 MiB had the best medians.
 
 `encode_sequence` is the one low-delay P loop: frame 0 intra, then each frame
-against the previous reconstruction or the generated picture made from it.
-`rd_sweep` and the `encode` command both run it; `rd_sweep` runs its
-quantizers' chains on every usable CPU, on workers kept for the process
-(`parallel`), each of which receives its own copy of the frames and the net.
+against the list that a reference rule, `previous` or `partial(generated, net)`,
+builds from the reconstructions so far. `rd_sweep` and the `encode` command
+both run it; `rd_sweep` runs its quantizers' chains on every usable CPU, on
+workers kept for the process (`parallel`), each with its own frames and rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -368,37 +368,43 @@ class EncodedSequence(NamedTuple):
     mv_fields: list[list[MVRecord]]
 
 
-def encode_sequence(frames, net: GeneratorNet | None, cfg: SearchConfig, q: int) -> EncodedSequence:
-    """Low-delay P loop at quantizer step q: frame 0 is intra-coded, and every
-    later frame is inter-coded against the previous reconstruction, or against
-    the generator output fed with that reconstruction when a network is given.
+def previous(history) -> list[np.ndarray]:
+    """The anchor's reference rule: the newest reconstruction."""
+    return [history[-1]]
+
+
+def generated(net: GeneratorNet, history) -> list[np.ndarray]:
+    """The net scheme's reference rule: the picture `net` generates from the
+    newest reconstruction. Bind the net with `partial(generated, net)`."""
+    return [generate_reference(net, history[-1])]
+
+
+def encode_sequence(frames, refs, cfg: SearchConfig, q: int) -> EncodedSequence:
+    """Low-delay P loop at quantizer step q: frame 0 is intra-coded, and frame t
+    inter-coded against the reference list `refs(history)`, where `history`
+    holds the reconstructions of frames 0..t-1, newest last.
     """
     frames = [np.asarray(f) for f in frames]
     if len(frames) < 2:
         raise ShapeMismatchError(f"encoding needs at least 2 frames, got {len(frames)}")
-    bits0, prev = intra_frame_proxy(frames[0], q)
-    run = EncodedSequence([bits0], [psnr(prev, frames[0])], [prev], [[]])
+    bits0, recon = intra_frame_proxy(frames[0], q)
+    run = EncodedSequence([bits0], [psnr(recon, frames[0])], [recon], [[]])
     for cur in frames[1:]:
-        refs = [prev] if net is None else [generate_reference(net, prev)]
-        bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
-        run.bits.append(bits)
-        run.psnr.append(psnr(prev, cur))
-        run.recons.append(prev)
-        run.mv_fields.append(field)
+        bits, recon, field = encode_frame_proxy(refs(tuple(run.recons)), cur, cfg, q)
+        for column, value in zip(run, (bits, psnr(recon, cur), recon, field), strict=True):
+            column.append(value)
     return run
 
 
-def rd_sweep(sequence, net: GeneratorNet | None, cfg: SearchConfig, q_set) -> list[RDPoint]:
-    """One RD point per quantizer step of `encode_sequence`: (mean bits/frame,
-    mean luma PSNR). The quantizers' chains run on every usable CPU
-    (`parallel.map_jobs`): each job carries the frames, the net and `cfg`, so
-    a worker holds its own copy of them for the call."""
-    frames = list(sequence)
-    return map_jobs(_rd_point, [(frames, net, cfg, q) for q in q_set])
+def rd_sweep(sequence, refs, cfg: SearchConfig, q_set) -> list[RDPoint]:
+    """One RD point per quantizer step of `encode_sequence` with reference rule
+    `refs`, (mean bits/frame, mean luma PSNR), its chains on every usable CPU:
+    `parallel.map_jobs` pickles the frames, the rule and `cfg`, so the rule must
+    pickle by name, as a module-level function or `partial(generated, net)` do."""
+    return map_jobs(partial(_rd_point, list(sequence), refs, cfg), q_set)
 
 
-def _rd_point(job) -> RDPoint:
-    """The RD point of one `rd_sweep` job, (frames, net, cfg, q)."""
-    frames, net, cfg, q = job
-    run = encode_sequence(frames, net, cfg, q)
+def _rd_point(frames, refs, cfg: SearchConfig, q: int) -> RDPoint:
+    """The RD point of one `rd_sweep` chain."""
+    run = encode_sequence(frames, refs, cfg, q)
     return RDPoint(float(np.mean(run.bits)), float(np.mean(run.psnr)))

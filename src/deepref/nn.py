@@ -2,7 +2,8 @@
 
 Provides exactly the layers the reference-picture generator needs: standard
 and dilated 2-D convolution with explicit analytic backward passes, ReLU,
-channel concatenation, and the Adadelta update rule. Arrays are laid out
+the channel split that backpropagates a concatenation, and the Adadelta
+update rule. Arrays are laid out
 (batch, channel, height, width). All functions are pure (state is passed
 explicitly).
 
@@ -279,22 +280,6 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
             f"relu grad_out shape {np.shape(grad_out)} != input shape {np.shape(x)}"
         )
     return grad_out * (np.asarray(x) > 0)
-
-
-def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate along the channel axis; batch and spatial dims must agree."""
-    if not parts:
-        raise ShapeMismatchError("concat_channels needs at least one part")
-    parts = [_check_4d(part, "concat part") for part in parts]
-    ref = parts[0]
-    for i, part in enumerate(parts[1:], start=1):
-        if part.shape[0] != ref.shape[0]:
-            raise ShapeMismatchError(f"concat part {i} batch {part.shape[0]} != {ref.shape[0]}")
-        if part.shape[2:] != ref.shape[2:]:
-            raise ShapeMismatchError(
-                f"concat part {i} spatial dims {part.shape[2:]} != {ref.shape[2:]}"
-            )
-    return np.concatenate(parts, axis=1)
 
 
 def split_channels(grad_out: np.ndarray, channel_counts: list[int]) -> list[np.ndarray]:

@@ -3,15 +3,15 @@
 The jobs are dealt round-robin over one share per usable CPU (at most one per
 job). The caller runs share 0; each other share runs in a worker process that
 `map_jobs` forks on first use and keeps for the life of the process. A call
-sends each worker its share as one length-prefixed pickle `(fn, jobs)` over
-that worker's pipe, and reads back its results, or the exception that stopped
-it, the same way. So `fn` must pickle by name (a module-level function) and
-each job must carry the data it needs. The shares that cannot be forked (no
-process or memory to spare) run in the caller too. The results, and the
-exception raised (that of the first failing job in job order), are those of
-the plain loop. A worker that ends without sending its outcome gives a
-`DeepRefError` ranked at its first job, and a worker whose jobs all come after
-a failure already seen is not waited for.
+pickles `fn` once, workers or not, so `fn` must pickle by name on every
+machine (a module-level function or a `functools.partial` of one), and sends
+each worker its share as one length-prefixed pickle `(pickled fn, jobs)` over
+its pipe; the results, or the exception that stopped them, come back the same
+way. Shares that cannot be forked (no process or memory to spare) run in the
+caller too. The results, and the exception raised (that of the first failing
+job in job order), are those of the plain loop. A worker that ends without
+sending its outcome gives a `DeepRefError` ranked at its first job, and one
+whose jobs all come after a failure already seen is not waited for.
 
 A call that ends before it has read every outcome (such a failure, a dead
 worker, an interrupt) kills and reaps the workers that still owe one, so no
@@ -21,7 +21,7 @@ whose parent dies reads end-of-file and leaves.
 
 A warm worker's heap is its own, so a call takes no fork and no copy-on-write
 faults. In exchange a worker holds its own copy of the data shipped to it (for
-`rd_sweep`, the frames and the net), and it is a snapshot of the caller when
+`rd_sweep`, the frames and the rule), and it is a snapshot of the caller when
 it was forked: a module attribute changed later (a monkeypatched function, a
 constant) is not seen until `shutdown()` makes the next call fork again.
 
@@ -154,7 +154,8 @@ def _serve(jobs: int, outcomes: int):
     try:
         with _one_blas_thread():
             while (message := _read_message(jobs)) is not None:
-                outcome = _run(*pickle.loads(message))
+                fn, share = pickle.loads(message)
+                outcome = _run(pickle.loads(fn), share)
                 try:
                     payload = pickle.dumps(outcome)
                 except Exception as exc:
@@ -248,13 +249,14 @@ def _receive(share: int) -> tuple[list, Exception | None]:
 def map_jobs(fn, jobs) -> list:
     """`[fn(job) for job in jobs]`, on one share of the jobs per usable CPU."""
     global _busy
+    pickled_fn = pickle.dumps(fn)  # on every call: `fn` fails alike with or without workers
     jobs = list(jobs)
     n = _shares(len(jobs))
     owing: list[int] = []  # the shares sent to a worker whose outcome is not read yet
     was_busy, _busy = _busy, _busy or n > 1
     try:
         for share in range(1, n):
-            payload = pickle.dumps((fn, jobs[share::n]))
+            payload = pickle.dumps((pickled_fn, jobs[share::n]))
             worker = _live_worker(share)
             if worker is None:  # no process to spare: the shares not sent run in this process
                 break

@@ -7,6 +7,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -175,14 +176,12 @@ def block_size_sweep(
     train_frames = frames[: len(frames) - n_hold]
     holdout = frames[len(frames) - n_hold :]
 
-    return map_jobs(_size_row, [(train_frames, holdout, model, cfg, extraction, sequence_name, size)
-                                for size in sizes])
+    return map_jobs(partial(_size_row, train_frames, holdout, model, cfg, extraction,
+                            sequence_name), sizes)
 
 
-def _size_row(job) -> tuple[int, str, float]:
-    """The row of one `block_size_sweep` job, (train_frames, holdout, model,
-    cfg, extraction, sequence_name, size)."""
-    train_frames, holdout, model, cfg, extraction, sequence_name, size = job
+def _size_row(train_frames, holdout, model, cfg, extraction, name, size) -> tuple[int, str, float]:
+    """The row of one `block_size_sweep` size."""
     ex = replace(extraction, block_size=int(size))
     pairs: list[SamplePair] = []
     for prev, cur in zip(train_frames, train_frames[1:]):
@@ -194,4 +193,4 @@ def _size_row(job) -> tuple[int, str, float]:
         psnr(generate_reference(trained, holdout[i - 1]), holdout[i])
         for i in range(1, len(holdout))
     ]
-    return int(size), sequence_name, float(np.mean(scores))
+    return int(size), name, float(np.mean(scores))

@@ -5,12 +5,13 @@ and enforcing its runtime budget. Run with `pytest tests/test_acceptance.py -v -
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from deepref.cli import main as cli_main
-from deepref.codec import SearchConfig, encode_sequence, rd_sweep
+from deepref.codec import SearchConfig, encode_sequence, generated, previous, rd_sweep
 from deepref.fileio import read_csv
 from deepref.flow import ExtractionConfig, extract_pairs, lucas_kanade_mv, round_mv_topleft
 from deepref.generator import (
@@ -24,7 +25,7 @@ from deepref.generator import (
 )
 from deepref.interp import LUMA_FILTERS, MotionVectorQ, interpolate_block
 from deepref.metrics import RDPoint, bd_rate, psnr, ssim
-from deepref.nn import ConvParams, concat_channels, conv2d_backward, conv2d_forward, relu, relu_backward, split_channels
+from deepref.nn import ConvParams, conv2d_backward, conv2d_forward, relu, relu_backward, split_channels
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
 from deepref.training import TrainConfig, train
 from deepref.video_io import write_y4m
@@ -103,7 +104,7 @@ def test_criterion_01_gradient_suite():
 
         parts = [rng.uniform(0.1, 1.0, (1, 2, 5, 5)) for _ in range(3)]
         proj = rng.standard_normal((1, 6, 5, 5))
-        loss = lambda: float(np.sum(concat_channels(parts) * proj))
+        loss = lambda: float(np.sum(np.concatenate(parts, axis=1) * proj))
         for part, g in zip(parts, split_channels(proj, [2, 2, 2])):
             assert max_rel_err(g, central_diff_grad(loss, part)) < 1e-6
 
@@ -307,16 +308,16 @@ def test_criterion_09_directional_end_to_end():
               f"final loss {report.final_loss:.6g}")
 
         search = SearchConfig(search_range=8, lambda_mv=4.0, block_size=16)
-        recons = encode_sequence(frames, None, search, 8).recons
+        recons = encode_sequence(frames, previous, search, 8).recons
         wins = 0
         for t in range(20, 30):
-            generated = generate_reference(net, recons[t - 1])
-            wins += psnr(generated, frames[t]) > psnr(recons[t - 1], frames[t])
+            picture = generate_reference(net, recons[t - 1])
+            wins += psnr(picture, frames[t]) > psnr(recons[t - 1], frames[t])
         assert wins >= 7, f"generated reference won only {wins}/10 held-out frames"
 
         q_set = [8, 16, 32, 64]
-        baseline = rd_sweep(frames, None, search, q_set)
-        with_net = rd_sweep(frames, net, search, q_set)
+        baseline = rd_sweep(frames, previous, search, q_set)
+        with_net = rd_sweep(frames, partial(generated, net), search, q_set)
         for scheme, points in (("baseline", baseline), ("net", with_net)):
             for q, pt in zip(q_set, points):  # as the rows of `deepref sweep`'s RD CSV
                 print(f"[acceptance]   {scheme},{q},{pt.bits},{pt.psnr}")

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,10 @@ from deepref.codec import (
     _se_table,
     encode_frame_proxy,
     encode_sequence,
+    generated,
     intra_frame_proxy,
     motion_search,
+    previous,
     rd_sweep,
     signed_exp_golomb_bits,
 )
@@ -489,13 +492,12 @@ class TestDecoderRebuild:
                                          contrast=44.0)
         frames = pan_zoom_sequence(64, 64, 6, velocity=(0.875, 0.625), zoom_rate=0.0005,
                                    seed=11, texture=texture)
-        net = build_network(TINY) if with_net else None
+        rule = partial(generated, build_network(TINY)) if with_net else previous
         bs, (fh, fw) = cfg.block_size, frames[0].shape
         for q in (8, 16, 32, 64):
-            run = encode_sequence(frames, net, cfg, q)
+            run = encode_sequence(frames, rule, cfg, q)
             for t in range(1, len(frames)):
-                prev = run.recons[t - 1]
-                refs = [prev] if net is None else [generate_reference(net, prev)]
+                refs = rule(run.recons[:t])
                 recon = np.zeros_like(frames[t])
                 covered = np.zeros(frames[t].shape, dtype=int)
                 bits = 0
@@ -521,7 +523,7 @@ class TestEncodeSequence:
     @pytest.mark.parametrize("with_net", [False, True])
     @pytest.mark.parametrize("q", [8, 32])
     def test_matches_explicit_closed_loop(self, with_net, q):
-        net = build_network(TINY) if with_net else None
+        rule = partial(generated, build_network(TINY)) if with_net else previous
         tex = SinusoidTexture.random(21)
         frames = [tex.render(40, 36, offset=(0.6 * t, 0.3 * t)) for t in range(4)]
         cfg = SearchConfig(search_range=4, block_size=16)
@@ -529,12 +531,11 @@ class TestEncodeSequence:
         bits0, prev = intra_frame_proxy(frames[0], q)
         want = ([bits0], [psnr(prev, frames[0])], [prev], [[]])
         for cur in frames[1:]:
-            refs = [prev] if net is None else [generate_reference(net, prev)]
-            bits, prev, field = encode_frame_proxy(refs, cur, cfg, q)
+            bits, prev, field = encode_frame_proxy(rule(want[2]), cur, cfg, q)
             for column, value in zip(want, (bits, psnr(prev, cur), prev, field)):
                 column.append(value)
 
-        got = encode_sequence(frames, net, cfg, q)
+        got = encode_sequence(frames, rule, cfg, q)
         assert got.bits == want[0]
         assert got.psnr == want[1]
         assert len(got.recons) == len(frames)
@@ -544,14 +545,60 @@ class TestEncodeSequence:
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ShapeMismatchError, match="at least 2 frames"):
-            encode_sequence([textured(0)], None, SearchConfig(), 8)
+            encode_sequence([textured(0)], previous, SearchConfig(), 8)
+
+
+class TestReferenceRule:
+    """`encode_sequence` asks its reference rule for each inter frame's list,
+    given the reconstructions so far, newest last."""
+
+    @staticmethod
+    def panned(n=5):
+        tex = SinusoidTexture.random(23)
+        return [tex.render(40, 36, offset=(0.6 * t, 0.3 * t)) for t in range(n)]
+
+    def test_called_once_per_inter_frame_with_the_reconstructions_so_far(self):
+        calls = []
+
+        def rule(history):
+            calls.append(history)
+            return previous(history)
+
+        frames = self.panned()
+        run = encode_sequence(frames, rule, SearchConfig(search_range=4, block_size=16), 16)
+        assert len(calls) == len(frames) - 1
+        for t, history in enumerate(calls, start=1):  # as each call saw it, not as the run ended
+            assert len(history) == t
+            assert all(got is want for got, want in zip(history, run.recons[:t]))
+
+    def test_previous_and_generated_read_the_newest_reconstruction(self):
+        history = (textured(1, 32, 32), textured(2, 32, 32))
+        assert len(previous(history)) == 1 and previous(history)[0] is history[-1]
+        net = build_network(TINY)
+        (picture,) = generated(net, history)
+        np.testing.assert_array_equal(picture, generate_reference(net, history[-1]))
+
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_a_repeated_reference_costs_one_bit_per_block(self, q):
+        frames, cfg = self.panned(), SearchConfig(search_range=4, block_size=16)
+        base = encode_sequence(frames, previous, cfg, q)
+        twice = encode_sequence(frames, lambda h: [h[-1], h[-1]], cfg, q)
+        assert twice.bits[0] == base.bits[0]
+        for t in range(1, len(frames)):
+            assert twice.mv_fields[t] == base.mv_fields[t]  # the same mvs, every ref_idx 0
+            assert twice.bits[t] == base.bits[t] + len(base.mv_fields[t])
+            np.testing.assert_array_equal(twice.recons[t], base.recons[t])
+
+    def test_an_empty_list_is_refused(self):
+        with pytest.raises(ShapeMismatchError, match="at least one picture"):
+            encode_sequence(self.panned(2), lambda h: [], SearchConfig(), 8)
 
 
 class TestRdSweep:
     def test_one_point_per_q(self):
         tex = SinusoidTexture.random(14)
         frames = [tex.render(48, 48, offset=(0.4 * t, 0.2 * t)) for t in range(4)]
-        pts = rd_sweep(frames, None, SearchConfig(search_range=4, block_size=16),
+        pts = rd_sweep(frames, previous, SearchConfig(search_range=4, block_size=16),
                        [8, 16, 32, 64])
         assert len(pts) == 4
         bits = [p.bits for p in pts]
@@ -562,7 +609,7 @@ class TestRdSweep:
         frames = [frame] * 4
         cfg = SearchConfig(search_range=4, block_size=32)
         q = 16
-        pts = rd_sweep(frames, None, cfg, [q])
+        pts = rd_sweep(frames, previous, cfg, [q])
         bits0, recon0 = intra_frame_proxy(frame, q)
         from deepref.metrics import psnr
 
@@ -590,13 +637,13 @@ class TestRdSweep:
         tex = SinusoidTexture.random(16)
         frames = [tex.render(48, 48, offset=(0.3 * t, 0.5 * t)) for t in range(4)]
         search = SearchConfig(search_range=4, block_size=16)
-        base = rd_sweep(frames, None, search, [8, 32])
-        with_net = rd_sweep(frames, net, search, [8, 32])
+        base = rd_sweep(frames, previous, search, [8, 32])
+        with_net = rd_sweep(frames, partial(generated, net), search, [8, 32])
         assert base == with_net
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            rd_sweep([textured(0)], None, SearchConfig(), [8])
+            rd_sweep([textured(0)], previous, SearchConfig(), [8])
 
 
 def test_mv_record_fields():

@@ -13,7 +13,6 @@ from deepref.nn import (
     AdadeltaState,
     ConvParams,
     adadelta_step,
-    concat_channels,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -363,29 +362,26 @@ class TestRelu:
 
 
 class TestConcat:
+    """`split_channels` is the backward of a channel concatenation."""
+
     def test_channel_counts_add(self, rng):
-        a = rng.standard_normal((2, 32, 4, 4))
-        b = rng.standard_normal((2, 32, 4, 4))
-        assert concat_channels([a, b]).shape == (2, 64, 4, 4)
+        whole = rng.standard_normal((2, 64, 4, 4))
+        assert [part.shape for part in split_channels(whole, [32, 32])] == [(2, 32, 4, 4)] * 2
+        with pytest.raises(ShapeMismatchError, match="do not sum to 64"):
+            split_channels(whole, [32, 31])
 
     def test_concat_split_round_trip(self, rng):
         parts = [rng.standard_normal((1, c, 3, 5)) for c in (2, 3, 4)]
-        back = split_channels(concat_channels(parts), [2, 3, 4])
+        back = split_channels(np.concatenate(parts, axis=1), [2, 3, 4])
         for orig, rec in zip(parts, back):
             np.testing.assert_array_equal(orig, rec)
-
-    def test_spatial_mismatch_raises(self, rng):
-        a = rng.standard_normal((1, 2, 4, 4))
-        b = rng.standard_normal((1, 2, 5, 4))
-        with pytest.raises(ShapeMismatchError, match="spatial"):
-            concat_channels([a, b])
 
     def test_gradient_splits_per_part(self, rng):
         parts = [rng.uniform(0.1, 1.0, (1, 2, 4, 4)) for _ in range(3)]
         proj = rng.standard_normal((1, 6, 4, 4))
 
         def loss():
-            return float(np.sum(concat_channels(parts) * proj))
+            return float(np.sum(np.concatenate(parts, axis=1) * proj))
 
         grads = split_channels(proj, [2, 2, 2])
         for part, g in zip(parts, grads):

@@ -1,10 +1,11 @@
 """`parallel.map_jobs` gives the plain loop's results and errors on every
 usable CPU, keeps its workers warm across calls, and leaves no child process
-behind (the `usable_cpus` fixture checks that after every test). The jobs are
-module-level functions, as a worker receives them pickled."""
+behind (the `usable_cpus` fixture checks that after every test). Each `fn`
+is a module-level function or a partial of one, as every call pickles it."""
 
 import functools
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 import deepref
 from deepref import codec, parallel
 from deepref.cli import main
-from deepref.codec import SearchConfig, rd_sweep
+from deepref.codec import SearchConfig, generated, previous, rd_sweep
 from deepref.errors import ConfigError, DeepRefError, NonFiniteError
 from deepref.generator import ModelConfig, build_network, save_weights
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
@@ -259,6 +260,30 @@ def test_unpicklable_outcome_becomes_a_deepref_error(usable_cpus):
         map_jobs(returns_unpicklable, range(2))
 
 
+def raised_on_one_and_two_cpus(usable_cpus, monkeypatch, call) -> list:
+    """The exception types `call()` raises with 1, then 2 usable CPUs; no fork may happen."""
+    forks = counting_forks(monkeypatch)
+    raised = []
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        with pytest.raises(Exception) as info:
+            call()
+        raised.append(type(info.value))
+    assert forks == []
+    return raised
+
+
+def test_fn_that_does_not_pickle_fails_alike_with_or_without_workers(usable_cpus, monkeypatch):
+    scale = 3
+
+    def scaled(j):
+        return scale * j
+
+    for fn in (lambda j: j, scaled):
+        one, two = raised_on_one_and_two_cpus(usable_cpus, monkeypatch, lambda: map_jobs(fn, range(4)))
+        assert one is two and issubclass(one, (pickle.PicklingError, AttributeError))
+
+
 @pytest.mark.parametrize("death", ["exit", "sigkill"])
 def test_child_that_dies_without_a_result_raises(usable_cpus, death):
     usable_cpus(2)
@@ -335,17 +360,25 @@ def test_rd_sweep_points_byte_identical_forked_and_in_process(usable_cpus, monke
                                                               with_net):
     tex = SinusoidTexture.random(17)
     frames = [tex.render(48, 48, offset=(0.6 * t, 0.35 * t)) for t in range(3)]
-    net = tiny_net() if with_net else None
+    rule = functools.partial(generated, tiny_net()) if with_net else previous  # crosses the pipe
     search = SearchConfig(search_range=4, block_size=16)
     q_set = [4, 8, 16, 32, 64]
     usable_cpus(1)
-    in_process = rd_sweep(frames, net, search, q_set)
+    in_process = rd_sweep(frames, rule, search, q_set)
     forks = counting_forks(monkeypatch)
     usable_cpus(2)
-    forked = rd_sweep(frames, net, search, q_set)
+    forked = rd_sweep(frames, rule, search, q_set)
     assert len(forks) == 1
     assert np.array([tuple(p) for p in forked]).tobytes() == \
         np.array([tuple(p) for p in in_process]).tobytes()
+
+
+def test_rd_sweep_rule_that_does_not_pickle_fails_alike_with_or_without_workers(usable_cpus,
+                                                                                monkeypatch):
+    frames = pan_zoom_sequence(32, 32, 3, velocity=(0.5, 0.25), seed=4)
+    one, two = raised_on_one_and_two_cpus(usable_cpus, monkeypatch, lambda: rd_sweep(
+        frames, lambda h: [h[-1]], SearchConfig(search_range=2, block_size=16), [8, 16]))
+    assert one is two
 
 
 def test_sweep_command_reports_a_child_error(usable_cpus, monkeypatch, tmp_path, capsys):
@@ -355,10 +388,10 @@ def test_sweep_command_reports_a_child_error(usable_cpus, monkeypatch, tmp_path,
     real_encode = codec.encode_sequence
     parent = os.getpid()
 
-    def encode(frames, net, cfg, q):
+    def encode(frames, refs, cfg, q):
         if q == 16 and os.getpid() != parent:
             raise NonFiniteError("reconstruction of q 16 is not finite")
-        return real_encode(frames, net, cfg, q)
+        return real_encode(frames, refs, cfg, q)
 
     monkeypatch.setattr(codec, "encode_sequence", encode)
     usable_cpus(2)
