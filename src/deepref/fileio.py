@@ -16,13 +16,17 @@ from .errors import FormatError, check_plane
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a temp file + rename so interrupted runs never leave a
-    truncated file that parses as valid."""
+    truncated file that parses as valid. The file gets the mode `open` would
+    create it with (0o666 less the umask), not the temp file's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0o077)  # no call reads it without setting it; 0o077 is the safe side
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -147,7 +147,8 @@ def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None,
     return x
 
 
-def _conv_relu_stack_backward(net, names, inputs, output, g, grads, want_grad_input=True):
+def _conv_relu_stack_backward(net, names, inputs, output, g, grads, want_grad_input=True,
+                              defer=None):
     """Backward through `_conv_relu_stack` from its cached conv inputs and its
     output; each ReLU's mask is read from its output, which is the next conv's
     input. Stores each layer's (grad_w, grad_b) under its name and returns the
@@ -156,7 +157,7 @@ def _conv_relu_stack_backward(net, names, inputs, output, g, grads, want_grad_in
     for li in reversed(range(len(names))):
         g, gw, gb = conv2d_backward(inputs[li], net.layers[names[li]],
                                     relu_backward(outputs[li], g),
-                                    want_grad_input=li > 0 or want_grad_input)
+                                    want_grad_input=li > 0 or want_grad_input, defer=defer)
         grads[names[li]] = (gw, gb)
     return g
 
@@ -188,19 +189,19 @@ def block_forward(net: GeneratorNet, i: int, x: np.ndarray, want_cache: bool = F
     return out
 
 
-def _block_backward(net, i, cache, out, grad_out, grads):
+def _block_backward(net, i, cache, out, grad_out, grads, defer=None):
     """Backward through block i from its cache and its output `out`."""
     _, branches, fuse, skip = _BLOCKS[i]
     x, branch_caches, phi = cache
     g_pre = relu_backward(out, grad_out)
-    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.config.k * g_pre)
+    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.config.k * g_pre, defer=defer)
     grads[fuse] = (gw, gb)
-    g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre)
+    g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre, defer=defer)
     grads[skip] = (gw, gb)
     widths = _branch_widths(net, branches)
     for names, inputs, phi_b, g in zip(branches, branch_caches, split_channels(phi, widths),
                                        split_channels(g_phi, widths)):
-        g_x = g_x + _conv_relu_stack_backward(net, names, inputs, phi_b, g, grads)
+        g_x = g_x + _conv_relu_stack_backward(net, names, inputs, phi_b, g, grads, defer=defer)
     return g_x
 
 
@@ -242,21 +243,27 @@ def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
     return out
 
 
-def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True):
+def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True,
+                 defer=None):
     """Backward through the fixed graph; returns {name: (grad_w, grad_b)} in
     layer order and the gradient w.r.t. the network input, or None for it when
     `want_grad_input` is false (training needs only the parameter gradients).
-    The cache is only read, so it can be backpropagated again."""
+    The cache is only read, so it can be backpropagated again.
+
+    With `defer` (a `parallel.Deferral.submit`), every 3x3 conv hands it its
+    weight gradient (`nn.conv2d_backward`), and those arrays hold their values
+    once the deferral has collected; meanwhile this pass goes on with the
+    input gradients, the bias gradients and the 1x1 weight gradients."""
     head_cache, block_caches, tail_in = cache
     # each stage's output is the next stage's cached input
     stage_inputs = [block_cache[0] for block_cache in block_caches] + [tail_in]
     grads = {}
-    g, gw, gb = conv2d_backward(tail_in, net.layers[_TAIL], grad_out)
+    g, gw, gb = conv2d_backward(tail_in, net.layers[_TAIL], grad_out, defer=defer)
     grads[_TAIL] = (gw, gb)
     for i in reversed(range(_NUM_BLOCKS)):
-        g = _block_backward(net, i, block_caches[i], stage_inputs[i + 1], g, grads)
+        g = _block_backward(net, i, block_caches[i], stage_inputs[i + 1], g, grads, defer)
     g = _conv_relu_stack_backward(net, _HEAD, head_cache, stage_inputs[0], g, grads,
-                                  want_grad_input)
+                                  want_grad_input, defer)
     return {name: grads[name] for name in net.layers}, g
 
 

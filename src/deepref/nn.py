@@ -41,6 +41,16 @@ GEMMs over padded rows would save the copies, but OpenBLAS computes the last
 columns of a GEMM with other kernels, chosen by the column count, and on some
 shapes they round differently: padding moves pixels across that boundary and
 changes their bits.
+
+Training computes each k>1 layer's weight gradient in another process while
+it goes on with the rest of the backward: ``conv2d_backward`` hands
+``_weight_gradient(g, x, k, d)`` to its ``defer`` (a
+``parallel.Deferral.submit``), which sends a pickled copy of both operands.
+The copy of x is C-ordered whatever x's layout, but a k>1 layer's matrix is
+a fresh C-ordered copy either way and g is C-ordered already, so the GEMM
+sees the same layouts and keeps its bits. A 1x1 layer's weight gradient stays
+in the caller: its matrix is a strided view of a channel-major x, and a
+C-ordered copy would give the GEMM another layout.
 """
 
 from __future__ import annotations
@@ -206,14 +216,29 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return out
 
 
+def _weight_gradient(g: np.ndarray, x: np.ndarray, k: int, d: int) -> np.ndarray:
+    """grad_weights of a k x k conv with dilation d: the (out_ch, b*h*w)
+    output gradient `g` against the im2col rows of its input `x`."""
+    return np.matmul(g, _rows(x, k, d)).reshape(g.shape[0], x.shape[1], k, k)
+
+
 def conv2d_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, want_grad_input: bool = True
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, want_grad_input: bool = True,
+    defer=None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of :func:`conv2d_forward`.
 
     Returns (grad_input, grad_weights, grad_bias) with the shapes of their
     primal counterparts; grad_input is C-contiguous, or None when
     `want_grad_input` is false (the first layer of a network has no use for it).
+
+    With `defer` (a `parallel.Deferral.submit`), a k>1 layer hands it its
+    weight gradient, `_weight_gradient(g, x, k, d)`, and returns the array
+    it will be written into, which holds it once the deferral has collected.
+    A 1x1 layer computes it here: its `_rows` is a strided view of a
+    channel-major x, and that layout picks the GEMM kernel and so the bits,
+    which a pickled copy would not keep; a k>1 layer's rows are a copy either
+    way.
     """
     x = _check_conv_input(x, params)
     grad_out = _check_4d(grad_out, "grad_out")
@@ -227,7 +252,11 @@ def conv2d_backward(
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     # the im2col matrix is rebuilt rather than kept from the forward pass:
     # keeping it for every layer would hold k*k copies of each activation
-    grad_weights = np.matmul(g, _rows(x, k, d)).reshape(params.weights.shape)
+    if defer is None or k == 1:
+        grad_weights = _weight_gradient(g, x, k, d)
+    else:
+        grad_weights = np.empty(params.weights.shape, np.result_type(g, x))
+        defer(grad_weights, _weight_gradient, g, x, k, d)
     if not want_grad_input:
         return None, grad_weights, grad_bias
 

@@ -1,23 +1,41 @@
-"""`map_jobs(fn, jobs)`: `[fn(job) for job in jobs]` on every usable CPU.
+"""`map_jobs(fn, jobs)`: `[fn(job) for job in jobs]` on every usable CPU, and
+`deferral()`: jobs run on a second CPU while the caller carries on.
 
 The jobs are dealt round-robin over one share per usable CPU (at most one per
 job). The caller runs share 0; each other share runs in a worker process that
-`map_jobs` forks on first use and keeps for the life of the process. A call
-pickles `fn` once, workers or not, so `fn` must pickle by name on every
-machine (a module-level function or a `functools.partial` of one), and sends
-each worker its share as one length-prefixed pickle `(pickled fn, jobs)` over
-its pipe; the results, or the exception that stopped them, come back the same
-way. Shares that cannot be forked (no process or memory to spare) run in the
-caller too. The results, and the exception raised (that of the first failing
-job in job order), are those of the plain loop. A worker that ends without
-sending its outcome gives a `DeepRefError` ranked at its first job, and one
-whose jobs all come after a failure already seen is not waited for.
+is forked on first use and kept for the life of the process. A call pickles
+`fn` once, workers or not, so `fn` must pickle by name on every machine (a
+module-level function or a `functools.partial` of one), and sends each worker
+its share as one length-prefixed pickle `(pickled fn, jobs)` over its jobs
+pipe; the results, or the exception that stopped them, come back the same way
+on its outcomes pipe. Shares that cannot be forked (no process or memory to
+spare) run in the caller too. The results, and the exception raised (that of
+the first failing job in job order), are those of the plain loop. A worker
+that ends without sending its outcome gives a `DeepRefError` ranked at its
+first job, and one whose jobs all come after a failure already seen is not
+waited for.
+
+The deferred form is for work the caller would otherwise wait on, one job at
+a time: `with deferral() as d`, `d.submit(out, fn, *args)` sends
+`fn(*args)` to share 1's worker as a share of one job and returns at once,
+and `d.collect()` reads the outcomes back in call order, writes each result
+into its `out` array and raises the exception of the first failing job in
+call order. Jobs pile up in the worker's jobs pipe, which is enlarged once to
+`JOBS_PIPE_BYTES` (1 MiB; skipped where the system refuses) so that a
+network's weight gradients (66-131 KB each for the benchmark's small net)
+wait there instead of on the worker. Outcomes are read at `collect`, off the
+caller's path while the worker is busy, and by a send that finds the jobs
+pipe full: the caller writes that pipe without blocking, and reads outcomes
+while it waits for room, because a worker whose outcomes have filled the
+outcomes pipe waits on the caller and reads no more jobs, and a caller that
+only wrote would then wait on it for good.
 
 A call that ends before it has read every outcome (such a failure, a dead
-worker, an interrupt) kills and reaps the workers that still owe one, so no
-stale outcome is left in a pipe; the next call forks fresh workers for those
-shares. `shutdown()`, also run at exit, kills and reaps them all, and a worker
-whose parent dies reads end-of-file and leaves.
+worker, an interrupt; for a deferral, leaving its block) kills and reaps the
+workers that still owe one, so no stale outcome is left in a pipe; the next
+call forks fresh workers for those shares. `shutdown()`, also run at exit,
+kills and reaps them all, and a worker whose parent dies reads end-of-file
+and leaves.
 
 A warm worker's heap is its own, so a call takes no fork and no copy-on-write
 faults. In exchange a worker holds its own copy of the data shipped to it (for
@@ -25,26 +43,29 @@ faults. In exchange a worker holds its own copy of the data shipped to it (for
 it was forked: a module attribute changed later (a monkeypatched function, a
 constant) is not seen until `shutdown()` makes the next call fork again.
 
-While workers run a call, every process runs numpy's bundled OpenBLAS on one
-thread, as there is one share per CPU: a worker from its start, the caller for
-the call, after which its count is restored. Nothing is done when OpenBLAS's
-thread-count functions cannot be found.
+While workers run a call or a deferral is open, every process runs numpy's
+bundled OpenBLAS on one thread, as there is one share per CPU: a worker from
+its start, the caller for the call or the deferral, after which its count is
+restored. Nothing is done when OpenBLAS's thread-count functions cannot be
+found.
 
-The jobs run in the calling process alone with one usable CPU, without
-`os.fork`, off Linux, inside a share (a worker's, or the caller's while its
-call runs), or while another Python thread lives: a
-fork copies only the calling thread, so a lock that another thread holds would
-stay held in the child.
+The jobs run in the calling process alone (a deferral's at `submit`) with one
+usable CPU, without `os.fork`, off Linux, inside a share (a worker's, or the
+caller's while its call runs or its deferral is open), or while another Python
+thread lives: a fork copies only the calling thread, so a lock that another
+thread holds would stay held in the child.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
 import ctypes
 import functools
 import os
 import pickle
+import select
 import signal
 import struct
 import sys
@@ -57,15 +78,26 @@ import numpy as np
 from .errors import DeepRefError
 
 _LENGTH = struct.Struct("<Q")  # the prefix of every message: its length in bytes
+# the pickle protocol of every message: protocol 5 copies a numpy array's
+# buffer once, and pickled a 128 KB weight-gradient job in 9 us, not the 69 us
+# of the default protocol 4 (2-vCPU x86_64 box)
+_PROTOCOL = 5
+
+# the size a worker's jobs pipe is set to. At the default 64 KiB, training's
+# weight-gradient jobs (66-131 KB each for the benchmark's small net) waited
+# on the worker: an epoch of the benchmark's `train` took 216-220 ms, against
+# 179-192 ms with 1 MiB and 205-208 ms with no worker (2-vCPU x86_64 box)
+JOBS_PIPE_BYTES = 1 << 20
 
 # True while this process runs a share: a worker always, the caller during a
-# call (whose workers owe it outcomes, so a nested call must not use them)
+# call or an open deferral (whose workers owe it outcomes, so a nested call
+# must not use them)
 _busy = False
 
 
 class _Worker(NamedTuple):
     pid: int
-    jobs: int  # write end of the pipe the worker reads its shares from
+    jobs: int  # write end of the pipe the worker reads its shares from; non-blocking
     outcomes: int  # read end of the pipe it sends its outcomes back on
 
 
@@ -90,11 +122,24 @@ def _run(fn, jobs) -> tuple[list, Exception | None]:
     return results, None
 
 
-def _write_message(fd: int, payload: bytes) -> None:
-    for part in (_LENGTH.pack(len(payload)), payload):  # no joined copy of the payload
-        view = memoryview(part)
-        while view:
-            view = view[os.write(fd, view):]
+def _write_message(fd: int, payload: bytes, wait=None) -> None:
+    """Write one message to `fd`. Each time a non-blocking `fd` is full, wait
+    until it has room (or its reader is gone), or call `wait()` instead, which
+    returns once it may have room, or False to give up."""
+    parts = [memoryview(_LENGTH.pack(len(payload))), memoryview(payload)]
+    while parts:  # one call for both parts while they fit, and no joined copy of them
+        try:
+            written = os.writev(fd, parts)
+        except BlockingIOError:
+            if wait is None:
+                select.select([], [fd], [])
+            elif not wait():
+                return
+            continue
+        while parts and written >= len(parts[0]):
+            written -= len(parts.pop(0))
+        if written:
+            parts[0] = parts[0][written:]
 
 
 def _read_exact(fd: int, n: int) -> bytearray | None:
@@ -157,7 +202,7 @@ def _serve(jobs: int, outcomes: int):
                 fn, share = pickle.loads(message)
                 outcome = _run(pickle.loads(fn), share)
                 try:
-                    payload = pickle.dumps(outcome)
+                    payload = pickle.dumps(outcome, _PROTOCOL)
                 except Exception as exc:
                     payload = pickle.dumps(([], DeepRefError(f"worker could not send its outcome: {exc!r}")))
                 _write_message(outcomes, payload)
@@ -170,6 +215,11 @@ def _fork_worker() -> _Worker | None:
     """A new worker, or None when no process can be forked."""
     jobs_r, jobs_w = os.pipe()
     outcomes_r, outcomes_w = os.pipe()
+    import fcntl  # here: forks happen on Linux only
+
+    with contextlib.suppress(OSError, AttributeError):  # refused, or no such call here
+        fcntl.fcntl(jobs_w, fcntl.F_SETPIPE_SZ, JOBS_PIPE_BYTES)
+    os.set_blocking(jobs_w, False)
     try:
         pid = os.fork()
     except OSError:
@@ -256,7 +306,7 @@ def map_jobs(fn, jobs) -> list:
     was_busy, _busy = _busy, _busy or n > 1
     try:
         for share in range(1, n):
-            payload = pickle.dumps((pickled_fn, jobs[share::n]))
+            payload = pickle.dumps((pickled_fn, jobs[share::n]), _PROTOCOL)
             worker = _live_worker(share)
             if worker is None:  # no process to spare: the shares not sent run in this process
                 break
@@ -290,3 +340,93 @@ def map_jobs(fn, jobs) -> list:
         for i, result in zip(indices, results):
             out[i] = result
     return out
+
+
+def _call(job):
+    fn, args = job
+    return fn(*args)
+
+
+_PICKLED_CALL = pickle.dumps(_call)
+
+
+class Deferral:
+    """Jobs that run on share 1's worker while the caller carries on; made by
+    `deferral()`, which decides whether they run there or in the caller."""
+
+    def __init__(self, forked: bool):
+        self._forked = forked
+        self._calls = 0  # jobs submitted so far
+        self._owed: collections.deque = collections.deque()  # (call, out) the worker owes, in call order
+        self._error: tuple[int, Exception] | None = None  # (call, exception) of the first failure
+
+    def submit(self, out: np.ndarray, fn, *args) -> None:
+        """Have `fn(*args)` written into `out` (an array of the result's shape)
+        by the next `collect()`; `fn` must pickle by name, as for `map_jobs`."""
+        call = self._calls
+        self._calls += 1
+        if self._forked:
+            worker = _workers[1] if self._owed else _live_worker(1)
+        else:
+            worker = None
+        if worker is None:  # in the caller, as is a job that finds no process to spare
+            pickle.dumps(fn)  # `fn` fails alike with or without a worker
+            self._settle(call, out, _run(_call, [(fn, args)]))
+            return
+        payload = pickle.dumps((_PICKLED_CALL, [(fn, args)]), _PROTOCOL)
+        self._owed.append((call, out))
+        try:
+            _write_message(worker.jobs, payload, functools.partial(self._wait, worker))
+        except BrokenPipeError:  # it died: `collect` reports it
+            pass
+
+    def _wait(self, worker: _Worker) -> bool:
+        """Until the worker's jobs pipe may have room, read its outcomes (it may
+        be waiting on a full outcomes pipe, and so not reading jobs); False
+        once it died."""
+        if select.select([worker.outcomes], [worker.jobs], [])[0]:
+            self._receive_one()
+        return 1 in _workers
+
+    def _receive_one(self) -> None:
+        call, out = self._owed.popleft()
+        outcome = _receive(1)
+        if 1 not in _workers:  # it died: the outcomes it owed are lost with it
+            self._owed.clear()
+        self._settle(call, out, outcome)
+
+    def _settle(self, call: int, out: np.ndarray, outcome: tuple[list, Exception | None]) -> None:
+        results, exc = outcome
+        if exc is None:
+            out[...] = results[0]
+        elif self._error is None or call < self._error[0]:
+            self._error = call, exc
+
+    def collect(self) -> None:
+        """Wait for every job submitted so far and fill its `out`; raise the
+        exception of the first failing job in call order."""
+        while self._owed:
+            self._receive_one()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error[1]
+
+
+@contextlib.contextmanager
+def deferral():
+    """A `Deferral` for the block. Its jobs run on share 1's worker, or in the
+    caller where `map_jobs` would run them there; a worker that still owes
+    outcomes when the block ends is killed and reaped."""
+    global _busy
+    # the worker is forked now, if it has to be, while the caller's heap is
+    # small: a worker keeps what the caller held at the fork
+    forked = _shares(2) > 1 and _live_worker(1) is not None
+    deferred = Deferral(forked)
+    was_busy, _busy = _busy, _busy or forked
+    try:
+        with _one_blas_thread() if forked else contextlib.nullcontext():
+            yield deferred
+    finally:
+        _busy = was_busy
+        if deferred._owed:
+            _discard(1)

@@ -1,5 +1,12 @@
 """Generator training: MSE loss over (X, Y) block pairs, Adadelta updates,
-stepped learning-rate decay, deterministic seeded shuffling."""
+stepped learning-rate decay, deterministic seeded shuffling.
+
+`train` runs on two CPUs where `parallel.map_jobs` would use a worker: it
+keeps one `parallel.deferral()` open for the whole call, each batch's backward
+hands every 3x3 conv's weight gradient to share 1's worker while the caller
+goes on down the input-gradient chain, and the batch collects them before its
+Adadelta step. The worker computes each of them as the caller would, from a
+copy of the same operands, so the bits are those of the one-CPU run."""
 
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from .generator import (
 )
 from .metrics import psnr
 from .nn import AdadeltaState, adadelta_step
-from .parallel import map_jobs
+from .parallel import Deferral, deferral, map_jobs
 
 
 @dataclass
@@ -103,15 +110,18 @@ def _share_one_vector(layers) -> np.ndarray:
     return theta
 
 
-def _batch_gradient(net: GeneratorNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _batch_gradient(net: GeneratorNet, x: np.ndarray, y: np.ndarray,
+                    deferred: Deferral) -> tuple[float, np.ndarray]:
     """MSE loss of one batch and its gradient w.r.t. every parameter, as one
-    vector in layer order. The batch's output, cache and loss gradient are
-    freed on return, so the next batch's forward runs without them."""
+    vector in layer order; the 3x3 weight gradients go through `deferred`.
+    The batch's output, cache and loss gradient are freed on return, so the
+    next batch's forward runs without them."""
     out, cache = net_forward(net, x, want_cache=True)
     loss, grad = mse_loss(out, y)
     if not math.isfinite(loss):
         raise NonFiniteError("non-finite training loss")
-    grads, _ = net_backward(net, cache, grad, want_grad_input=False)
+    grads, _ = net_backward(net, cache, grad, want_grad_input=False, defer=deferred.submit)
+    deferred.collect()
     # the update is elementwise, so one step over the concatenated tensors
     # gives the bits of one step per tensor
     return loss, np.concatenate([g.ravel() for name in net.layers for g in grads[name]])
@@ -122,9 +132,10 @@ def train(
 ) -> tuple[GeneratorNet, LossReport]:
     """Optimize a copy of `net` on the dataset; the input network is untouched.
 
-    Bit-deterministic for a fixed shuffle seed on a fixed machine. One batch's
-    activations are alive at a time: each is freed before the next batch's
-    forward, so the peak is one batch's cache and its backward.
+    Bit-deterministic for a fixed shuffle seed on a fixed machine, with one
+    usable CPU or more (module docstring). One batch's activations are alive
+    at a time: each is freed before the next batch's forward, so the peak is
+    one batch's cache and its backward.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -138,22 +149,23 @@ def train(
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = LossReport()
     n = len(dataset)
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg)
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            try:
-                loss, grad_theta = _batch_gradient(net, xs[idx], ys[idx])
-                theta[...], state = adadelta_step(theta, grad_theta, state, lr)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
-            epoch_loss += loss * len(idx)
-        report.epochs.append(
-            EpochStats(epoch, lr, epoch_loss / n, time.perf_counter() - started)
-        )
+    with deferral() as deferred:
+        for epoch in range(cfg.epochs):
+            lr = lr_schedule(epoch, cfg)
+            started = time.perf_counter()
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                try:
+                    loss, grad_theta = _batch_gradient(net, xs[idx], ys[idx], deferred)
+                    theta[...], state = adadelta_step(theta, grad_theta, state, lr)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
+                epoch_loss += loss * len(idx)
+            report.epochs.append(
+                EpochStats(epoch, lr, epoch_loss / n, time.perf_counter() - started)
+            )
     return net, report
 
 

@@ -295,3 +295,12 @@ def naive_lk_block(ref, gx, gy, cur, origin, size):
     vx = min(max(vx, -flow.MV_CLAMP), flow.MV_CLAMP)
     vy = min(max(vy, -flow.MV_CLAMP), flow.MV_CLAMP)
     return (vx, vy), False
+
+
+@pytest.fixture
+def with_umask():
+    """`with_umask(mask)` sets the process umask for the rest of the test."""
+    before = os.umask(0o022)
+    os.umask(before)
+    yield os.umask
+    os.umask(before)

@@ -1,4 +1,5 @@
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def test_sweeps_in_one_process_carry_no_flags_over(tmp_path, capsys):
     for name, q_set in (("a.csv", [8, 16]), ("b.csv", list(DEFAULT_Q_SET))):
         _, rows = read_csv(tmp_path / name)
         assert [int(r[1]) for r in rows] == q_set * 2
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(clip, tmp_path, capsys, with_umask, umask, mode):
+    with_umask(umask)
+    dataset, weights, loss_csv = tmp_path / "d.drpd", tmp_path / "w.drpg", tmp_path / "loss.csv"
+    assert run(["extract", "--input", str(clip), "--block-size", "16", "--output",
+                str(dataset)], capsys)[0] == 0
+    code, _, err = run(["train", "--dataset", str(dataset), "--weights-out", str(weights),
+                        "--loss-csv", str(loss_csv), "--epochs", "1", "--batch-size", "32",
+                        *TINY_MODEL_FLAGS], capsys)
+    assert code == 0, err
+    for path in (dataset, weights, loss_csv):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 class TestArgHandling:

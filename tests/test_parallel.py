@@ -402,3 +402,269 @@ def test_sweep_command_reports_a_child_error(usable_cpus, monkeypatch, tmp_path,
     assert code == 1
     assert err == "error: reconstruction of q 16 is not finite\n"
     assert not (tmp_path / "rd.csv").exists()
+
+
+# The deferred form: `deferral()`, `Deferral.submit(out, fn, *args)`, `collect()`.
+
+def square_plus(j, add):
+    return j * j + add
+
+
+def pid_now():
+    return os.getpid()
+
+
+def fail_at(failing, error, j):
+    if j in failing:
+        raise error(f"job {j} in process {os.getpid()}")
+    return j
+
+
+def kill_self_at(parent, j):
+    """Job 2 SIGKILLs its worker; never the test process."""
+    if j == 2:
+        assert os.getpid() != parent, "must die in a worker, never in the test process"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return j
+
+
+def sleep_there(parent, seconds):
+    if os.getpid() != parent:
+        time.sleep(seconds)
+    return os.getpid()
+
+
+def filled(n, j):
+    """n float64s of value j: an outcome as large as n * 8 bytes."""
+    return np.full(n, float(j))
+
+
+def deferred_results(n_jobs) -> list:
+    with parallel.deferral() as d:
+        outs = [np.empty((), dtype=np.int64) for _ in range(n_jobs)]
+        for j, out in enumerate(outs):
+            d.submit(out, square_plus, j, 3)
+        d.collect()
+    return [int(out) for out in outs]
+
+
+def deferred_pids(_) -> list:
+    with parallel.deferral() as d:
+        outs = [np.empty((), dtype=np.int64) for _ in range(3)]
+        for out in outs:
+            d.submit(out, pid_now)
+        d.collect()
+    return [int(out) for out in outs]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_jobs", range(6))
+def test_deferred_results_in_call_order(usable_cpus, cpus, n_jobs):
+    usable_cpus(cpus)
+    assert deferred_results(n_jobs) == [j * j + 3 for j in range(n_jobs)]
+
+
+def test_deferred_jobs_run_on_share_one_worker_and_it_stays_warm(usable_cpus, monkeypatch):
+    usable_cpus(3)
+    first = deferred_pids(None)
+    forks = counting_forks(monkeypatch)
+    assert deferred_pids(None) == first
+    assert forks == []
+    assert len(set(first)) == 1 and first[0] != os.getpid()
+    assert map_jobs(pid_of, range(3))[1] == first[0]  # the same worker runs map_jobs' share 1
+
+
+@pytest.mark.parametrize("unsafe", ["one cpu", "map_jobs share", "live thread"])
+def test_deferred_jobs_run_in_the_caller_where_forking_is_unavailable_or_unsafe(
+        usable_cpus, monkeypatch, unsafe):
+    usable_cpus(1 if unsafe == "one cpu" else 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if unsafe == "live thread":
+        thread.start()
+    forks = counting_forks(monkeypatch)
+    try:
+        if unsafe == "map_jobs share":
+            here, there = map_jobs(deferred_pids, range(2))
+            assert here == [os.getpid()] * 3
+            assert there == [there[0]] * 3 and there[0] != os.getpid()
+            assert len(forks) == 1  # map_jobs' worker, no other
+        else:
+            assert deferred_pids(None) == [os.getpid()] * 3
+            assert forks == []
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+
+
+@pytest.mark.skipif(parallel._openblas_threads() is None,
+                    reason="numpy's bundled OpenBLAS thread-count functions not found")
+def test_openblas_on_one_thread_while_a_deferral_is_open(usable_cpus):
+    get, set_ = parallel._openblas_threads()
+    before = get()
+    set_(2)
+    try:
+        usable_cpus(2)
+        with parallel.deferral() as d:
+            out = np.empty((), dtype=np.int64)
+            d.submit(out, blas_threads, 0)
+            d.collect()
+            assert (get(), int(out)) == (1, 1)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", [{1, 2}, {2, 4}, {4}, {0, 1, 2, 3, 4}])
+def test_deferred_first_failing_job_in_call_order_raised(usable_cpus, cpus, failing):
+    usable_cpus(cpus)
+    with parallel.deferral() as d:
+        outs = [np.empty((), dtype=np.int64) for _ in range(5)]
+        for j, out in enumerate(outs):
+            d.submit(out, fail_at, failing, NonFiniteError, j)
+        with pytest.raises(NonFiniteError, match=rf"^job {min(failing)} in process (\d+)$") as info:
+            d.collect()
+        assert (info.value.args[0].endswith(str(os.getpid()))) == (cpus == 1)
+        assert [int(outs[j]) for j in range(min(failing))] == list(range(min(failing)))
+        # the deferral goes on after a failure
+        d.submit(outs[0], square_plus, 2, 0)
+        d.collect()
+        assert int(outs[0]) == 4
+
+
+def test_deferred_fn_that_does_not_pickle_fails_alike_with_or_without_a_worker(usable_cpus):
+    raised = []
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        with pytest.raises(Exception) as info:
+            with parallel.deferral() as d:
+                d.submit(np.empty(()), lambda: 1)
+        raised.append(type(info.value))
+    assert raised[0] is raised[1]
+    assert issubclass(raised[0], (pickle.PicklingError, AttributeError))
+
+
+def test_deferred_worker_killed_mid_batch_raises(usable_cpus):
+    usable_cpus(2)
+    with parallel.deferral() as d:
+        outs = [np.empty((), dtype=np.int64) for _ in range(5)]
+        for j, out in enumerate(outs):
+            d.submit(out, kill_self_at, os.getpid(), j)
+        with pytest.raises(DeepRefError, match=rf"ended without a result \(exit status {-signal.SIGKILL}\)"):
+            d.collect()
+        assert [int(outs[0]), int(outs[1])] == [0, 1]
+        assert 1 not in parallel._workers  # reaped
+        # the next job forks a new worker
+        d.submit(outs[0], pid_now)
+        d.collect()
+        assert int(outs[0]) not in (os.getpid(), 0)
+
+
+@pytest.mark.parametrize("error", [NonFiniteError, KeyboardInterrupt])
+def test_deferral_left_by_a_failure_kills_the_worker_that_owes_outcomes(usable_cpus, error):
+    usable_cpus(2)
+    started = time.monotonic()
+    with pytest.raises(error):
+        with parallel.deferral() as d:
+            d.submit(np.empty((), dtype=np.int64), sleep_there, os.getpid(), 60)
+            raise error("between a send and its read")
+    assert time.monotonic() - started < 30
+    assert 1 not in parallel._workers  # killed and reaped: the fixture checks that none is left
+
+
+def test_outcomes_larger_than_a_pipe_buffer_do_not_deadlock(usable_cpus):
+    # each job sends 1 MiB and gets 1 MiB back: while the caller writes a job
+    # that fills the jobs pipe, the worker may be writing an outcome that
+    # fills the outcomes pipe, and each would wait on the other for good
+    usable_cpus(2)
+
+    def hung(signum, frame):
+        raise TimeoutError("deferred jobs hung")
+
+    previous_handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with parallel.deferral() as d:
+            big = np.ones(1 << 17)
+            outs = [np.empty(1 << 17) for _ in range(6)]
+            for j, out in enumerate(outs):
+                d.submit(out, filled, big.size, j)
+                d.submit(np.empty(()), np.sum, big)  # a 1 MiB job with a small outcome
+            d.collect()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous_handler)
+    assert all(np.all(out == j) for j, out in enumerate(outs))
+
+
+def small_training_setup(channels, n_pairs, block):
+    from deepref.flow import SamplePair
+    model = ModelConfig(head_channels=channels, branch_reduce_channels=channels // 2,
+                        branch_out_channels=channels // 2, trunk_channels=channels, seed=0)
+    rng = np.random.default_rng(5)
+    pairs = [SamplePair(*rng.integers(0, 256, (2, block, block), dtype=np.uint8), (0, 0),
+                        (0.0, 0.0)) for _ in range(n_pairs)]
+    return model, pairs
+
+
+def losses_and_weights(net, report):
+    return ([e.loss for e in report.epochs],
+            [t.tobytes() for p in net.layers.values() for t in (p.weights, p.bias)])
+
+
+@pytest.mark.parametrize("error", [NonFiniteError, KeyboardInterrupt])
+def test_train_left_between_a_send_and_its_read_leaves_no_owed_outcome(usable_cpus, monkeypatch,
+                                                                       error):
+    from deepref import generator as generator_mod
+    from deepref.training import TrainConfig, train
+
+    model, pairs = small_training_setup(8, 8, 16)
+    cfg = TrainConfig(lr0=1.0, epochs=2, batch_size=4)
+    usable_cpus(1)
+    in_process = losses_and_weights(*train(build_network(model), pairs, cfg))
+    usable_cpus(2)
+    real = generator_mod.relu_backward
+    calls = []
+
+    def fail_in_the_second_backward(x, g):
+        # a backward calls it 32 times; the tail's weight gradient is sent
+        # before its first call, and read only at the batch's end
+        calls.append(1)
+        if len(calls) == 33:
+            raise error("the caller failed")
+        return real(x, g)
+
+    monkeypatch.setattr(generator_mod, "relu_backward", fail_in_the_second_backward)
+    with pytest.raises(error, match="the caller failed"):
+        train(build_network(model), pairs, cfg)
+    assert len(calls) == 33
+    assert 1 not in parallel._workers  # killed and reaped while it owed an outcome
+    monkeypatch.setattr(generator_mod, "relu_backward", real)
+    assert losses_and_weights(*train(build_network(model), pairs, cfg)) == in_process
+    assert 1 in parallel._workers
+
+
+def test_train_at_larger_widths_does_not_deadlock(usable_cpus):
+    # 16 channels, 8 blocks of 32x32: each 3x3 job is about 1 MiB, and a
+    # batch's outcomes overfill the outcomes pipe while jobs fill the jobs pipe
+    from deepref.training import TrainConfig, train
+
+    model, pairs = small_training_setup(16, 16, 32)
+    cfg = TrainConfig(lr0=1.0, epochs=1, batch_size=8)
+    usable_cpus(1)
+    in_process = losses_and_weights(*train(build_network(model), pairs, cfg))
+    usable_cpus(2)
+
+    def hung(signum, frame):
+        raise TimeoutError("training hung")
+
+    previous_handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        forked = losses_and_weights(*train(build_network(model), pairs, cfg))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous_handler)
+    assert forked == in_process

@@ -119,6 +119,19 @@ class TestTrain:
         for (name, pa), (_, pb) in zip(net_a.layers.items(), net_b.layers.items()):
             np.testing.assert_array_equal(pa.weights, pb.weights, err_msg=name)
 
+    def test_one_and_two_usable_cpus_bit_identical(self, usable_cpus):
+        # with two, every 3x3 weight gradient is computed on the worker
+        small = ModelConfig(head_channels=8, branch_reduce_channels=4, branch_out_channels=4,
+                            trunk_channels=8, k=0.5, seed=0, dtype="float32")
+        pairs = shift_pairs(n=16)
+        cfg = TrainConfig(lr0=1.0, epochs=4, batch_size=3, shuffle_seed=1)
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            net, report = train(build_network(small), pairs, cfg)
+            runs.append(([e.loss for e in report.epochs], param_bytes(net)))
+        assert runs[0] == runs[1]
+
     def test_input_network_untouched(self):
         pairs = shift_pairs()
         net = build_network(TINY)
@@ -221,13 +234,17 @@ class TestFusedUpdate:
                               for name, _ in params for attr in ("weights", "bias")])
         assert acc.tobytes() == state.acc_delta_sq.tobytes()
 
-    def test_training_matches_plain_conv_engine(self, monkeypatch):
+    def test_training_matches_plain_conv_engine(self, monkeypatch, usable_cpus):
+        # the engine's 3x3 weight gradients run on the worker; the plain
+        # engine ignores `defer` and computes every gradient in this process
         pairs = shift_pairs(n=7)
         cfg = TrainConfig(lr0=1.0, epochs=3, batch_size=3, shuffle_seed=2)
+        usable_cpus(2)
         net_a, rep_a = train(build_network(TINY), pairs, cfg)
         monkeypatch.setattr(generator_mod, "conv2d_forward", plain_conv2d_forward)
         monkeypatch.setattr(generator_mod, "conv2d_backward",
-                            lambda x, p, g, want_grad_input=True: plain_conv2d_backward(x, p, g))
+                            lambda x, p, g, want_grad_input=True, defer=None:
+                            plain_conv2d_backward(x, p, g))
         net_b, rep_b = train(build_network(TINY), pairs, cfg)
         assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
         assert param_bytes(net_a) == param_bytes(net_b)
@@ -275,8 +292,8 @@ class TestNoInputGradient:
         calls = []
         original = generator_mod.conv2d_backward
 
-        def spy(x, params, grad_out, want_grad_input=True):
-            result = original(x, params, grad_out, want_grad_input)
+        def spy(x, params, grad_out, want_grad_input=True, defer=None):
+            result = original(x, params, grad_out, want_grad_input, defer)
             calls.append((params.in_ch, result[0]))
             return result
 

@@ -1,3 +1,5 @@
+import stat
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,14 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv([(1, 2)], path, header=["a", "b"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_the_umask(self, tmp_path, with_umask, umask, mode):
+        # as `open` creates a file, not the temp file's owner-only 0o600
+        with_umask(umask)
+        path = tmp_path / "t.csv"
+        write_csv([(1, 2)], path, header=["a", "b"])
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_sequence_is_a_list_of_luma_planes(tmp_path):
