@@ -1,7 +1,9 @@
 """`parallel.map_jobs` gives the plain loop's results and errors on every
-usable CPU, keeps its workers warm across calls, and leaves no child process
-behind (the `usable_cpus` fixture checks that after every test). Each `fn`
-is a module-level function or a partial of one, as every call pickles it."""
+usable CPU, and `parallel.deferral()` gives them one job at a time while the
+caller carries on; both keep their workers warm across calls and leave no
+child process behind (the `usable_cpus` fixture checks that after every
+test). Each `fn` is a module-level function or a partial of one, as every
+call pickles it."""
 
 import functools
 import os
@@ -18,11 +20,14 @@ import pytest
 
 import deepref
 from deepref import codec, parallel
+from deepref import generator as generator_mod
 from deepref.cli import main
 from deepref.codec import SearchConfig, generated, previous, rd_sweep
 from deepref.errors import ConfigError, DeepRefError, NonFiniteError
+from deepref.flow import SamplePair
 from deepref.generator import ModelConfig, build_network, save_weights
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+from deepref.training import TrainConfig, train
 from deepref.video_io import write_y4m
 
 map_jobs = parallel.map_jobs
@@ -410,10 +415,6 @@ def square_plus(j, add):
     return j * j + add
 
 
-def pid_now():
-    return os.getpid()
-
-
 def fail_at(failing, error, j):
     if j in failing:
         raise error(f"job {j} in process {os.getpid()}")
@@ -452,7 +453,7 @@ def deferred_pids(_) -> list:
     with parallel.deferral() as d:
         outs = [np.empty((), dtype=np.int64) for _ in range(3)]
         for out in outs:
-            d.submit(out, pid_now)
+            d.submit(out, pid_of, None)
         d.collect()
     return [int(out) for out in outs]
 
@@ -557,7 +558,7 @@ def test_deferred_worker_killed_mid_batch_raises(usable_cpus):
         assert [int(outs[0]), int(outs[1])] == [0, 1]
         assert 1 not in parallel._workers  # reaped
         # the next job forks a new worker
-        d.submit(outs[0], pid_now)
+        d.submit(outs[0], pid_of, None)
         d.collect()
         assert int(outs[0]) not in (os.getpid(), 0)
 
@@ -600,7 +601,6 @@ def test_outcomes_larger_than_a_pipe_buffer_do_not_deadlock(usable_cpus):
 
 
 def small_training_setup(channels, n_pairs, block):
-    from deepref.flow import SamplePair
     model = ModelConfig(head_channels=channels, branch_reduce_channels=channels // 2,
                         branch_out_channels=channels // 2, trunk_channels=channels, seed=0)
     rng = np.random.default_rng(5)
@@ -617,9 +617,6 @@ def losses_and_weights(net, report):
 @pytest.mark.parametrize("error", [NonFiniteError, KeyboardInterrupt])
 def test_train_left_between_a_send_and_its_read_leaves_no_owed_outcome(usable_cpus, monkeypatch,
                                                                        error):
-    from deepref import generator as generator_mod
-    from deepref.training import TrainConfig, train
-
     model, pairs = small_training_setup(8, 8, 16)
     cfg = TrainConfig(lr0=1.0, epochs=2, batch_size=4)
     usable_cpus(1)
@@ -649,8 +646,6 @@ def test_train_left_between_a_send_and_its_read_leaves_no_owed_outcome(usable_cp
 def test_train_at_larger_widths_does_not_deadlock(usable_cpus):
     # 16 channels, 8 blocks of 32x32: each 3x3 job is about 1 MiB, and a
     # batch's outcomes overfill the outcomes pipe while jobs fill the jobs pipe
-    from deepref.training import TrainConfig, train
-
     model, pairs = small_training_setup(16, 16, 32)
     cfg = TrainConfig(lr0=1.0, epochs=1, batch_size=8)
     usable_cpus(1)
