@@ -87,12 +87,20 @@ def die_in_worker(parent, how, j):
     return j
 
 
-def die_at_two_fail_at(parent, failing, j):
-    if j == 2:
+def die_at_fail_at(parent, dying, failing, j):
+    if j == dying:
         assert os.getpid() != parent, "must die in a worker, never in the test process"
         os._exit(1)
     if j == failing:
         raise ConfigError(f"job {j}")
+    return j
+
+
+def fail_at_two_sleep_at_four(j):
+    if j == 2:
+        raise ConfigError(f"job {j}")
+    if j == 4:
+        time.sleep(60)
     return j
 
 
@@ -111,6 +119,13 @@ def worker_dies_at_one_others_sleep(parent, j):
             os._exit(1)
         time.sleep(60)
     return j
+
+
+def timed_sleep(parent, data, j):
+    """Sleeps 0.4 s in the test process and 0.15 s in a worker; (start, end)."""
+    started = time.monotonic()
+    time.sleep(0.4 if os.getpid() == parent else 0.15)
+    return started, time.monotonic()
 
 
 def blas_threads(j):
@@ -183,6 +198,18 @@ def test_jobs_run_in_process_where_forking_is_unavailable_or_unsafe(
             thread.join()
 
 
+@pytest.mark.parametrize("data_bytes", [1, 2 * parallel.JOBS_PIPE_BYTES])
+def test_worker_jobs_sent_ahead_unless_they_overfill_its_jobs_pipe(usable_cpus, data_bytes):
+    # jobs 0, 2 run in this process and 1, 3 in the worker; each job sent carries `data`
+    usable_cpus(2)
+    data = np.zeros(data_bytes, dtype=np.uint8)
+    spans = map_jobs(functools.partial(timed_sleep, os.getpid(), data), range(4))
+    if data_bytes == 1:  # job 3 waited in the pipe: the worker ran it during job 0
+        assert spans[3][0] < spans[0][1]
+    else:  # this process did not wait for room for job 3 before it ran job 0
+        assert spans[0][0] < spans[1][1]
+
+
 def test_no_nested_fork_inside_a_child(usable_cpus):
     usable_cpus(2)
     inner = map_jobs(nested_pids, range(2))
@@ -246,9 +273,27 @@ def test_first_failing_job_in_job_order_is_raised(usable_cpus, failing):
 def test_child_that_dies_ranked_at_its_first_job(usable_cpus, case, raised):
     # jobs 0, 3 run in this process, 1, 4 in worker 1 and 2, 5 in worker 2
     usable_cpus(3)
-    job = functools.partial(die_at_two_fail_at, os.getpid(), 1 if case.startswith("child 1") else 3)
+    job = functools.partial(die_at_fail_at, os.getpid(), 2, 1 if case.startswith("child 1") else 3)
     with pytest.raises(ConfigError if raised == "job 1" else DeepRefError, match=raised):
         map_jobs(job, range(6))
+
+
+def test_dead_child_ranked_at_the_first_job_it_still_owes(usable_cpus):
+    # jobs 0, 2, 4 run in this process and 1, 3, 5 in the worker, which sends
+    # job 1's result and dies at job 3: the plain loop stops at job 2
+    usable_cpus(2)
+    with pytest.raises(ConfigError, match="^job 2$"):
+        map_jobs(functools.partial(die_at_fail_at, os.getpid(), 3, 2), range(6))
+
+
+def test_failure_raised_once_every_job_before_it_is_done(usable_cpus):
+    # jobs 0, 3 run in this process, 1, 4 in worker 1 and 2, 5 in worker 2:
+    # job 2 fails, and job 4, which the plain loop never runs, sleeps a minute
+    usable_cpus(3)
+    started = time.monotonic()
+    with pytest.raises(ConfigError, match="^job 2$"):
+        map_jobs(fail_at_two_sleep_at_four, range(6))
+    assert time.monotonic() - started < 30
 
 
 def test_failure_before_every_child_job_raised_without_waiting(usable_cpus):
@@ -529,7 +574,9 @@ def test_deferred_first_failing_job_in_call_order_raised(usable_cpus, cpus, fail
             d.collect()
         assert (info.value.args[0].endswith(str(os.getpid()))) == (cpus == 1)
         assert [int(outs[j]) for j in range(min(failing))] == list(range(min(failing)))
-        # the deferral goes on after a failure
+        if cpus == 2:  # a worker that still owes outcomes after the failure is killed and reaped
+            assert (1 in parallel._workers) == (failing == {4})
+        # the deferral goes on after a failure, on a fresh worker if need be
         d.submit(outs[0], square_plus, 2, 0)
         d.collect()
         assert int(outs[0]) == 4
