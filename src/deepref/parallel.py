@@ -3,21 +3,22 @@
 through one protocol, a `Deferral`.
 
 A `Deferral` sends each job `fn(*args)` to the worker process of a share as
-one length-prefixed pickle `(fn, args)` on its jobs pipe, and the worker sends
-each outcome `(result, exception)` back, in the order sent, on its outcomes
-pipe. A share's worker is forked at first use and kept for the process. `fn`
-is pickled with or without a worker, so it fails alike: it must pickle by
-name on every machine (a module-level function or a `functools.partial` of
-one). `collect()` reads the outcomes in rank order across the workers up to
-the first failure, so the results and the exception raised are the plain
-loop's; a worker that ends without an outcome gives a `DeepRefError` ranked
-at the first job it still owes.
+one length-prefixed pickle `(fn, args)` on its jobs pipe (`fn` None: the one
+of the job before), and the worker sends each outcome `(result, exception)`
+back, in the order sent, on its outcomes pipe. A share's worker is forked at
+first use and kept for the process. `fn` is pickled with or without a
+worker, so it fails alike: it must pickle by name on every machine (a
+module-level function or a `functools.partial` of one). `collect()` reads
+the outcomes in rank order across the workers up to the first failure, so
+the results and the exception raised are the plain loop's; a worker that
+ends without an outcome gives a `DeepRefError` ranked at the first job it
+still owes. A job ranked after a failure already known is not run.
 
 `map_jobs` deals the jobs round-robin over one share per usable CPU (at most
-one per job), ranked by index. It sends the jobs of shares 1..n-1, each with
-`fn` as pickled once for the call (a round at a time where they would
-overfill a jobs pipe), then runs share 0's in the caller (and those of a
-share it cannot fork) up to the caller's first failure; then it collects.
+one per job), ranked by index. It sends the jobs of shares 1..n-1, with `fn`,
+pickled once for the call, in each share's first job only (its worker keeps
+it for the others), then runs share 0's in the caller (and those of a share
+it cannot fork) up to the first failure; then it collects.
 `deferral()` has share 1 alone, ranked in call order: `d.submit(out, fn,
 *args)` sends a job and returns at once, and `d.collect()` writes each
 result into its `out` array.
@@ -168,15 +169,13 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """OpenBLAS on one thread in this process for the block, then as it was."""
-    get, set_ = _openblas_threads() or (lambda: 1, None)
+    get, set_ = _openblas_threads() or (lambda: 1, lambda threads: None)
     before = get()
-    if before != 1:
-        set_(1)
+    set_(1)
     try:
         yield
     finally:
-        if before != 1:
-            set_(before)
+        set_(before)
 
 
 def _serve(jobs: int, outcomes: int):
@@ -184,23 +183,32 @@ def _serve(jobs: int, outcomes: int):
     outcome on `outcomes`, until the pipe ends."""
     global _busy
     _busy = True
-    code = 1
     try:
         with _one_blas_thread():
+            fn = None
             while (message := _read_message(jobs)) is not None:
-                outcome = _outcome(*pickle.loads(message))
+                sent, args = pickle.loads(message)
+                fn = fn if sent is None else sent  # None: the `fn` of the job before
+                outcome = _outcome(fn, args)
                 try:
                     payload = pickle.dumps(outcome, _PROTOCOL)
                 except Exception as exc:
                     payload = pickle.dumps((None, DeepRefError(f"worker could not send its outcome: {exc!r}")))
                 _write_message(outcomes, payload)
-        code = 0
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
-def _fork_worker() -> _Worker | None:
-    """A new worker, or None when no process can be forked."""
+def _live_worker(share: int) -> _Worker | None:
+    """The worker of `share`, forked anew if it has none or its worker died;
+    None when no process can be forked."""
+    if share in _workers:
+        with contextlib.suppress(ChildProcessError):  # reaped by someone else
+            if os.waitid(os.P_PID, _workers[share].pid,
+                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:  # still running
+                return _workers[share]
+        _discard(share)
     jobs_r, jobs_w = os.pipe()
     outcomes_r, outcomes_w = os.pipe()
     import fcntl  # here: forks happen on Linux only
@@ -220,24 +228,8 @@ def _fork_worker() -> _Worker | None:
         _serve(jobs_r, outcomes_w)
     os.close(jobs_r)
     os.close(outcomes_w)
-    return _Worker(pid, jobs_w, outcomes_r)
-
-
-def _live_worker(share: int) -> _Worker | None:
-    """The worker of `share`, forked anew if it has none or its worker died;
-    None when no process can be forked."""
-    if share in _workers:
-        try:
-            if os.waitid(os.P_PID, _workers[share].pid,
-                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:  # still running
-                return _workers[share]
-        except ChildProcessError:  # reaped by someone else
-            pass
-        _discard(share)
-    worker = _fork_worker()
-    if worker is not None:
-        _workers[share] = worker
-    return worker
+    _workers[share] = _Worker(pid, jobs_w, outcomes_r)
+    return _workers[share]
 
 
 def _discard(share: int) -> int | None:
@@ -281,6 +273,7 @@ class Deferral:
     def __init__(self, shares):
         # share -> the (rank, store) of each outcome its worker owes, oldest first
         self._owed = {share: collections.deque() for share in shares}
+        self.shares = self._owed.keys()  # the shares whose jobs `send` gives a worker
         self._calls = 0  # jobs submitted so far
         self._error: tuple[int, Exception] | None = None  # (rank, exception) of the first failure
 
@@ -288,19 +281,34 @@ class Deferral:
         """Have `fn(*args)` written into `out` (an array of the result's shape)
         by the next `collect()`; `fn` must pickle by name, as for `map_jobs`."""
         self._calls += 1
-        self._send(self._calls - 1, 1, functools.partial(out.__setitem__, Ellipsis), fn, args)
+        self.send(self._calls - 1, 1, functools.partial(out.__setitem__, Ellipsis), fn, args)
 
-    def _send(self, rank: int, share: int, store, fn, args) -> None:
-        """Send `fn(*args)` to the worker of `share`, or run it here if the
-        share has none and none can be forked."""
-        owed = self._owed.get(share)
-        worker = None if owed is None else _workers[share] if owed else _live_worker(share)
+    def _failed_before(self, rank: int) -> bool:
+        return self._error is not None and self._error[0] < rank
+
+    def run_here(self, rank: int, store, fn, args) -> None:
+        """Run `fn(*args)`, ranked `rank`, in the caller and pass its result to
+        `store`; not run, as in the plain loop, when a failure ranked before
+        it is known."""
+        if not self._failed_before(rank):
+            self._settle(rank, store, _outcome(fn, args))
+
+    def send(self, rank: int, share: int, store, fn, args) -> None:
+        """Send `fn(*args)`, ranked `rank`, to the worker of `share`, forking
+        one if it has none; `collect()` passes its result to `store`. It runs
+        in the caller when `share` is not one of `shares` or no worker can be
+        forked, and not at all when a failure ranked before it is known."""
+        if self._failed_before(rank):
+            return
+        worker = None
+        if share in self._owed:
+            worker = _workers[share] if share in _workers else _live_worker(share)
         if worker is None:
             pickle.dumps(fn)  # `fn` fails alike with or without a worker
-            self._settle(rank, store, _outcome(fn, args))
+            self.run_here(rank, store, fn, args)
             return
         payload = pickle.dumps((fn, args), _PROTOCOL)
-        owed.append((rank, store))
+        self._owed[share].append((rank, store))
 
         def wait() -> bool:
             # the worker may be waiting on a full outcomes pipe, so not reading jobs
@@ -308,17 +316,17 @@ class Deferral:
                 self._receive(share)
             return _workers.get(share) is worker
 
-        try:
+        with contextlib.suppress(BrokenPipeError):  # it died: `_receive` reports it
             _write_message(worker.jobs, payload, wait)
-        except BrokenPipeError:  # it died: `_receive` reports it
-            pass
 
     def _receive(self, share: int) -> None:
         """Settle the oldest outcome the worker of `share` owes; if it sends
         none, reap it and fail that job, losing the others it owed."""
         owed, worker = self._owed[share], _workers[share]
-        rank, store = owed.popleft()
         message = _read_message(worker.outcomes)
+        # owed until read: a read cut short (an interrupt) leaves the worker
+        # owing, so it is killed and its outcome never read as another's
+        rank, store = owed.popleft()
         if message is not None:
             self._settle(rank, store, pickle.loads(message))
             return
@@ -327,15 +335,14 @@ class Deferral:
         self._settle(rank, store, (None, DeepRefError(
             f"worker process {worker.pid} ended without a result (exit status {status})")))
 
-    def _settle(self, rank: int, store, outcome: tuple) -> bool:
+    def _settle(self, rank: int, store, outcome: tuple) -> None:
         """Store a job's result, or keep its exception if it is the first so
-        far in rank order; whether it succeeded."""
+        far in rank order."""
         result, exc = outcome
         if exc is None:
             store(result)
         elif self._error is None or rank < self._error[0]:
             self._error = rank, exc
-        return exc is None
 
     def collect(self) -> None:
         """Wait for every job submitted so far and store its result; raise the
@@ -343,7 +350,7 @@ class Deferral:
         owing outcomes ranked after it is killed and reaped."""
         while heads := [(owed[0][0], share) for share, owed in self._owed.items() if owed]:
             rank, share = min(heads)
-            if self._error is not None and rank > self._error[0]:
+            if self._failed_before(rank):
                 break
             self._receive(share)
         self._abandon()
@@ -371,7 +378,7 @@ def _deferral(n: int):
             break
         shares.append(share)
     deferred = Deferral(shares)
-    was_busy, _busy = _busy, _busy or bool(shares)
+    was_busy, _busy = _busy, _busy or n > 1
     try:
         with _one_blas_thread() if shares else contextlib.nullcontext():
             yield deferred
@@ -380,32 +387,33 @@ def _deferral(n: int):
         deferred._abandon()
 
 
-def _call_pickled(pickled_fn: bytes, job):
-    """`fn(job)`, `fn` pickled: `map_jobs` pickles it once per call, not once per job sent."""
-    return pickle.loads(pickled_fn)(job)
+class _Unpickles:
+    """`fn` as the bytes `map_jobs` pickled it to: it pickles as the call that
+    unpickles them, so a message carries `fn` without pickling it again."""
+
+    def __init__(self, pickled: bytes):
+        self.pickled = pickled
+
+    def __reduce__(self):
+        return pickle.loads, (self.pickled,)
 
 
 def map_jobs(fn, jobs) -> list:
     """`[fn(job) for job in jobs]`, on one share of the jobs per usable CPU."""
-    pickled_fn = pickle.dumps(fn)  # on every call: `fn` fails alike with or without workers
+    shipped = _Unpickles(pickle.dumps(fn))  # every call: `fn` fails alike with or without workers
     jobs = list(jobs)
     results = [None] * len(jobs)
     n = _shares(len(jobs))
-    # Each job sent carries the pickled `fn`. The workers' jobs go before the
-    # caller's own: all of them at once while a worker's jobs after its first
-    # fit in its jobs pipe, else a round (one job per share) at a time, as a
-    # job that does not fit waits there, the caller with it, until the worker
-    # has run the one before (4 one-second jobs on 2 CPUs, `fn` carrying 4 MB:
-    # 3.0 s, against 2.0 s a round at a time)
-    by_round = len(pickled_fn) * ((len(jobs) - 1) // n) > JOBS_PIPE_BYTES
     with _deferral(n) as deferred:
-        for i in sorted(range(len(jobs)),
-                        key=lambda i: (i // n if by_round else 0, i % n not in deferred._owed)):
-            store = functools.partial(results.__setitem__, i)
-            if i % n in deferred._owed:
-                deferred._send(i, i % n, store, _call_pickled, (pickled_fn, jobs[i]))
-            elif not deferred._settle(i, store, _outcome(fn, (jobs[i],))):
-                break
+        # the workers' jobs first, so that they start at once; `fn` goes with
+        # a share's first job only, and None, for the `fn` before, with the rest
+        for i in range(len(jobs)):
+            if i % n in deferred.shares:
+                deferred.send(i, i % n, functools.partial(results.__setitem__, i),
+                              shipped if i < n else None, (jobs[i],))
+        for i in range(len(jobs)):
+            if i % n not in deferred.shares:
+                deferred.run_here(i, functools.partial(results.__setitem__, i), fn, (jobs[i],))
         deferred.collect()
     return results
 

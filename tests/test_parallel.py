@@ -128,6 +128,37 @@ def timed_sleep(parent, data, j):
     return started, time.monotonic()
 
 
+class Counted:
+    """Counts, in the process that unpickles it, how often that happened."""
+    unpickled = 0
+
+    def __getstate__(self):
+        return True  # a state, so that unpickling calls `__setstate__`
+
+    def __setstate__(self, state):
+        Counted.unpickled += 1
+
+
+def unpickled_count(counted, j):
+    return Counted.unpickled
+
+
+def dies_at_one_after_a_while(parent, job):
+    j, _ = job
+    if j == 1 and os.getpid() != parent:
+        time.sleep(0.3)
+        os._exit(1)
+    return j
+
+
+def stale_after(parent, seconds, j):
+    """In a worker: sleeps, then answers ("stale", j); in the test process, j."""
+    if os.getpid() == parent:
+        return j
+    time.sleep(seconds)
+    return "stale", j
+
+
 def blas_threads(j):
     return parallel._openblas_threads()[0]()
 
@@ -199,15 +230,78 @@ def test_jobs_run_in_process_where_forking_is_unavailable_or_unsafe(
 
 
 @pytest.mark.parametrize("data_bytes", [1, 2 * parallel.JOBS_PIPE_BYTES])
-def test_worker_jobs_sent_ahead_unless_they_overfill_its_jobs_pipe(usable_cpus, data_bytes):
-    # jobs 0, 2 run in this process and 1, 3 in the worker; each job sent carries `data`
+def test_worker_jobs_sent_ahead_even_when_fn_overfills_a_jobs_pipe(usable_cpus, data_bytes):
+    # jobs 0, 2 run in this process and 1, 3 in the worker; `fn` carries
+    # `data`, and only job 1 carries `fn`, so job 3 waits in the pipe and the
+    # worker runs it during job 0
     usable_cpus(2)
     data = np.zeros(data_bytes, dtype=np.uint8)
     spans = map_jobs(functools.partial(timed_sleep, os.getpid(), data), range(4))
-    if data_bytes == 1:  # job 3 waited in the pipe: the worker ran it during job 0
-        assert spans[3][0] < spans[0][1]
-    else:  # this process did not wait for room for job 3 before it ran job 0
-        assert spans[0][0] < spans[1][1]
+    assert spans[3][0] < spans[0][1]
+
+
+def test_worker_unpickles_fn_once_per_call(usable_cpus):
+    # jobs 1, 3, 5 run in the worker, each reading how often it unpickled a `Counted`
+    usable_cpus(2)
+    for call in (1, 2):
+        counts = map_jobs(functools.partial(unpickled_count, Counted()), range(6))
+        assert counts[1::2] == [call] * 3
+
+
+def test_share_whose_worker_dies_forks_no_other_within_the_call(usable_cpus, monkeypatch):
+    # jobs 0, 2, 4 run in this process and 1, 3, 5 in the worker, which dies
+    # at job 1 while this process waits for room in its jobs pipe for job 3;
+    # job 5, ranked after that death, is not sent, so no worker is forked for it
+    usable_cpus(2)
+    map_jobs(pid_of, range(2))  # the worker, forked before forks are counted
+    forks = counting_forks(monkeypatch)
+    jobs = [(j, np.zeros(2 * parallel.JOBS_PIPE_BYTES, dtype=np.uint8) if j == 3 else None)
+            for j in range(6)]
+    with pytest.raises(DeepRefError, match="ended without a result"):
+        map_jobs(functools.partial(dies_at_one_after_a_while, os.getpid()), jobs)
+    assert forks == []
+
+
+def test_all_forks_failing_leaves_nested_calls_in_process_without_forking(usable_cpus,
+                                                                          monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    usable_cpus(2)
+    assert map_jobs(nested_pids, range(2)) == [[[os.getpid()] * 3] * 2] * 2
+    assert len(forks) == 1  # the call's, and none by the calls nested in its jobs
+
+
+@pytest.mark.parametrize("caller", ["map_jobs", "deferral"])
+def test_call_interrupted_while_it_reads_an_outcome_leaves_it_unread(usable_cpus, caller):
+    # an alarm raises while the caller waits for the worker's outcome of
+    # job 1; the worker answers ("stale", 1) a moment later, which the next
+    # call must not take for its own job 1
+    usable_cpus(2)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt("while reading an outcome")
+
+    previous_handler = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        with pytest.raises(KeyboardInterrupt, match="while reading"):
+            if caller == "map_jobs":
+                map_jobs(functools.partial(stale_after, os.getpid(), 1.0), range(2))
+            else:
+                with parallel.deferral() as d:
+                    d.submit(np.empty((), dtype=object), stale_after, os.getpid(), 1.0, 1)
+                    d.collect()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous_handler)
+    assert 1 not in parallel._workers  # killed and reaped while it owed the outcome
+    time.sleep(1.0)  # by now a kept worker would have sent its stale outcome
+    assert map_jobs(job_and_list, range(7)) == [job_and_list(j) for j in range(7)]
 
 
 def test_no_nested_fork_inside_a_child(usable_cpus):
