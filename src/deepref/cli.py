@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, flow, generator, metrics, training, video_io
-from .config import RunConfig, load_run_config
+from .config import SEED_FIELDS, RunConfig, load_run_config
 from .errors import ConfigError, DeepRefError, FormatError
 from .fileio import read_csv, write_csv, write_plane_pgm
 
@@ -33,7 +33,7 @@ MV_HEADER = ["block_x", "block_y", "ref_idx", "mv_x_q4", "mv_y_q4", "sad"]
 # Every flag that sets a config field: group -> (flag, the RunConfig fields it
 # sets, argparse kwargs). A field is "section.field" or a top-level field.
 FLAG_TABLE = {
-    "seed": [("--seed", "model.seed train.shuffle_seed",
+    "seed": [("--seed", " ".join(f"{s}.{f}" for s, f in SEED_FIELDS.items()),
               dict(type=int, help="seed for init and shuffling"))],
     "input": [("--input", "input_path",
                dict(required=True, help="sequence path (.y4m or raw .yuv)"))],

@@ -61,7 +61,8 @@ _SECTIONS = {
 }
 # input_path is no key: --input, which every reading subcommand requires, sets it
 _SCALARS = {"input_format", "width", "height", "q_set"}
-_SEED_FIELDS = {"model": "seed", "train": "shuffle_seed"}
+# the field each seeded section takes the top-level "seed" (and --seed) into
+SEED_FIELDS = {"model": "seed", "train": "shuffle_seed"}
 
 
 def load_run_config(path) -> RunConfig:
@@ -74,7 +75,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    # "seed" is no field of its own: it fills model.seed and train.shuffle_seed
+    # "seed" is no field of its own: it fills the SEED_FIELDS
     unknown = set(doc) - _SCALARS - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
@@ -86,7 +87,7 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
         section = dict(section)
         # the top-level seed feeds every stage that was not given its own seed
-        if "seed" in doc and name in _SEED_FIELDS:
-            section.setdefault(_SEED_FIELDS[name], doc["seed"])
+        if "seed" in doc and name in SEED_FIELDS:
+            section.setdefault(SEED_FIELDS[name], doc["seed"])
         kwargs[name] = _build_section(cls, section, name)
     return RunConfig(**kwargs)

@@ -41,16 +41,18 @@ def check_int(name: str, value, low: int, high: int | None = 2**31 - 1) -> None:
 
 def check_real(name: str, value, low: float, high: float = math.inf, open_low: bool = False) -> None:
     """Raise ConfigError unless `value` is a finite real number in [low, high],
-    or in (low, high] when `open_low`. A bool is refused."""
+    or in (low, high] when `open_low`; a low of -inf bounds nothing. A bool is
+    refused."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             # math.isfinite overflows on an int no float holds
             or not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
                     else math.isfinite(value))
             or value > high
             or (value <= low if open_low else value < low)):
-        bound = (f"{'>' if open_low else '>='} {low}" if high == math.inf
-                 else f"in {'(' if open_low else '['}{low}, {high}]")
-        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
+        bound = ("" if low == -math.inf and high == math.inf
+                 else f" {'>' if open_low else '>='} {low}" if high == math.inf
+                 else f" in {'(' if open_low else '['}{low}, {high}]")
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def check_plane(frame, what: str, min_side: int = 1) -> np.ndarray:

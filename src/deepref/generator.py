@@ -132,138 +132,115 @@ def build_network(config: ModelConfig) -> GeneratorNet:
     return GeneratorNet(config, layers)
 
 
-def _conv_relu_stack(net, names, x: np.ndarray, cache: list | None = None,
+def _conv_relu_stack(net, names, x: np.ndarray, cache: dict | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """conv + ReLU per named layer, each ReLU overwriting its conv output but
     the last, which writes into `out` if given (a block's channels of `phi`).
-    With a `cache`, appends each conv's input to it (the ReLU output of the
-    layer before, so each activation is held once)."""
+    With a `cache`, stores each conv's input under its name (the ReLU output
+    of the layer before, so each activation is held once)."""
     last = len(names) - 1
     for li, name in enumerate(names):
         if cache is not None:
-            cache.append(x)
+            cache[name] = x
         z = conv2d_forward(x, net.layers[name])
         x = relu(z, out=out if li == last and out is not None else z)
     return x
-
-
-def _conv_relu_stack_backward(net, names, inputs, output, g, grads, want_grad_input=True,
-                              defer=None):
-    """Backward through `_conv_relu_stack` from its cached conv inputs and its
-    output; each ReLU's mask is read from its output, which is the next conv's
-    input. Stores each layer's (grad_w, grad_b) under its name and returns the
-    gradient w.r.t. the stack input (None when `want_grad_input` is false)."""
-    outputs = [*inputs[1:], output]
-    for li in reversed(range(len(names))):
-        g, gw, gb = conv2d_backward(inputs[li], net.layers[names[li]],
-                                    relu_backward(outputs[li], g),
-                                    want_grad_input=li > 0 or want_grad_input, defer=defer)
-        grads[names[li]] = (gw, gb)
-    return g
 
 
 def _branch_widths(net, branches) -> list[int]:
     return [net.layers[names[-1]].out_ch for names in branches]
 
 
-def block_forward(net: GeneratorNet, i: int, x: np.ndarray, want_cache: bool = False):
+def block_forward(net: GeneratorNet, i: int, x: np.ndarray, cache: dict | None = None):
     """Block i (from 0): out = ReLU(k * fuse(concat(branches(x))) + skip(x));
     spatial dims preserved. Each branch's last ReLU writes into its channels
-    of the concatenation `phi`. The cache is (x, the branches' conv inputs,
-    phi); the block output, the next stage's input, completes it."""
+    of the concatenation `phi`. A `cache` gets each conv's input by name:
+    the fuse conv's is `phi`, the skip conv's the block input `x`."""
     _, branches, fuse, skip = _BLOCKS[i]
     widths = _branch_widths(net, branches)
     dtype = np.result_type(x, *(net.layers[name].weights for names in branches for name in names))
     # channel-major, as conv outputs and their concatenation are: the fuse
     # conv's GEMM operands keep their layouts, and so training its bits
     phi = np.empty((sum(widths), x.shape[0], *x.shape[2:]), dtype=dtype).transpose(1, 0, 2, 3)
-    branch_caches = [[] if want_cache else None for _ in branches]
-    for names, cache, part in zip(branches, branch_caches, split_channels(phi, widths)):
+    for names, part in zip(branches, split_channels(phi, widths)):
         _conv_relu_stack(net, names, x, cache, out=part)
+    if cache is not None:
+        cache[fuse], cache[skip] = phi, x
     out = conv2d_forward(phi, net.layers[fuse])
     out *= net.config.k
     out += conv2d_forward(x, net.layers[skip])
     relu(out, out=out)
-    if want_cache:
-        return out, (x, branch_caches, phi)
     return out
 
 
-def _block_backward(net, i, cache, out, grad_out, grads, defer=None):
-    """Backward through block i from its cache and its output `out`."""
-    _, branches, fuse, skip = _BLOCKS[i]
-    x, branch_caches, phi = cache
-    g_pre = relu_backward(out, grad_out)
-    g_phi, gw, gb = conv2d_backward(phi, net.layers[fuse], net.config.k * g_pre, defer=defer)
-    grads[fuse] = (gw, gb)
-    g_x, gw, gb = conv2d_backward(x, net.layers[skip], g_pre, defer=defer)
-    grads[skip] = (gw, gb)
-    widths = _branch_widths(net, branches)
-    for names, inputs, phi_b, g in zip(branches, branch_caches, split_channels(phi, widths),
-                                       split_channels(g_phi, widths)):
-        g_x = g_x + _conv_relu_stack_backward(net, names, inputs, phi_b, g, grads, defer=defer)
-    return g_x
-
-
-def _trunk(net: GeneratorNet, x: np.ndarray, head_cache=None, block_caches=None):
+def _trunk(net: GeneratorNet, x: np.ndarray, cache: dict | None = None):
     """Head and blocks, lazily: yields (stage name, activation) after each head
     conv and each block, so a caller can stop at any `FEATURE_SELECTORS` stage.
-    Backward caches go to the given lists."""
+    Conv inputs go to the given `cache`."""
     for name in _HEAD:
-        x = _conv_relu_stack(net, (name,), x, head_cache)
+        x = _conv_relu_stack(net, (name,), x, cache)
         yield name, x
     for i, (stage, *_) in enumerate(_BLOCKS):
-        if block_caches is None:
-            x = block_forward(net, i, x)
-        else:
-            x, cache = block_forward(net, i, x, want_cache=True)
-            block_caches.append(cache)
+        x = block_forward(net, i, x, cache)
         yield stage, x
 
 
-def net_forward(net: GeneratorNet, x: np.ndarray, want_cache: bool = False):
+def net_forward(net: GeneratorNet, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Full forward pass on a (batch, 1, H, W) tensor in the [0,1] domain.
 
     Training and inference run the same banded convs (see the `nn`
-    docstring). With `want_cache`, as training runs it, the output comes
-    with the cache `net_backward` reads: the input of every conv and each
-    block's `phi`, no pre-activation. Every ReLU runs in place, so each
-    activation is held once, and each ReLU's backward mask is read from its
-    output (the next conv's input, or its branch's channels of `phi`). A
-    diverging net gives NaN or Inf without a warning; callers check the
-    output once (`generate_reference`, `dump_feature_maps`, the training
-    loss)."""
-    head_cache, block_caches = ([], []) if want_cache else (None, None)
+    docstring). Given a `cache` dict, as training gives it, the pass records
+    what `net_backward` reads: every conv's input under that conv's name
+    (a block's fuse conv holds its `phi`), no pre-activation. Every ReLU runs
+    in place, so each activation is held once, and each ReLU's backward mask
+    is read from its output. A diverging net gives NaN or Inf without a
+    warning; callers check the output once (`generate_reference`,
+    `dump_feature_maps`, the training loss)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, h in _trunk(net, x, head_cache, block_caches):
+        for _, h in _trunk(net, x, cache):
             pass
-        out = conv2d_forward(h, net.layers[_TAIL])
-    if want_cache:
-        return out, (head_cache, block_caches, h)
-    return out
+        if cache is not None:
+            cache[_TAIL] = h
+        return conv2d_forward(h, net.layers[_TAIL])
 
 
-def net_backward(net: GeneratorNet, cache, grad_out: np.ndarray, want_grad_input: bool = True,
-                 defer=None):
-    """Backward through the fixed graph; returns {name: (grad_w, grad_b)} in
-    layer order and the gradient w.r.t. the network input, or None for it when
-    `want_grad_input` is false (training needs only the parameter gradients).
-    The cache is only read, so it can be backpropagated again.
+def net_backward(net: GeneratorNet, cache: dict, grad_out: np.ndarray,
+                 want_grad_input: bool = True, defer=None):
+    """Backward through the fixed graph from `net_forward`'s cache, which is
+    only read, so it can be backpropagated again; returns {name: (grad_w,
+    grad_b)} in layer order and the network input's gradient, or None when
+    `want_grad_input` is false (training needs no input gradient).
 
     With `defer` (a `parallel.Deferral.submit`), every 3x3 conv hands it its
     weight gradient (`nn.conv2d_backward`), and those arrays hold their values
     once the deferral has collected; meanwhile this pass goes on with the
     input gradients, the bias gradients and the 1x1 weight gradients."""
-    head_cache, block_caches, tail_in = cache
-    # each stage's output is the next stage's cached input
-    stage_inputs = [block_cache[0] for block_cache in block_caches] + [tail_in]
     grads = {}
-    g, gw, gb = conv2d_backward(tail_in, net.layers[_TAIL], grad_out, defer=defer)
-    grads[_TAIL] = (gw, gb)
-    for i in reversed(range(_NUM_BLOCKS)):
-        g = _block_backward(net, i, block_caches[i], stage_inputs[i + 1], g, grads, defer)
-    g = _conv_relu_stack_backward(net, _HEAD, head_cache, stage_inputs[0], g, grads,
-                                  want_grad_input, defer)
+
+    def conv(name, g, want=True):
+        g, gw, gb = conv2d_backward(cache[name], net.layers[name], g, want, defer)
+        grads[name] = (gw, gb)
+        return g
+
+    def relu_stack(names, out, g, want=True):
+        # backward through `_conv_relu_stack`, whose last ReLU gave `out`
+        for name in reversed(names):
+            g = conv(name, relu_backward(out, g), want or name != names[0])
+            out = cache[name]
+        return g
+
+    g = conv(_TAIL, grad_out)
+    out = cache[_TAIL]
+    for _, branches, fuse, skip in reversed(_BLOCKS):
+        g_pre = relu_backward(out, g)
+        g_phi = conv(fuse, net.config.k * g_pre)
+        g = conv(skip, g_pre)
+        widths = _branch_widths(net, branches)
+        for names, phi_b, g_b in zip(branches, split_channels(cache[fuse], widths),
+                                     split_channels(g_phi, widths)):
+            g = g + relu_stack(names, phi_b, g_b)
+        out = cache[skip]  # a stage's output is the next stage's skip input
+    g = relu_stack(_HEAD, out, g, want_grad_input)
     return {name: grads[name] for name in net.layers}, g
 
 

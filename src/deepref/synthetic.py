@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int, check_real
+
 
 @dataclass(frozen=True)
 class SinusoidTexture:
@@ -27,6 +29,11 @@ class SinusoidTexture:
         max_freq: float = 0.08,
         contrast: float = 40.0,
     ) -> "SinusoidTexture":
+        check_int("seed", seed, 0, None)
+        check_int("n_waves", n_waves, 1)
+        for name, value in (("min_freq", min_freq), ("max_freq", max_freq),
+                            ("contrast", contrast)):
+            check_real(name, value, 0)
         rng = np.random.default_rng(seed)
         angle = rng.uniform(0.0, 2.0 * math.pi, n_waves)
         mag = rng.uniform(min_freq, max_freq, n_waves)
@@ -69,9 +76,15 @@ def pan_zoom_sequence(
 ) -> list[np.ndarray]:
     """Frames where frame t shows the texture displaced by t*velocity and
     scaled by (1+zoom_rate)^t, i.e. frame_t(p) == frame_{t-1}(p + velocity)
-    when zoom_rate is 0."""
-    tex = texture if texture is not None else SinusoidTexture.random(seed)
+    when zoom_rate is 0. Sizes and the frame count are at least 1, the
+    velocity finite and zoom_rate finite and > -1 (ConfigError otherwise)."""
+    for name, value in (("width", width), ("height", height), ("n_frames", n_frames)):
+        check_int(name, value, 1)
     vx, vy = velocity
+    check_real("velocity x", vx, -math.inf)
+    check_real("velocity y", vy, -math.inf)
+    check_real("zoom_rate", zoom_rate, -1, open_low=True)
+    tex = texture if texture is not None else SinusoidTexture.random(seed)
     return [
         tex.render(width, height, offset=(t * vx, t * vy), scale=(1.0 + zoom_rate) ** t)
         for t in range(n_frames)

@@ -116,7 +116,8 @@ def _batch_gradient(net: GeneratorNet, x: np.ndarray, y: np.ndarray,
     vector in layer order; the 3x3 weight gradients go through `deferred`.
     The batch's output, cache and loss gradient are freed on return, so the
     next batch's forward runs without them."""
-    out, cache = net_forward(net, x, want_cache=True)
+    cache = {}
+    out = net_forward(net, x, cache)
     loss, grad = mse_loss(out, y)
     if not math.isfinite(loss):
         raise NonFiniteError("non-finite training loss")

@@ -126,9 +126,10 @@ class TestBlockForward:
             net = build_network(replace(TINY, k=k))
             # the cache holds the ReLU output; rebuild the pre-activation
             # k * fuse(phi) + skip(x) from its phi and x
-            _, (x_cached, _, phi) = block_forward(net, 0, x, want_cache=True)
-            pres[k] = (k * conv2d_forward(phi, net.layers["block1.fuse"])
-                       + conv2d_forward(x_cached, net.layers["block1.skip"]))
+            cache = {}
+            block_forward(net, 0, x, cache)
+            pres[k] = (k * conv2d_forward(cache["block1.fuse"], net.layers["block1.fuse"])
+                       + conv2d_forward(cache["block1.skip"], net.layers["block1.skip"]))
         np.testing.assert_allclose(pres[0.5], 0.5 * (pres[0.0] + pres[1.0]), rtol=1e-12)
 
 
@@ -197,7 +198,8 @@ class TestWholeNetGradient:
         def loss():
             return float(np.sum(net_forward(net, x) * proj))
 
-        out, cache = net_forward(net, x, want_cache=True)
+        cache = {}
+        out = net_forward(net, x, cache)
         grads, grad_in = net_backward(net, cache, proj)
 
         checked = 0
@@ -213,10 +215,35 @@ class TestWholeNetGradient:
         fd = central_diff_grad_at(loss, x, idx)
         assert max_rel_err(grad_in.reshape(-1)[idx], fd, floor=1e-6) < 1e-5
 
+    def test_defer_gets_each_3x3_weight_gradient_and_no_1x1(self, rng):
+        net = build_network(replace(TINY, dtype="float32"))
+        x = rng.uniform(0.1, 1.0, (2, 1, 8, 8)).astype(np.float32)
+        grad_out = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
+        cache = {}
+        net_forward(net, x, cache)
+        plain, plain_in = net_backward(net, cache, grad_out)
+        jobs = []
+        grads, grad_in = net_backward(net, cache, grad_out,
+                                      defer=lambda out, fn, *args: jobs.append((out, fn, args)))
+        layer_of = {id(gw): name for name, (gw, _) in grads.items()}
+        three = [name for name, p in net.layers.items() if p.kernel_size == 3]
+        assert len(three) == 21 and len(net.layers) - len(three) == 15
+        assert len(jobs) == 21
+        assert sorted(layer_of[id(out)] for out, _, _ in jobs) == sorted(three)
+        assert all(args[2] == 3 for _, _, args in jobs)  # (g, x, k, d)
+        for out, fn, args in jobs:
+            out[...] = fn(*args)
+        for name in net.layers:
+            for a, b in zip(plain[name], grads[name]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert plain_in.tobytes() == grad_in.tobytes()
+
 
 def array_leaves(tree):
     if isinstance(tree, np.ndarray):
         return [tree]
+    if isinstance(tree, dict):
+        tree = tree.values()
     return [leaf for item in tree for leaf in array_leaves(item)]
 
 
@@ -233,7 +260,8 @@ class TestCache:
         monkeypatch.setattr(generator_mod, "relu", spy)
         net = build_network(TINY)
         x = np.random.default_rng(2).uniform(0, 1, (2, 1, 9, 9))
-        _, cache = net_forward(net, x, want_cache=True)
+        cache = {}
+        net_forward(net, x, cache)
         cached = array_leaves(cache)
         assert len(outputs) == 2 + 3 * 10  # two head convs, nine branch convs and a fuse per block
         for i, a in enumerate(outputs):
@@ -249,7 +277,8 @@ class TestCache:
         x = np.random.default_rng(8).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32)
         tracemalloc.start()
         try:
-            out, cache = net_forward(net, x, want_cache=True)
+            cache = {}
+            out = net_forward(net, x, cache)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+
+MAKE_DEMO_CLIP = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_clip.py"
 
 
 def test_frames_are_8bit_and_deterministic():
@@ -35,3 +42,17 @@ def test_sample_at_arbitrary_coordinates():
     vals = tex.sample(xs, ys)
     assert vals.shape == (3,)
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--size", "abc"], ["--size", "0x0"], ["--size", "33x32"], ["--velocity", "1"],
+    ["--velocity", "nan,0"], ["--zoom", "nan"], ["--frames", "0"], ["--seed", "-1"],
+])
+def test_make_demo_clip_refuses_a_malformed_value(tmp_path, flags):
+    out = tmp_path / "clip.y4m"
+    proc = subprocess.run([sys.executable, str(MAKE_DEMO_CLIP), str(out), "--frames", "2", *flags],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("error:") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -153,10 +153,10 @@ class TestTrain:
         seen = []
         original = training_mod.net_forward
 
-        def spy(net, x, want_cache=False):
-            if want_cache:
+        def spy(net, x, cache=None):
+            if cache is not None:
                 seen.append(x.shape[0])
-            return original(net, x, want_cache)
+            return original(net, x, cache)
 
         monkeypatch.setattr(training_mod, "net_forward", spy)
         train(build_network(TINY), pairs, TrainConfig(lr0=1.0, epochs=2, batch_size=2))
@@ -306,7 +306,8 @@ class TestNoInputGradient:
     def test_net_backward_still_returns_it_by_default(self):
         net = build_network(TINY)
         x = np.random.default_rng(1).uniform(0.0, 1.0, (2, 1, 8, 8)).astype(np.float32)
-        out, cache = net_forward(net, x, want_cache=True)
+        cache = {}
+        out = net_forward(net, x, cache)
         grads, grad_in = net_backward(net, cache, out)
         assert grad_in.shape == x.shape and np.any(grad_in != 0)
         grads_only, none = net_backward(net, cache, out, want_grad_input=False)
