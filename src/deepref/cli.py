@@ -1,10 +1,11 @@
-"""Command-line pipeline: extract -> train -> infer / encode / sweep ->
-bdrate / metrics, plus feature-map dumps and the block-size study.
+"""Command-line pipeline: make-clip -> extract -> train -> infer / encode /
+sweep -> bdrate / metrics, plus feature-map dumps and the block-size study.
 
 Every flag that sets a config field is declared once, in FLAG_TABLE, which
 names the RunConfig field(s) it sets; flags override the --config JSON, which
-overrides the defaults. `--seed` is taken only by `train` and `block-sweep`,
-the two subcommands that seed anything.
+overrides the defaults. `--seed` of `train` and `block-sweep` seeds weight
+init and shuffling; `--seed` of `make-clip`, which sets no config field,
+seeds the clip's texture.
 
 Every run with a fixed --seed is bit-reproducible on the same machine. All
 file outputs are written atomically.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, flow, generator, metrics, training, video_io
+from . import codec, flow, generator, metrics, synthetic, training, video_io
 from .config import SEED_FIELDS, RunConfig, load_run_config
 from .errors import ConfigError, DeepRefError, FormatError
 from .fileio import read_csv, write_csv, write_plane_pgm
@@ -87,11 +88,15 @@ def _command(sub, name, func, *groups, help):
     return parser
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _values(text: str, flag: str, form: str, kind=int, sep=",", count=None) -> list:
+    """The `kind` values of `text` split at `sep`, exactly `count` of them if given."""
     try:
-        return [int(item) for item in text.split(",")]
+        values = [kind(item) for item in text.split(sep)]
+        if count not in (None, len(values)):
+            raise ValueError
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"{flag} must be {form}, got {text!r}") from exc
+    return values
 
 
 def _resolve(args) -> RunConfig:
@@ -103,7 +108,7 @@ def _resolve(args) -> RunConfig:
         if value is None:
             continue
         if dest == "q_set":
-            value = _int_list(value, "--q-set")
+            value = _values(value, "--q-set", "comma-separated integers")
         for target in targets:
             section, _, name = target.rpartition(".")
             updates.setdefault(section, {})[name] = value
@@ -127,6 +132,17 @@ def _quality_table(tests, truths, first_index: int, path) -> tuple[list, float]:
     write_csv(rows, path, header=QUALITY_HEADER)
     finite = [r[1] for r in rows if np.isfinite(r[1])]
     return rows, float(np.mean(finite)) if finite else float("inf")
+
+
+def cmd_make_clip(args) -> int:
+    width, height = _values(args.size.lower(), "--size", "WxH integers", sep="x", count=2)
+    velocity = _values(args.velocity, "--velocity", "two numbers x,y", float, count=2)
+    texture = synthetic.acceptance_texture(args.seed)
+    frames = synthetic.pan_zoom_sequence(width, height, args.frames, velocity,
+                                         zoom_rate=args.zoom, texture=texture)
+    video_io.write_y4m(frames, args.output)
+    print(f"wrote {args.frames} frames of {width}x{height} -> {args.output}")
+    return 0
 
 
 def cmd_extract(args) -> int:
@@ -168,7 +184,7 @@ def cmd_infer(args) -> int:
     for t, plane in enumerate(generated, start=1):
         write_plane_pgm(plane, out_dir / f"gen_f{t:04d}.pgm")
     rows, mean_psnr = _quality_table(generated, frames[1:], 1,
-                                     args.csv or out_dir / "reference_quality.csv")
+                                     out_dir / "reference_quality.csv")
     print(f"generated {len(rows)} references -> {out_dir} "
           f"(mean PSNR vs next frame {mean_psnr:.2f} dB)")
     return 0
@@ -284,7 +300,7 @@ def cmd_metrics(args) -> int:
 def cmd_block_sweep(args) -> int:
     cfg = _resolve(args)
     frames = _read_frames(cfg)
-    sizes = _int_list(args.sizes, "--sizes")
+    sizes = _values(args.sizes, "--sizes", "comma-separated integers")
     name = Path(cfg.input_path).stem
     rows = training.block_size_sweep(
         frames, sizes, cfg.model, cfg.train, cfg.extraction, sequence_name=name
@@ -306,6 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    p = _command(sub, "make-clip", cmd_make_clip,
+                 help="synthesize a panning/zooming textured test clip as .y4m")
+    p.add_argument("output", help="Y4M file to write")
+    p.add_argument("--frames", type=int, default=30)
+    p.add_argument("--size", default="64x64", help="WxH")
+    p.add_argument("--velocity", default="0.875,0.625", help="px/frame, x,y")
+    p.add_argument("--zoom", type=float, default=0.0005, help="scale growth per frame")
+    p.add_argument("--seed", type=int, default=11, help="texture seed")
+
     p = _command(sub, "extract", cmd_extract, "input", "format", "extract",
                  help="build a training dataset from consecutive frames")
     p.add_argument("--output", required=True, help="dataset file to write")
@@ -320,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                  help="generate references from pristine frames and score them")
     p.add_argument("--weights", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--csv", help="quality CSV path (default: <output-dir>/reference_quality.csv)")
 
     p = _command(sub, "dump-features", cmd_dump_features, "input", "format",
                  help="write hidden-layer feature maps as PGM images")

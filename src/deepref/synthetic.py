@@ -65,6 +65,12 @@ class SinusoidTexture:
         return np.clip(np.rint(self.sample(sx, sy)), 0, 255).astype(np.uint8)
 
 
+def acceptance_texture(seed: int) -> SinusoidTexture:
+    """The texture of the acceptance clip and of `deepref make-clip`: 32 waves
+    of 0.08-0.32 cycles/px at contrast 44."""
+    return SinusoidTexture.random(seed, n_waves=32, min_freq=0.08, max_freq=0.32, contrast=44.0)
+
+
 def pan_zoom_sequence(
     width: int,
     height: int,

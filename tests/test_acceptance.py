@@ -26,7 +26,7 @@ from deepref.generator import (
 from deepref.interp import LUMA_FILTERS, MotionVectorQ, interpolate_block
 from deepref.metrics import RDPoint, bd_rate, psnr, ssim
 from deepref.nn import ConvParams, conv2d_backward, conv2d_forward, relu, relu_backward, split_channels
-from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+from deepref.synthetic import SinusoidTexture, acceptance_texture, pan_zoom_sequence
 from deepref.training import TrainConfig, train
 from deepref.video_io import write_y4m
 
@@ -261,11 +261,8 @@ def test_criterion_07_training_suite():
 
 
 def _criterion_9_setup():
-    texture = SinusoidTexture.random(11, n_waves=32, min_freq=0.08, max_freq=0.32,
-                                     contrast=44.0)
-    frames = pan_zoom_sequence(64, 64, 30, velocity=(0.875, 0.625),
-                               zoom_rate=0.0005, seed=11, texture=texture)
-    return frames
+    return pan_zoom_sequence(64, 64, 30, velocity=(0.875, 0.625), zoom_rate=0.0005,
+                             texture=acceptance_texture(11))
 
 
 def test_criterion_08_metrics_suite():

@@ -7,7 +7,7 @@ import pytest
 from deepref import generator
 from deepref.cli import FLAG_TABLE, _resolve, build_parser, main
 from deepref.config import DEFAULT_Q_SET
-from deepref.fileio import read_csv
+from deepref.fileio import read_csv, write_csv
 from deepref.flow import read_dataset
 from deepref.generator import (
     ModelConfig,
@@ -175,8 +175,6 @@ class TestBdrateCommand:
         header = ["q", "bits_per_frame", "psnr_db"]
         if scheme:
             header.insert(0, "scheme")
-        from deepref.fileio import write_csv
-
         write_csv(rows, path, header=header)
         return path
 
@@ -205,16 +203,12 @@ class TestBdrateCommand:
         assert err.startswith("error:") and "non-finite" in err
 
     def test_missing_columns_rejected(self, tmp_path, capsys):
-        from deepref.fileio import write_csv
-
         path = tmp_path / "bad.csv"
         write_csv([[1, 2]], path, header=["x", "y"])
         code, _, err = run(["bdrate", str(path)], capsys)
         assert code == 1 and "bits_per_frame" in err
 
     def test_non_numeric_cell_rejected(self, tmp_path, capsys):
-        from deepref.fileio import write_csv
-
         path = tmp_path / "bad.csv"
         write_csv([[8, 8000, 41.0], [16, "lots", 36.0]], path,
                   header=["q", "bits_per_frame", "psnr_db"])
@@ -573,6 +567,32 @@ def test_integer_beyond_int_range_rejected(capsys, clip, tiny_weights, tmp_path,
     code, _, err = run([argv[0], "--input", str(clip), *argv[1:]], capsys)
     assert code == 1
     assert err.startswith("error:") and field in err and BEYOND_INT in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--input", "{one}", "--output", "{tmp}/d.drpd"],
+     "extraction needs at least 2 frames"),
+    (["infer", "--input", "{one}", "--weights", "{weights}", "--output-dir", "{tmp}/gen"],
+     "inference needs at least 2 frames"),
+    (["dump-features", "--input", "{three}", "--weights", "{weights}", "--frame", "7",
+      "--layer", "head1", "--output-dir", "{tmp}/features"],
+     "--frame 7 outside sequence of 3 frames"),
+    (["bdrate", "{tmp}/rd.csv"], "no scheme column to select 'baseline' from"),
+], ids=["extract one frame", "infer one frame", "dump-features frame 7 of 3",
+        "bdrate one file without scheme"])
+def test_input_the_command_cannot_use_ends_in_error(capsys, tiny_weights, tmp_path, argv,
+                                                    message):
+    frames = pan_zoom_sequence(32, 32, 3, velocity=(0.5, 0.25), seed=4)
+    write_y4m(frames[:1], tmp_path / "one.y4m")
+    write_y4m(frames, tmp_path / "three.y4m")
+    write_csv([[8, 8000, 41.0], [16, 6000, 36.0]], tmp_path / "rd.csv",
+              header=["q", "bits_per_frame", "psnr_db"])
+    argv = [a.format(one=tmp_path / "one.y4m", three=tmp_path / "three.y4m",
+                     weights=tiny_weights, tmp=tmp_path) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.y4m", "rd.csv", "three.y4m"]
 
 
 # one subcommand taking each flag group

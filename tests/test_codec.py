@@ -28,7 +28,7 @@ from deepref.flow import ExtractionConfig, extract_pairs
 from deepref.generator import ModelConfig, build_network, dump_feature_maps, generate_reference
 from deepref.interp import MotionVectorQ, interpolate_block, subpel_planes
 from deepref.metrics import psnr
-from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+from deepref.synthetic import SinusoidTexture, acceptance_texture, pan_zoom_sequence
 from deepref.video_io import write_y4m
 
 TINY = ModelConfig(head_channels=4, branch_reduce_channels=3, branch_out_channels=3,
@@ -412,6 +412,19 @@ class TestEncodeFrameProxyGolden:
         for rec in got_field:  # a later copy of a reference never wins
             assert all(refs[i] is not refs[rec.ref_idx] for i in range(rec.ref_idx))
 
+    @pytest.mark.parametrize("bs, w, h", [(129, 129, 130), (136, 140, 137)])
+    def test_blocks_above_128_sum_columns_in_int32(self, bs, w, h):
+        # 255 * bs passes int16's 32767, so the integer search sums its |diff|
+        # columns in int32; 0/255 pictures against their negatives reach 255
+        # in every sample at mv (0, 0)
+        cur = (np.random.default_rng(bs).integers(0, 2, (h, w)) * 255).astype(np.uint8)
+        cfg = SearchConfig(search_range=2, lambda_mv=4.0, block_size=bs)
+        got_bits, got_recon, got_field = encode_frame_proxy([255 - cur], cur, cfg, 8)
+        want_bits, want_recon, want_field = naive_encode_frame([255 - cur], cur, cfg, 8)
+        assert got_bits == want_bits
+        np.testing.assert_array_equal(got_recon, want_recon)
+        assert got_field == want_field
+
     def test_identical_references_first_wins(self):
         tex = SinusoidTexture.random(22)
         ref = tex.render(40, 24)
@@ -488,10 +501,8 @@ class TestDecoderRebuild:
                              ids=["default", "block16-range8"])
     @pytest.mark.parametrize("with_net", [False, True], ids=["no-net", "tiny-net"])
     def test_reconstruction_and_bits_rebuilt_from_mv_field(self, with_net, cfg):
-        texture = SinusoidTexture.random(11, n_waves=32, min_freq=0.08, max_freq=0.32,
-                                         contrast=44.0)
         frames = pan_zoom_sequence(64, 64, 6, velocity=(0.875, 0.625), zoom_rate=0.0005,
-                                   seed=11, texture=texture)
+                                   texture=acceptance_texture(11))
         rule = partial(generated, build_network(TINY)) if with_net else previous
         bs, (fh, fw) = cfg.block_size, frames[0].shape
         for q in (8, 16, 32, 64):

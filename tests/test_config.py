@@ -104,6 +104,8 @@ def test_bad_q_set_rejected():
     {"extraction": {"integer_snap": 0.02}}, {"extraction": {"lk_iterations": 5}},
     {"extraction": {"lk_eps": 0.01}}, {"extraction": {"mv_clamp": 8.0}},
     {"extraction": {"keep_degenerate": True}},
+    # a top level that is no JSON object
+    [{"seed": 4}],
 ])
 def test_malformed_values_rejected(tmp_path, doc):
     with pytest.raises(ConfigError):

@@ -50,6 +50,23 @@ def support_box(plane):
     return ys.max() - ys.min() + 1, xs.max() - xs.min() + 1
 
 
+def weight_tensors(net):
+    """Name -> array of each tensor `save_weights` writes for `net`, in its order."""
+    tensors = {f"{name}.{part}": arr for name, p in net.layers.items()
+               for part, arr in (("weight", p.weights), ("bias", p.bias))}
+    return {**tensors, "k": np.full(3, net.config.k)}
+
+
+def write_weight_file(path, tensors, tail=b""):
+    """A weight file holding `tensors` (name -> array) as given, then `tail`."""
+    data = bytearray(b"DRPG" + struct.pack("<II", 1, len(tensors)))
+    for name, arr in tensors.items():
+        data += struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(),
+                            arr.ndim, *arr.shape)
+        data += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    path.write_bytes(bytes(data) + tail)
+
+
 class TestBuild:
     def test_branch_receptive_fields(self):
         assert BRANCH_RECEPTIVE_FIELDS == (3, 9, 15)
@@ -387,6 +404,24 @@ class TestWeightFile:
         with pytest.raises(FormatError, match="'head1.weight' has an empty dim"):
             load_weights(path)
 
+    @pytest.mark.parametrize("edit, tail, match", [
+        ({}, b"\0", "1 trailing bytes after last tensor"),
+        ({"k": None}, b"", "missing tensor 'k'"),
+        ({"head1.weight": None}, b"", "missing tensor 'head1.weight'"),
+        ({"k": np.full(2, 0.5)}, b"", r"k tensor has shape \(2,\)"),
+        ({"k": np.array(0.5)}, b"", r"k tensor has shape \(\)"),
+        ({"k": np.full(3, 1.5)}, b"", r"stored k 1.5 outside \[0,1\]"),
+        ({"extra.weight": np.zeros(1)}, b"", r"unexpected tensors: \['extra.weight'\]"),
+    ], ids=["trailing byte", "no k", "no head1.weight", "k of shape (2,)", "k of shape ()",
+            "k 1.5", "extra.weight"])
+    def test_malformed_tensor_table_rejected(self, tmp_path, edit, tail, match):
+        # `edit` replaces tensors of a TINY net's file; None drops one
+        tensors = {**weight_tensors(build_network(TINY)), **edit}
+        path = tmp_path / "w.drpg"
+        write_weight_file(path, {n: a for n, a in tensors.items() if a is not None}, tail)
+        with pytest.raises(FormatError, match=match):
+            load_weights(path)
+
     def test_mismatched_layer_shape_names_the_layer(self, tmp_path):
         net = build_network(TINY)
         # bypass constructor validation to emit an inconsistent file
@@ -404,17 +439,9 @@ class TestWeightFile:
         net = build_network(ModelConfig(head_channels=8, branch_reduce_channels=4,
                                         branch_out_channels=4, trunk_channels=8))
         net.layers["block1.branch1.conv2"].weights = np.zeros((800, 1, 3, 3), np.float32)
-        records = [(f"{name}.{part}", arr) for name, p in net.layers.items()
-                   if ".branch2." not in name and ".branch3." not in name
-                   for part, arr in (("weight", p.weights), ("bias", p.bias))]
-        records.append(("k", np.full(3, 0.5)))
-        data = bytearray(b"DRPG" + struct.pack("<II", 1, len(records)))
-        for name, arr in records:
-            data += struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(),
-                                arr.ndim, *arr.shape)
-            data += np.ascontiguousarray(arr, dtype="<f4").tobytes()
         path = tmp_path / "w.drpg"
-        path.write_bytes(bytes(data))
+        write_weight_file(path, {name: arr for name, arr in weight_tensors(net).items()
+                                 if ".branch2." not in name and ".branch3." not in name})
         assert path.stat().st_size < 40_000
         tracemalloc.start()
         try:

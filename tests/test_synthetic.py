@@ -1,13 +1,17 @@
-import subprocess
+import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deepref.cli import main
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
+from deepref.video_io import read_sequence
 
-MAKE_DEMO_CLIP = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_clip.py"
+from test_acceptance import _criterion_9_setup
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_frames_are_8bit_and_deterministic():
@@ -48,11 +52,27 @@ def test_sample_at_arbitrary_coordinates():
     ["--size", "abc"], ["--size", "0x0"], ["--size", "33x32"], ["--velocity", "1"],
     ["--velocity", "nan,0"], ["--zoom", "nan"], ["--frames", "0"], ["--seed", "-1"],
 ])
-def test_make_demo_clip_refuses_a_malformed_value(tmp_path, flags):
+def test_make_demo_clip_refuses_a_malformed_value(tmp_path, capsys, flags):
     out = tmp_path / "clip.y4m"
-    proc = subprocess.run([sys.executable, str(MAKE_DEMO_CLIP), str(out), "--frames", "2", *flags],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.count("error:") == 1 and proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert main(["make-clip", str(out), "--frames", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+def test_default_clip_is_criterion_9s_and_the_benchmarks(tmp_path, capsys, monkeypatch):
+    # the README's experiment chain reproduces criterion 9 from this clip, and
+    # the benchmark times the same one; workloads.py is loaded, not changed
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    out = tmp_path / "c.y4m"
+    assert main(["make-clip", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 30 frames of 64x64 -> {out}\n"
+    frames = read_sequence(out)
+    for want in (_criterion_9_setup(), workloads.clip(11, 64, 30)):
+        assert len(frames) == len(want) == 30
+        for got, expected in zip(frames, want):
+            np.testing.assert_array_equal(got, expected)

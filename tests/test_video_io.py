@@ -97,7 +97,8 @@ class TestY4m:
             read_sequence(path)
 
     @pytest.mark.parametrize("header,match", [(b"W-16 H16", "W field '-16'"),
-                                              (b"W16 H0", "H field '0'")])
+                                              (b"W16 H0", "H field '0'"),
+                                              (b"H16", "lacks W or H")])
     def test_non_positive_dims_rejected(self, tmp_path, header, match):
         path = tmp_path / "bad.y4m"
         path.write_bytes(b"YUV4MPEG2 " + header + b" C420\nFRAME\n" + b"\x00" * 384)
