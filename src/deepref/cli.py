@@ -8,7 +8,8 @@ init and shuffling; `--seed` of `make-clip`, which sets no config field,
 seeds the clip's texture.
 
 Every run with a fixed --seed is bit-reproducible on the same machine. All
-file outputs are written atomically.
+file outputs are written atomically. Every refusal, argparse's own included,
+prints one `error: …` line and exits 1; `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -310,11 +311,19 @@ def cmd_block_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's refusals as `ConfigError`, for `main` to report;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: parsing leaves it
     unchanged, and building it took about 3 ms of every `main` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deepref",
         description="Deep reference picture generation toolkit: train a "
         "dilated-inception generator on optical-flow block pairs and measure "
@@ -384,12 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DeepRefError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,15 +11,16 @@ The solve runs on a batch of tiles at once (`_lk_blocks`): one gather of all
 their gradient windows, then per iteration one bilinear warp of the
 reference and both gradients for the tiles still running, with coordinates,
 weights and flat indices computed once per row and column and shared by the
-three planes. Each tile's scalar step (degeneracy test, update, stop, clamp)
-stays Python float math on its own sums, so it gets the bits a solve of it
-alone would give. A batch holds as many tiles as keep one float64
+three planes. Each tile's sums are numpy's sums of its own products, and the
+steps on them (degeneracy test, update, stop, clamp) are elementwise float64
+operations, which round as Python floats do, so every tile gets the bits a
+solve of it alone would give. A batch holds as many tiles as keep one float64
 (tiles, h, w) array within ``LK_BYTES`` (128 KiB), and at least one: all 16
 tiles of a 64x64 frame at block 16 are one batch. With block 32 on 2 vCPUs
 (least/median ms for one frame pair over 9 rounds), batches of 64 KiB,
-128 KiB, 256 KiB, 1 MiB and 4 MiB took 308/370, 311/340, 323/352, 361/399
-and 563/663 ms at 416x240 with stride 8 (1,323 tiles), and 413/480,
-355/439, 383/460, 457/512 and 769/853 ms at 832x480 with stride 16 (1,479
+128 KiB, 256 KiB, 1 MiB and 4 MiB took 368/385, 339/363, 364/377, 475/490
+and 611/635 ms at 416x240 with stride 8 (1,323 tiles), and 421/436,
+418/425, 430/440, 553/571 and 721/738 ms at 832x480 with stride 16 (1,479
 tiles); a whole-frame batch spills out of cache.
 """
 
@@ -92,9 +93,9 @@ def _lk_blocks(planes, cur, origins, size):
     frame: ((vx, vy), degenerate) per (x0, y0) origin, in order.
 
     `planes` is `_warp_planes(ref)`; warped samples are bilinear with clamp
-    addressing. Only the arrays are batched: each block takes its own scalar
-    steps and stops on its own, and each of its sums is numpy's sum of its
-    own h*w products, so every block gets the bits of a solve of it alone.
+    addressing. Each block stops on its own, and each of its sums is numpy's
+    sum of its own h*w products; the steps on those sums are elementwise, so
+    every block gets the bits of a solve of it alone.
     """
     w, h = size
     _, fh, fw = planes.shape
@@ -103,28 +104,22 @@ def _lk_blocks(planes, cur, origins, size):
     rows, cols = np.arange(h), np.arange(w)
     win = (y0 * fw + x0)[:, None, None] + (rows * fw)[:, None] + cols  # flat sample indices
     ix, iy = flat[1:].take(win, axis=1)
-    degenerate, active = [], []
-    for b, (g11, g12, g22) in enumerate(zip((ix * ix).sum(axis=(1, 2)).tolist(),
-                                            (ix * iy).sum(axis=(1, 2)).tolist(),
-                                            (iy * iy).sum(axis=(1, 2)).tolist())):
-        half_trace = 0.5 * (g11 + g22)
-        det = g11 * g22 - g12 * g12
-        min_eig = half_trace - math.sqrt(max(half_trace * half_trace - det, 0.0))
-        degenerate.append(min_eig < DEGENERACY_THRESHOLD * (w * h))
-        if not degenerate[-1]:
-            active.append(b)
+    g11, g12, g22 = ((a * b).sum(axis=(1, 2)) for a, b in ((ix, ix), (ix, iy), (iy, iy)))
+    half_trace = 0.5 * (g11 + g22)
+    det = g11 * g22 - g12 * g12
+    min_eig = half_trace - np.sqrt(np.maximum(half_trace * half_trace - det, 0.0))
+    degenerate = min_eig < DEGENERACY_THRESHOLD * (w * h)
 
-    if not active:
-        return [((0.0, 0.0), True)] * len(origins)
-    vx, vy = [0.0] * len(origins), [0.0] * len(origins)
+    vx, vy = np.zeros(len(origins)), np.zeros(len(origins))
+    active = np.flatnonzero(~degenerate)  # the blocks still running
     target = cur.take(win[active])
-    grid_y = (y0[active, None] + rows).astype(np.float64)
-    grid_x = (x0[active, None] + cols).astype(np.float64)
     for _ in range(LK_ITERATIONS):
+        if not active.size:
+            break
         # a block's sample coordinates vary by row (y) or by column (x) only, so
         # they are clamped, floored and weighted per row and per column
-        sy = grid_y + np.array([vy[b] for b in active])[:, None]
-        sx = grid_x + np.array([vx[b] for b in active])[:, None]
+        sy = (y0[active, None] + rows) + vy[active, None]
+        sx = (x0[active, None] + cols) + vx[active, None]
         np.minimum(np.maximum(sy, 0.0, out=sy), fh - 1.0, out=sy)
         np.minimum(np.maximum(sx, 0.0, out=sx), fw - 1.0, out=sx)
         ry0, rx0 = sy.astype(np.intp), sx.astype(np.intp)  # the floor: both are >= 0
@@ -136,28 +131,21 @@ def _lk_blocks(planes, cur, origins, size):
         warped = top * (1.0 - fy) + bot * fy  # (3, blocks, h, w): ref, gx, gy
         it = target - warped[0]
         ixw, iyw = warped[1], warped[2]
-        sums = zip(*((a * b).sum(axis=(1, 2)).tolist()
-                     for a, b in ((ixw, ixw), (ixw, iyw), (iyw, iyw), (ixw, it), (iyw, it))))
-        keep = []
-        for j, (b, (g11, g12, g22, b1, b2)) in enumerate(zip(active, sums)):
-            det = g11 * g22 - g12 * g12
-            if det <= 1e-12 * (w * h) ** 2:
-                continue
-            dvx = (g22 * b1 - g12 * b2) / det
-            dvy = (g11 * b2 - g12 * b1) / det
-            vx[b] += dvx
-            vy[b] += dvy
-            if not math.hypot(dvx, dvy) < LK_EPS:
-                keep.append(j)
-        if not keep:
-            break
-        if len(keep) < len(active):
-            active = [active[j] for j in keep]
-            target, grid_y, grid_x = target[keep], grid_y[keep], grid_x[keep]
+        g11, g12, g22, b1, b2 = ((a * b).sum(axis=(1, 2)) for a, b in
+                                 ((ixw, ixw), (ixw, iyw), (iyw, iyw), (ixw, it), (iyw, it)))
+        det = g11 * g22 - g12 * g12
+        steps = det > 1e-12 * (w * h) ** 2  # a block failing this stops where it is
+        g11, g12, g22, b1, b2, det = (s[steps] for s in (g11, g12, g22, b1, b2, det))
+        dvx = (g22 * b1 - g12 * b2) / det
+        dvy = (g11 * b2 - g12 * b1) / det
+        vx[active[steps]] += dvx
+        vy[active[steps]] += dvy
+        keep = np.flatnonzero(steps)[np.hypot(dvx, dvy) >= LK_EPS]
+        if keep.size < active.size:
+            active, target = active[keep], target[keep]
 
-    return [((0.0, 0.0), True) if flat_block else
-            ((min(max(bvx, -MV_CLAMP), MV_CLAMP), min(max(bvy, -MV_CLAMP), MV_CLAMP)), False)
-            for flat_block, bvx, bvy in zip(degenerate, vx, vy)]
+    vx, vy = (np.clip(v, -MV_CLAMP, MV_CLAMP).tolist() for v in (vx, vy))
+    return list(zip(zip(vx, vy), degenerate.tolist()))
 
 
 def lucas_kanade_mv(ref, cur, origin, size):
@@ -236,9 +224,16 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     return pairs
 
 
+def _record(block_size: int) -> np.dtype:
+    """One dataset record: the origin (bx, by), the mv (vx, vy), then the X and
+    Y blocks, little-endian."""
+    block = ("u1", (block_size, block_size))
+    return np.dtype([("origin", "<u4", 2), ("mv", "<f4", 2), ("x", *block), ("y", *block)])
+
+
 def write_dataset(pairs: list[SamplePair], path, block_size: int) -> None:
-    """Binary dataset: magic, version, block size, count, then per-pair
-    records. Every X and Y block is an 8-bit (block_size, block_size) plane,
+    """Binary dataset: magic, version, block size, count, then one `_record`
+    per pair. Every X and Y block is an 8-bit (block_size, block_size) plane,
     every origin component a uint32 and every mv component a finite float32."""
     check_int("block_size", block_size, 1)
     for i, pair in enumerate(pairs):
@@ -249,16 +244,10 @@ def write_dataset(pairs: list[SamplePair], path, block_size: int) -> None:
             if check_plane(blk, f"pair {i} {name} block").shape != (block_size, block_size):
                 raise ShapeMismatchError(
                     f"pair {i}: {name} block shape {blk.shape} != ({block_size},{block_size})")
-    buf = bytearray()
-    buf += DATASET_MAGIC
-    buf += struct.pack("<II", DATASET_VERSION, block_size)
-    buf += struct.pack("<Q", len(pairs))
-    for pair in pairs:
-        buf += struct.pack("<II", int(pair.origin[0]), int(pair.origin[1]))
-        buf += struct.pack("<ff", float(pair.mv[0]), float(pair.mv[1]))
-        buf += pair.x_block.tobytes()
-        buf += pair.y_block.tobytes()
-    atomic_write_bytes(path, bytes(buf))
+    records = np.array([(p.origin, p.mv, p.x_block, p.y_block) for p in pairs],
+                       _record(block_size))
+    header = struct.pack("<IIQ", DATASET_VERSION, block_size, len(pairs))
+    atomic_write_bytes(path, DATASET_MAGIC + header + records.tobytes())
 
 
 def read_dataset(path) -> list[SamplePair]:
@@ -268,12 +257,13 @@ def read_dataset(path) -> list[SamplePair]:
         raise FormatError(f"bad dataset magic {data[:4]!r}")
     if len(data) < 20:
         raise FormatError("truncated dataset header")
-    version, block_size = struct.unpack_from("<II", data, 4)
+    version, block_size, count = struct.unpack_from("<IIQ", data, 4)
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}")
     if block_size < 1:
         raise FormatError("dataset block size is 0; it must be at least 1")
-    (count,) = struct.unpack_from("<Q", data, 12)
+    # before `_record` is built: its dtype refuses a huge block size (65540)
+    # with a ValueError, even in a file of no pairs
     record = 16 + 2 * block_size * block_size
     expected = 20 + count * record
     if len(data) != expected:
@@ -281,18 +271,13 @@ def read_dataset(path) -> list[SamplePair]:
             f"dataset payload is {len(data)} bytes but the count field "
             f"({count} pairs of {record} bytes) implies {expected}"
         )
-    pairs = []
-    offset = 20
-    for _ in range(count):
-        ox, oy = struct.unpack_from("<II", data, offset)
-        mvx, mvy = struct.unpack_from("<ff", data, offset + 8)
-        if not (math.isfinite(mvx) and math.isfinite(mvy)):
-            raise FormatError(f"pair {len(pairs)} has a non-finite mv ({mvx}, {mvy})")
-        offset += 16
-        n = block_size * block_size
-        x_blk = np.frombuffer(data, np.uint8, n, offset).reshape(block_size, block_size)
-        offset += n
-        y_blk = np.frombuffer(data, np.uint8, n, offset).reshape(block_size, block_size)
-        offset += n
-        pairs.append(SamplePair(x_blk.copy(), y_blk.copy(), (ox, oy), (mvx, mvy)))
-    return pairs
+    if not count:
+        return []
+    records = np.frombuffer(data, _record(block_size), count, 20)
+    finite = np.isfinite(records["mv"]).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(f"pair {bad} has a non-finite mv {tuple(records['mv'][bad].tolist())}")
+    return [SamplePair(x.copy(), y.copy(), tuple(origin), tuple(mv))
+            for origin, mv, x, y in zip(records["origin"].tolist(), records["mv"].tolist(),
+                                        records["x"], records["y"])]

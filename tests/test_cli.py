@@ -73,14 +73,25 @@ def test_written_files_follow_the_umask(clip, tmp_path, capsys, with_umask, umas
 
 
 class TestArgHandling:
-    def test_unknown_subcommand_exits_2(self, capsys):
-        code, _, err = run(["frobnicate"], capsys)
-        assert code == 2
-        assert "usage" in err.lower()
+    # argparse's refusals print one `error:` line and exit 1, as every other does
+    def test_unknown_subcommand_exits_1(self, capsys):
+        code, out, err = run(["frobnicate"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+        assert err.count("\n") == 1
 
-    def test_unknown_flag_exits_2(self, capsys):
-        code, _, err = run(["bdrate", "x.csv", "--bogus"], capsys)
-        assert code == 2
+    def test_unknown_flag_exits_1(self, capsys):
+        code, out, err = run(["bdrate", "x.csv", "--bogus"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: deepref") and captured.err == ""
 
     def test_missing_input_file_exits_1_with_diagnostic(self, capsys, tmp_path):
         code, _, err = run(
@@ -378,7 +389,8 @@ class TestDumpFeaturesCommand:
         code, _, err = run(
             ["dump-features", "--input", str(clip), "--weights", "w",
              "--layer", "bogus", "--output-dir", str(tmp_path)], capsys)
-        assert code == 2
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: argument --layer: invalid choice: 'bogus'")
 
 
 class TestConfigFile:
@@ -518,11 +530,11 @@ class TestFlagTable:
     ])
     def test_flag_refused_where_it_sets_nothing(self, capsys, flags, command):
         code, _, err = run([command, *REQUIRED[command], *flags], capsys)
-        assert code == 2 and "unrecognized arguments" in err
+        assert code == 1 and err == f"error: unrecognized arguments: {' '.join(flags)}\n"
 
     def test_extract_refuses_seed(self, capsys):
         code, _, err = run(["extract", *REQUIRED["extract"], "--seed", "3"], capsys)
-        assert code == 2 and "--seed" in err
+        assert code == 1 and err == "error: unrecognized arguments: --seed 3\n"
 
     def test_input_sets_input_path(self):
         assert resolved("extract").input_path == "c.y4m"
@@ -578,8 +590,9 @@ def test_integer_beyond_int_range_rejected(capsys, clip, tiny_weights, tmp_path,
       "--layer", "head1", "--output-dir", "{tmp}/features"],
      "--frame 7 outside sequence of 3 frames"),
     (["bdrate", "{tmp}/rd.csv"], "no scheme column to select 'baseline' from"),
+    (["encode", "--input", "{three}", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
 ], ids=["extract one frame", "infer one frame", "dump-features frame 7 of 3",
-        "bdrate one file without scheme"])
+        "bdrate one file without scheme", "encode q abc"])
 def test_input_the_command_cannot_use_ends_in_error(capsys, tiny_weights, tmp_path, argv,
                                                     message):
     frames = pan_zoom_sequence(32, 32, 3, velocity=(0.5, 0.25), seed=4)

@@ -1,4 +1,5 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -280,7 +281,8 @@ BUDGETS = st.sampled_from([flow_mod.LK_BYTES, 1 << 40, 1])
 def assert_same_pairs(got, want):
     assert [p.origin for p in got] == [p.origin for p in want]
     for g, p in zip(got, want):
-        assert g.mv == p.mv
+        # bits, not values: -0.0 == 0.0, yet a dataset file stores the sign
+        assert struct.pack("<2d", *g.mv) == struct.pack("<2d", *p.mv)
         assert g.x_block.dtype == p.x_block.dtype and g.y_block.dtype == p.y_block.dtype
         assert g.x_block.tobytes() == p.x_block.tobytes()
         assert g.y_block.tobytes() == p.y_block.tobytes()
@@ -367,6 +369,7 @@ class TestDatasetFile:
             np.testing.assert_array_equal(a.y_block, b.y_block)
             assert a.origin == b.origin
             assert b.mv == (pytest.approx(a.mv[0], rel=1e-6), pytest.approx(a.mv[1], rel=1e-6))
+            assert [type(v) for v in (*b.origin, *b.mv)] == [int, int, float, float]
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.drpd"
@@ -381,6 +384,16 @@ class TestDatasetFile:
         (tmp_path / "bad.drpd").write_bytes(bytes(data))
         with pytest.raises(FormatError, match="count"):
             read_dataset(tmp_path / "bad.drpd")
+
+    def test_huge_block_size_header(self, tmp_path):
+        # a dtype of 65540x65540 blocks does not fit a C int: the count and
+        # the size are checked before any record layout is built
+        path = tmp_path / "huge.drpd"
+        path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 65540, 0))
+        assert read_dataset(path) == []
+        path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 65540, 1) + bytes(16))
+        with pytest.raises(FormatError, match=r"count field \(1 pairs of 8590983216 bytes\)"):
+            read_dataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.drpd").write_bytes(b"XXXX" + b"\0" * 16)
