@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from .flow import ExtractionConfig, SamplePair, extract_pairs, lucas_kanade_mv, round_mv_topleft
+from .flow import ExtractionConfig, extract_pairs, lucas_kanade_mv, pair_dtype, round_mv_topleft
 from .generator import (
     GeneratorNet,
     ModelConfig,

@@ -151,10 +151,9 @@ def cmd_extract(args) -> int:
     frames = _read_frames(cfg)
     if len(frames) < 2:
         raise DeepRefError("extraction needs at least 2 frames")
-    pairs = []
-    for prev, cur in zip(frames, frames[1:]):
-        pairs.extend(flow.extract_pairs(prev, cur, cfg.extraction))
-    flow.write_dataset(pairs, args.output, block_size=cfg.extraction.block_size)
+    pairs = np.concatenate([flow.extract_pairs(prev, cur, cfg.extraction)
+                            for prev, cur in zip(frames, frames[1:])])
+    flow.write_dataset(pairs, args.output)
     print(f"extracted {len(pairs)} pairs "
           f"(block {cfg.extraction.block_size}, {len(frames)} frames) -> {args.output}")
     return 0

@@ -245,11 +245,15 @@ def _search_band(planes: np.ndarray, int_planes: np.ndarray, cur: np.ndarray, or
 
 
 def _clamp_range(cfg: SearchConfig, shape) -> SearchConfig:
-    """`cfg` with its search range cut to the larger frame dimension. An offset
-    a whole frame dimension away reads only edge samples, the same ones as the
-    offset at that dimension, which costs no more mv bits and has a smaller
-    |mv|_1: a farther offset never wins, and its phase planes would only pad."""
-    return replace(cfg, search_range=min(cfg.search_range, max(shape)))
+    """`cfg` with its search range and block size cut to the larger frame
+    dimension. An offset a whole frame dimension away reads only edge samples,
+    the same ones as the offset at that dimension, which costs no more mv bits
+    and has a smaller |mv|_1: a farther offset never wins, and its phase planes
+    would only pad. A block that large is one block over the whole frame, as
+    any larger block is, and a larger one would only pad too."""
+    side = max(shape)
+    return replace(cfg, search_range=min(cfg.search_range, side),
+                   block_size=min(cfg.block_size, side))
 
 
 def motion_search(

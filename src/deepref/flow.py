@@ -5,7 +5,8 @@ per-block Lucas-Kanade solve estimates its fractional motion into the
 reference frame; the referenced fractional block is moved toward the top-left
 to the nearest integer positions (componentwise floor) and that integer block
 becomes the input X. Flat blocks where the structure tensor is degenerate
-fall back to zero motion.
+fall back to zero motion. A pair is one record of `pair_dtype(block_size)`,
+in memory as in the dataset file.
 
 The solve runs on a batch of tiles at once (`_lk_blocks`): one gather of all
 their gradient windows, then per iteration one bilinear warp of the
@@ -33,18 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     FormatError,
     ShapeMismatchError,
     check_block,
     check_int,
     check_plane,
-    check_real,
 )
 from .fileio import atomic_write_bytes
 
 DATASET_MAGIC = b"DRPD"
 DATASET_VERSION = 1
-_F32_MAX = float(np.finfo(np.float32).max)  # the largest mv component a record holds
+# the largest block size whose `pair_dtype` numpy can hold: a dtype's size,
+# 16 + 2 * block_size**2 bytes here, is a C int
+MAX_BLOCK_SIZE = math.isqrt((2**31 - 1 - 16) // 2)
 DEGENERACY_THRESHOLD = 1e-3  # per-pixel floor on the structure tensor's min eigenvalue
 INTEGER_SNAP = 0.02  # px; snap near-integer flow before the floor rule
 LK_ITERATIONS = 5  # Lucas-Kanade updates per block, at most
@@ -59,21 +62,13 @@ class ExtractionConfig:
     stride: int | None = None  # None = block_size (non-overlapping tiles)
 
     def __post_init__(self):
-        check_int("block_size", self.block_size, 8)
+        check_int("block_size", self.block_size, 8, MAX_BLOCK_SIZE)
         if self.stride is not None:
             check_int("stride", self.stride, 1)
 
     @property
     def effective_stride(self) -> int:
         return self.block_size if self.stride is None else self.stride
-
-
-@dataclass
-class SamplePair:
-    x_block: np.ndarray  # integer-aligned reference block (network input)
-    y_block: np.ndarray  # current-frame block (ground truth)
-    origin: tuple[int, int]  # (bx, by) of Y in the current frame
-    mv: tuple[float, float]  # fractional motion that produced the pair
 
 
 def _warp_planes(ref: np.ndarray) -> np.ndarray:
@@ -180,12 +175,13 @@ def _snap_near_integers(mv) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
-    """Tile the current frame and build one (X, Y) pair per tile.
+def extract_pairs(ref, cur, cfg: ExtractionConfig) -> np.ndarray:
+    """Tile the current frame and build one (X, Y) pair per tile, as a 1-D
+    array of `pair_dtype(cfg.block_size)` in raster tile order.
 
     Both frames are 8-bit planes (`check_plane`), as the dataset stores them.
     Tiles whose integer-aligned X window would leave the reference frame are
-    dropped; degenerate tiles are kept with offset (0,0). Raster tile order.
+    dropped; degenerate tiles are kept with offset (0,0).
     """
     ref = check_plane(ref, "reference")
     cur = check_plane(cur, "frame")
@@ -197,8 +193,6 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
 
     origins = [(bx, by) for by in range(0, fh - bs + 1, stride)
                for bx in range(0, fw - bs + 1, stride)]
-    if not origins:
-        return []
     planes = _warp_planes(ref.astype(np.float64))
     cur_f = cur.astype(np.float64)
     per_batch = max(1, LK_BYTES // (8 * bs * bs))
@@ -206,51 +200,54 @@ def extract_pairs(ref, cur, cfg: ExtractionConfig) -> list[SamplePair]:
     for start in range(0, len(origins), per_batch):
         solved += _lk_blocks(planes, cur_f, origins[start : start + per_batch], (bs, bs))
 
-    pairs: list[SamplePair] = []
+    pairs = []
     for (bx, by), (mv, _) in zip(origins, solved):
         mv = _snap_near_integers(mv)
         ox, oy = round_mv_topleft(mv)
         sx, sy = bx + ox, by + oy
-        if not (0 <= sx and sx + bs <= fw and 0 <= sy and sy + bs <= fh):
-            continue
-        pairs.append(
-            SamplePair(
-                x_block=ref[sy : sy + bs, sx : sx + bs].copy(),
-                y_block=cur[by : by + bs, bx : bx + bs].copy(),
-                origin=(bx, by),
-                mv=mv,
-            )
-        )
-    return pairs
+        if 0 <= sx and sx + bs <= fw and 0 <= sy and sy + bs <= fh:
+            pairs.append(((bx, by), mv, ref[sy : sy + bs, sx : sx + bs],
+                          cur[by : by + bs, bx : bx + bs]))
+    return np.array(pairs, pair_dtype(bs))
 
 
-def _record(block_size: int) -> np.dtype:
-    """One dataset record: the origin (bx, by), the mv (vx, vy), then the X and
-    Y blocks, little-endian."""
+def pair_dtype(block_size: int) -> np.dtype:
+    """One training pair, in memory as in the dataset file: the origin (bx, by)
+    of Y in the current frame, the fractional mv (vx, vy) that produced the
+    pair, the integer-aligned reference block X (the network input) and the
+    current-frame block Y (the ground truth), little-endian."""
+    check_int("block_size", block_size, 1, MAX_BLOCK_SIZE)
     block = ("u1", (block_size, block_size))
     return np.dtype([("origin", "<u4", 2), ("mv", "<f4", 2), ("x", *block), ("y", *block)])
 
 
-def write_dataset(pairs: list[SamplePair], path, block_size: int) -> None:
-    """Binary dataset: magic, version, block size, count, then one `_record`
-    per pair. Every X and Y block is an 8-bit (block_size, block_size) plane,
-    every origin component a uint32 and every mv component a finite float32."""
-    check_int("block_size", block_size, 1)
-    for i, pair in enumerate(pairs):
-        for k in range(2):
-            check_int(f"pair {i} origin[{k}]", pair.origin[k], 0, 2**32 - 1)
-            check_real(f"pair {i} mv[{k}]", pair.mv[k], -_F32_MAX, _F32_MAX)
-        for name, blk in (("X", pair.x_block), ("Y", pair.y_block)):
-            if check_plane(blk, f"pair {i} {name} block").shape != (block_size, block_size):
-                raise ShapeMismatchError(
-                    f"pair {i}: {name} block shape {blk.shape} != ({block_size},{block_size})")
-    records = np.array([(p.origin, p.mv, p.x_block, p.y_block) for p in pairs],
-                       _record(block_size))
+def _check_mvs(pairs: np.ndarray, error: type[Exception]) -> None:
+    """Raise `error` naming the first pair whose mv is not finite."""
+    finite = np.isfinite(pairs["mv"]).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise error(f"pair {bad} has a non-finite mv {tuple(pairs['mv'][bad].tolist())}")
+
+
+def write_dataset(pairs: np.ndarray, path) -> None:
+    """Binary dataset: magic, version, block size, count, then the records of
+    `pairs`, a 1-D array of `pair_dtype(block size)` (or a list of its
+    records) whose every mv is finite."""
+    pairs = np.asarray(pairs)
+    # the one block size whose record is this long; the dtype must then be its record
+    block_size = math.isqrt(max(pairs.dtype.itemsize - 16, 0) // 2)
+    if pairs.ndim != 1 or block_size < 1 or pairs.dtype != pair_dtype(block_size):
+        raise ShapeMismatchError(
+            f"pairs must be a 1-D array of flow.pair_dtype(block size), "
+            f"got {pairs.shape} {pairs.dtype}")
+    _check_mvs(pairs, ConfigError)
     header = struct.pack("<IIQ", DATASET_VERSION, block_size, len(pairs))
-    atomic_write_bytes(path, DATASET_MAGIC + header + records.tobytes())
+    atomic_write_bytes(path, DATASET_MAGIC + header + pairs.tobytes())
 
 
-def read_dataset(path) -> list[SamplePair]:
+def read_dataset(path) -> np.ndarray:
+    """The pairs of a dataset file: a read-only 1-D array of `pair_dtype(block
+    size)` over the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != DATASET_MAGIC:
@@ -260,24 +257,15 @@ def read_dataset(path) -> list[SamplePair]:
     version, block_size, count = struct.unpack_from("<IIQ", data, 4)
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}")
-    if block_size < 1:
-        raise FormatError("dataset block size is 0; it must be at least 1")
-    # before `_record` is built: its dtype refuses a huge block size (65540)
-    # with a ValueError, even in a file of no pairs
-    record = 16 + 2 * block_size * block_size
-    expected = 20 + count * record
+    if not 1 <= block_size <= MAX_BLOCK_SIZE:
+        raise FormatError(f"dataset block size is {block_size}; it must be in [1, {MAX_BLOCK_SIZE}]")
+    record = pair_dtype(block_size)
+    expected = 20 + count * record.itemsize
     if len(data) != expected:
         raise FormatError(
             f"dataset payload is {len(data)} bytes but the count field "
-            f"({count} pairs of {record} bytes) implies {expected}"
+            f"({count} pairs of {record.itemsize} bytes) implies {expected}"
         )
-    if not count:
-        return []
-    records = np.frombuffer(data, _record(block_size), count, 20)
-    finite = np.isfinite(records["mv"]).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError(f"pair {bad} has a non-finite mv {tuple(records['mv'][bad].tolist())}")
-    return [SamplePair(x.copy(), y.copy(), tuple(origin), tuple(mv))
-            for origin, mv, x, y in zip(records["origin"].tolist(), records["mv"].tolist(),
-                                        records["x"], records["y"])]
+    pairs = np.frombuffer(data, record, count, 20)
+    _check_mvs(pairs, FormatError)
+    return pairs

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeMismatchError, check_int, check_real
-from .flow import ExtractionConfig, SamplePair, extract_pairs
+from .flow import ExtractionConfig, extract_pairs
 from .generator import (
     GeneratorNet,
     ModelConfig,
@@ -128,28 +128,28 @@ def _batch_gradient(net: GeneratorNet, x: np.ndarray, y: np.ndarray,
     return loss, np.concatenate([g.ravel() for name in net.layers for g in grads[name]])
 
 
-def train(
-    net: GeneratorNet, dataset: list[SamplePair], cfg: TrainConfig
-) -> tuple[GeneratorNet, LossReport]:
-    """Optimize a copy of `net` on the dataset; the input network is untouched.
+def train(net: GeneratorNet, dataset, cfg: TrainConfig) -> tuple[GeneratorNet, LossReport]:
+    """Optimize a copy of `net` on `dataset`, an array of `flow.pair_dtype`
+    records or a list of them; the input network is untouched.
 
     Bit-deterministic for a fixed shuffle seed on a fixed machine, with one
     usable CPU or more (module docstring). One batch's activations are alive
     at a time: each is freed before the next batch's forward, so the peak is
     one batch's cache and its backward.
     """
-    if not dataset:
+    pairs = np.asarray(dataset)
+    if not len(pairs):
         raise ConfigError("training dataset is empty")
     dtype = np.dtype(net.config.dtype)
-    xs = normalize_plane(np.stack([p.x_block for p in dataset]), dtype)
-    ys = normalize_plane(np.stack([p.y_block for p in dataset]), dtype)
+    xs = normalize_plane(pairs["x"], dtype)
+    ys = normalize_plane(pairs["y"], dtype)
 
     net = copy.deepcopy(net)
     theta = _share_one_vector(net.layers.values())
     state = AdadeltaState.zeros_like(theta)
     rng = np.random.default_rng(cfg.shuffle_seed)
     report = LossReport()
-    n = len(dataset)
+    n = len(pairs)
     with deferral() as deferred:
         for epoch in range(cfg.epochs):
             lr = lr_schedule(epoch, cfg)
@@ -196,10 +196,9 @@ def block_size_sweep(
 def _size_row(train_frames, holdout, model, cfg, extraction, name, size) -> tuple[int, str, float]:
     """The row of one `block_size_sweep` size."""
     ex = replace(extraction, block_size=int(size))
-    pairs: list[SamplePair] = []
-    for prev, cur in zip(train_frames, train_frames[1:]):
-        pairs.extend(extract_pairs(prev, cur, ex))
-    if not pairs:
+    pairs = np.concatenate([extract_pairs(prev, cur, ex)
+                            for prev, cur in zip(train_frames, train_frames[1:])])
+    if not len(pairs):
         raise ConfigError(f"no training pairs extracted at block size {size}")
     trained, _ = train(build_network(model), pairs, cfg)
     scores = [

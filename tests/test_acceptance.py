@@ -214,8 +214,7 @@ def test_criterion_06_extraction_suite():
         frame = smooth_noise(3, 96, 96)
         pairs = extract_pairs(frame, frame, ExtractionConfig(block_size=32))
         assert len(pairs) == 9
-        for pair in pairs:
-            np.testing.assert_array_equal(pair.x_block, pair.y_block)
+        np.testing.assert_array_equal(pairs["x"], pairs["y"])
         assert round_mv_topleft((1.25, -0.5)) == (1, -1)
         assert round_mv_topleft((3.0, 2.0)) == (3, 2)
         assert round_mv_topleft((-0.25, 0.75)) == (-1, 0)

@@ -591,8 +591,14 @@ def test_integer_beyond_int_range_rejected(capsys, clip, tiny_weights, tmp_path,
      "--frame 7 outside sequence of 3 frames"),
     (["bdrate", "{tmp}/rd.csv"], "no scheme column to select 'baseline' from"),
     (["encode", "--input", "{three}", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
+    # numpy holds no pair record of 2**31 bytes or more (flow.MAX_BLOCK_SIZE)
+    (["extract", "--input", "{three}", "--block-size", "32768", "--output", "{tmp}/d.drpd"],
+     "block_size must be an integer in [8, 32767], got 32768"),
+    (["extract", "--input", "{three}", "--block-size", "46341", "--output", "{tmp}/d.drpd"],
+     "block_size must be an integer in [8, 32767], got 46341"),
 ], ids=["extract one frame", "infer one frame", "dump-features frame 7 of 3",
-        "bdrate one file without scheme", "encode q abc"])
+        "bdrate one file without scheme", "encode q abc", "extract block 32768",
+        "extract block 46341"])
 def test_input_the_command_cannot_use_ends_in_error(capsys, tiny_weights, tmp_path, argv,
                                                     message):
     frames = pan_zoom_sequence(32, 32, 3, velocity=(0.5, 0.25), seed=4)

@@ -238,6 +238,25 @@ class TestEncodeFrameProxy:
         # freed (36.2 MB measured)
         assert peak < planes + 8 * (1 << 20) + 24_000_000
 
+    @pytest.mark.parametrize("w, h", [(32, 32), (40, 24)])
+    def test_block_beyond_the_frame_is_clamped(self, w, h):
+        # a block of the larger frame side is one block over the whole frame,
+        # as a larger one is; unclamped, 4x the side pads every phase plane 16x
+        tex = SinusoidTexture.random(6)
+        ref, cur = tex.render(w, h), tex.render(w, h, offset=(0.75, 0.5))
+        runs = []
+        for bs in (max(w, h), 4 * max(w, h)):
+            tracemalloc.start()
+            try:
+                bits, recon, field = encode_frame_proxy(
+                    [ref], cur, SearchConfig(search_range=8, block_size=bs), 8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append(((bits, recon.tobytes(), field), peak))
+        assert len(runs[0][0][2]) == 1 and runs[1][0] == runs[0][0]
+        assert runs[1][1] <= 1.05 * runs[0][1], [peak for _, peak in runs]
+
     def test_partial_edge_blocks_handled(self):
         tex = SinusoidTexture.random(13)
         ref = tex.render(50, 42)  # not multiples of 16

@@ -12,11 +12,12 @@ from conftest import naive_edge_gradients, naive_lk_block
 from deepref import flow as flow_mod
 from deepref.errors import ConfigError, FormatError, ShapeMismatchError
 from deepref.flow import (
+    MAX_BLOCK_SIZE,
     MV_CLAMP,
     ExtractionConfig,
-    SamplePair,
     extract_pairs,
     lucas_kanade_mv,
+    pair_dtype,
     read_dataset,
     round_mv_topleft,
     write_dataset,
@@ -134,8 +135,7 @@ class TestExtractPairs:
         frame = smooth_noise(7, 96, 96)
         pairs = extract_pairs(frame, frame, CFG)
         assert len(pairs) == 9
-        for pair in pairs:
-            np.testing.assert_array_equal(pair.x_block, pair.y_block)
+        np.testing.assert_array_equal(pairs["x"], pairs["y"])
 
     def test_grid_count_96px_block32(self):
         frame = smooth_noise(8, 96, 96)
@@ -148,19 +148,19 @@ class TestExtractPairs:
         pairs = extract_pairs(ref, cur, CFG)
         assert len(pairs) == 9
         for pair in pairs:
-            bx, by = pair.origin
-            np.testing.assert_array_equal(pair.x_block, ref[by : by + 32, bx : bx + 32])
-            assert not np.array_equal(pair.x_block, pair.y_block)
-            assert 0.3 < pair.mv[0] < 0.7 and abs(pair.mv[1]) < 0.2
+            bx, by = pair["origin"]
+            np.testing.assert_array_equal(pair["x"], ref[by : by + 32, bx : bx + 32])
+            assert not np.array_equal(pair["x"], pair["y"])
+            assert 0.3 < pair["mv"][0] < 0.7 and abs(pair["mv"][1]) < 0.2
 
     def test_integer_shift_aligns_x_to_matching_block(self):
         ref = smooth_noise(10, 96, 96)
         cur = np.roll(ref, -2, axis=1)  # cur(x) = ref(x + (2,0))
         pairs = extract_pairs(ref, cur, CFG)
         # interior tiles recover mv ~ (2,0); X must equal the shifted ref block == Y
-        middle = [p for p in pairs if p.origin == (32, 32)]
-        assert middle
-        np.testing.assert_array_equal(middle[0].x_block, middle[0].y_block)
+        middle = pairs[(pairs["origin"] == (32, 32)).all(axis=1)]
+        assert len(middle)
+        np.testing.assert_array_equal(middle[0]["x"], middle[0]["y"])
 
     def test_out_of_ref_windows_dropped(self):
         # leftward motion pushes X windows of left-edge tiles out of ref
@@ -169,16 +169,16 @@ class TestExtractPairs:
         cur = big[:, 0:96]  # cur(x) = ref(x - 3), no wraparound artifacts
         pairs = extract_pairs(ref, cur, CFG)
         dropped = {(0, 0), (0, 32), (0, 64)}
-        kept_origins = {p.origin for p in pairs}
+        kept_origins = set(map(tuple, pairs["origin"].tolist()))
         assert dropped.isdisjoint(kept_origins)
         assert len(pairs) == 6
-        assert all(abs(p.mv[0] + 3.0) < 0.1 for p in pairs)
+        assert (abs(pairs["mv"][:, 0] + 3.0) < 0.1).all()
 
     def test_degenerate_tiles_kept_with_zero_offset_by_default(self):
         flat = np.full((64, 64), 128, dtype=np.uint8)
         pairs = extract_pairs(flat, flat, ExtractionConfig(block_size=32))
         assert len(pairs) == 4
-        assert all(p.mv == (0.0, 0.0) for p in pairs)
+        assert (pairs["mv"] == 0.0).all()
 
     def test_stride_overlap(self):
         frame = smooth_noise(12, 64, 64)
@@ -190,10 +190,7 @@ class TestExtractPairs:
         ref, cur = tex.render(96, 96), tex.render(96, 96, offset=(0.3, 0.7))
         a = extract_pairs(ref, cur, CFG)
         b = extract_pairs(ref, cur, CFG)
-        assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert pa.mv == pb.mv and pa.origin == pb.origin
-            np.testing.assert_array_equal(pa.x_block, pb.x_block)
+        assert len(a) == 9 and a.tobytes() == b.tobytes()
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError, match="dims"):
@@ -206,30 +203,46 @@ class TestExtractPairs:
         tex = SinusoidTexture.random(seed)
         ref = tex.render(w, h)
         cur = tex.render(w, h, offset=(1.3, -0.8))
-        for pair in extract_pairs(ref, cur, cfg):
-            assert pair.x_block.shape == (16, 16)
-            assert pair.y_block.shape == (16, 16)
-            bx, by = pair.origin
+        pairs = extract_pairs(ref, cur, cfg)
+        assert pairs.dtype == pair_dtype(16)
+        for pair in pairs:
+            assert pair["x"].shape == (16, 16)
+            assert pair["y"].shape == (16, 16)
+            bx, by = pair["origin"]
             assert 0 <= bx and bx + 16 <= w and 0 <= by and by + 16 <= h
 
 
 def naive_extract_pairs(ref, cur, cfg):
-    """`extract_pairs` as a per-tile loop over the per-block oracle solve."""
+    """`extract_pairs` as a per-tile loop over the per-block oracle solve:
+    (the pairs, the solve of every tile in raster order)."""
     ref_f, cur_f = ref.astype(np.float64), cur.astype(np.float64)
     gx, gy = naive_edge_gradients(ref_f)
     fh, fw = cur.shape
     bs = cfg.block_size
-    pairs = []
+    pairs, solved = [], []
     for by in range(0, fh - bs + 1, cfg.effective_stride):
         for bx in range(0, fw - bs + 1, cfg.effective_stride):
-            mv, _ = naive_lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs))
-            mv = flow_mod._snap_near_integers(mv)
+            solved.append(naive_lk_block(ref_f, gx, gy, cur_f, (bx, by), (bs, bs)))
+            mv = flow_mod._snap_near_integers(solved[-1][0])
             ox, oy = round_mv_topleft(mv)
             sx, sy = bx + ox, by + oy
             if 0 <= sx and sx + bs <= fw and 0 <= sy and sy + bs <= fh:
-                pairs.append(SamplePair(ref[sy : sy + bs, sx : sx + bs].copy(),
-                                        cur[by : by + bs, bx : bx + bs].copy(), (bx, by), mv))
-    return pairs
+                pairs.append(((bx, by), mv, ref[sy : sy + bs, sx : sx + bs],
+                              cur[by : by + bs, bx : bx + bs]))
+    return np.array(pairs, pair_dtype(bs)), solved
+
+
+def extract_with_solves(ref, cur, cfg):
+    """`extract_pairs`: (the pairs, every `_lk_blocks` solve it made, in order)."""
+    solved, lk_blocks = [], flow_mod._lk_blocks
+
+    def spy(*args):
+        out = lk_blocks(*args)
+        solved.extend(out)
+        return out
+
+    with mock.patch.object(flow_mod, "_lk_blocks", spy):
+        return extract_pairs(ref, cur, cfg), solved
 
 
 def sparse_patch_scene(seed, n=32):
@@ -279,13 +292,14 @@ BUDGETS = st.sampled_from([flow_mod.LK_BYTES, 1 << 40, 1])
 
 
 def assert_same_pairs(got, want):
-    assert [p.origin for p in got] == [p.origin for p in want]
-    for g, p in zip(got, want):
-        # bits, not values: -0.0 == 0.0, yet a dataset file stores the sign
-        assert struct.pack("<2d", *g.mv) == struct.pack("<2d", *p.mv)
-        assert g.x_block.dtype == p.x_block.dtype and g.y_block.dtype == p.y_block.dtype
-        assert g.x_block.tobytes() == p.x_block.tobytes()
-        assert g.y_block.tobytes() == p.y_block.tobytes()
+    """`extract_with_solves` against `naive_extract_pairs`: the same float64 solve
+    of every tile, and the same records byte for byte."""
+    (pairs, solved), (naive_pairs, naive_solved) = got, want
+    # bits, not values: -0.0 == 0.0, yet a dataset file stores the sign
+    assert ([(struct.pack("<2d", *mv), degenerate) for mv, degenerate in solved]
+            == [(struct.pack("<2d", *mv), degenerate) for mv, degenerate in naive_solved])
+    assert pairs.dtype == naive_pairs.dtype
+    assert [p.tobytes() for p in pairs] == [p.tobytes() for p in naive_pairs]
 
 
 class TestBatchedSolveMatchesOracle:
@@ -297,7 +311,7 @@ class TestBatchedSolveMatchesOracle:
         ref, cur = scene
         cfg = ExtractionConfig(block_size=block, stride=stride)
         with mock.patch.object(flow_mod, "LK_BYTES", budget):
-            got = extract_pairs(ref, cur, cfg)
+            got = extract_with_solves(ref, cur, cfg)
         assert_same_pairs(got, naive_extract_pairs(ref, cur, cfg))
 
     @given(scenes(min_side=20), st.integers(1, 20), st.integers(1, 20), st.data())
@@ -333,7 +347,7 @@ class TestBatchedSolveMatchesOracle:
         for a, b, _, (bs, _) in cases:
             cfg = ExtractionConfig(block_size=max(bs, 8), stride=4)
             with mock.patch.object(flow_mod, "LK_BYTES", budget):
-                got = extract_pairs(a, b, cfg)
+                got = extract_with_solves(a, b, cfg)
             assert_same_pairs(got, naive_extract_pairs(a, b, cfg))
 
     # an empty frame is refused (test_codec.py::test_malformed_plane_refused)
@@ -342,43 +356,47 @@ class TestBatchedSolveMatchesOracle:
         frame = np.zeros(shape, np.uint8)
         with mock.patch.object(flow_mod, "_lk_blocks", side_effect=AssertionError), \
                 np.errstate(all="raise"):
-            assert extract_pairs(frame, frame, ExtractionConfig(block_size=16, stride=4)) == []
+            pairs = extract_pairs(frame, frame, ExtractionConfig(block_size=16, stride=4))
+        assert pairs.shape == (0,) and pairs.dtype == pair_dtype(16)
+
+
+def with_field(name, *spec, block_size=16):
+    """`pair_dtype(block_size)` with field `name` declared as `spec`."""
+    pair = pair_dtype(block_size)
+    return np.dtype([(f, *spec) if f == name else (f, pair[f]) for f in pair.names])
 
 
 class TestDatasetFile:
     def make_pairs(self, n=3, bs=16):
         rng = np.random.default_rng(0)
-        return [
-            SamplePair(
-                rng.integers(0, 256, (bs, bs)).astype(np.uint8),
-                rng.integers(0, 256, (bs, bs)).astype(np.uint8),
-                (int(rng.integers(0, 100)), int(rng.integers(0, 100))),
-                (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))),
-            )
-            for _ in range(n)
-        ]
+        pairs = np.empty(n, pair_dtype(bs))
+        pairs["origin"] = rng.integers(0, 100, (n, 2))
+        pairs["mv"] = rng.uniform(-4, 4, (n, 2))
+        pairs["x"], pairs["y"] = rng.integers(0, 256, (2, n, bs, bs))
+        return pairs
 
     def test_round_trip(self, tmp_path):
         pairs = self.make_pairs()
         path = tmp_path / "d.drpd"
-        write_dataset(pairs, path, 16)
+        write_dataset(pairs, path)
+        assert struct.unpack_from("<IIQ", path.read_bytes(), 4) == (1, 16, 3)
         back = read_dataset(path)
-        assert len(back) == len(pairs)
-        for a, b in zip(pairs, back):
-            np.testing.assert_array_equal(a.x_block, b.x_block)
-            np.testing.assert_array_equal(a.y_block, b.y_block)
-            assert a.origin == b.origin
-            assert b.mv == (pytest.approx(a.mv[0], rel=1e-6), pytest.approx(a.mv[1], rel=1e-6))
-            assert [type(v) for v in (*b.origin, *b.mv)] == [int, int, float, float]
+        assert back.tobytes() == pairs.tobytes()
+        # the file's record in memory: uint32 origins, float32 mvs, read-only
+        assert back.dtype == pair_dtype(16) and back.shape == (3,)
+        assert back["origin"].dtype == np.dtype("<u4") and back["mv"].dtype == np.dtype("<f4")
+        assert not back.flags.writeable
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.drpd"
-        write_dataset([], path, 16)
-        assert read_dataset(path) == []
+        write_dataset(np.empty(0, pair_dtype(16)), path)
+        assert path.stat().st_size == 20
+        back = read_dataset(path)
+        assert back.shape == (0,) and back.dtype == pair_dtype(16)
 
     def test_count_payload_mismatch_rejected(self, tmp_path):
         path = tmp_path / "d.drpd"
-        write_dataset(self.make_pairs(), path, 16)
+        write_dataset(self.make_pairs(), path)
         data = bytearray(path.read_bytes())
         data[12:20] = (99).to_bytes(8, "little")  # corrupt the pair count
         (tmp_path / "bad.drpd").write_bytes(bytes(data))
@@ -386,14 +404,23 @@ class TestDatasetFile:
             read_dataset(tmp_path / "bad.drpd")
 
     def test_huge_block_size_header(self, tmp_path):
-        # a dtype of 65540x65540 blocks does not fit a C int: the count and
-        # the size are checked before any record layout is built
+        # numpy holds no record of 2**31 bytes or more: a block size above
+        # MAX_BLOCK_SIZE is refused before any record layout is built, and
+        # before the length check, even in a file of no pairs
         path = tmp_path / "huge.drpd"
-        path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 65540, 0))
-        assert read_dataset(path) == []
-        path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, 65540, 1) + bytes(16))
-        with pytest.raises(FormatError, match=r"count field \(1 pairs of 8590983216 bytes\)"):
+        for block_size in (MAX_BLOCK_SIZE + 1, 46341, 65540):
+            for count in (0, 1):
+                path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, block_size, count))
+                with pytest.raises(FormatError, match=f"block size is {block_size}; "):
+                    read_dataset(path)
+        path.write_bytes(b"DRPD" + struct.pack("<IIQ", 1, MAX_BLOCK_SIZE, 1) + bytes(16))
+        with pytest.raises(FormatError, match=r"count field \(1 pairs of 2147352594 bytes\)"):
             read_dataset(path)
+
+    def test_max_block_size_is_the_largest_record_numpy_holds(self):
+        assert MAX_BLOCK_SIZE == 32767
+        assert pair_dtype(MAX_BLOCK_SIZE).itemsize == 16 + 2 * MAX_BLOCK_SIZE**2 <= 2**31 - 1
+        assert 16 + 2 * (MAX_BLOCK_SIZE + 1) ** 2 > 2**31 - 1
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.drpd").write_bytes(b"XXXX" + b"\0" * 16)
@@ -406,64 +433,68 @@ class TestDatasetFile:
             read_dataset(tmp_path / "bad.drpd")
 
     def test_mixed_block_sizes_rejected(self, tmp_path):
-        pairs = self.make_pairs(2, bs=16) + self.make_pairs(1, bs=32)
-        with pytest.raises(ShapeMismatchError):
-            write_dataset(pairs, tmp_path / "d.drpd", 16)
-
-    @pytest.mark.parametrize("block", [np.full((16, 16), 300, dtype=np.int64),
-                                       np.full((16, 16), 1e6), np.zeros((1, 16, 16), np.uint8)])
-    def test_block_that_is_no_8bit_plane_rejected(self, tmp_path, block):
-        # a uint8 cast would store an int64 300 as 44 and a float 1e6 as 64
-        for i, pair in enumerate(self.make_pairs(2)):
-            pairs = self.make_pairs(2)
-            pairs[i] = SamplePair(block, pair.y_block, pair.origin, pair.mv)
-            with pytest.raises(ShapeMismatchError, match=f"pair {i} X block"):
-                write_dataset(pairs, tmp_path / "d.drpd", 16)
-            pairs[i] = SamplePair(pair.x_block, block, pair.origin, pair.mv)
-            with pytest.raises(ShapeMismatchError, match=f"pair {i} Y block"):
-                write_dataset(pairs, tmp_path / "d.drpd", 16)
+        # one array cannot hold two block sizes; a list of them is no pair array
+        pairs = [*self.make_pairs(2, bs=16), *self.make_pairs(1, bs=32)]
+        with pytest.raises(ShapeMismatchError, match=r"pair_dtype\(block size\), got \(3,\) object"):
+            write_dataset(pairs, tmp_path / "d.drpd")
         assert not (tmp_path / "d.drpd").exists()
 
-    @pytest.mark.parametrize("origin", [(-1, 0), (2**32, 0), (0.0, 0), (np.float64(3), 0)])
+    @pytest.mark.parametrize("block", [("<i8", (16, 16)), ("<f8", (16, 16)), ("u1", (1, 16, 16))])
+    def test_block_that_is_no_8bit_plane_rejected(self, tmp_path, block):
+        # writing the bytes of an int64 or float block would make garbage blocks
+        for name in ("x", "y"):
+            pairs = np.zeros(2, with_field(name, *block))
+            with pytest.raises(ShapeMismatchError, match="pair_dtype"):
+                write_dataset(pairs, tmp_path / "d.drpd")
+        assert not (tmp_path / "d.drpd").exists()
+
+    @pytest.mark.parametrize("origin", map(np.dtype, ["<i4", "<i8", "<f8", ">u4"]))
     def test_origin_that_is_no_uint32_rejected(self, tmp_path, origin):
-        # -1 used to end in a raw struct.error
-        pairs = self.make_pairs(2)
-        pairs[1] = SamplePair(pairs[1].x_block, pairs[1].y_block, origin, pairs[1].mv)
-        with pytest.raises(ConfigError, match=r"pair 1 origin\[0\]"):
-            write_dataset(pairs, tmp_path / "d.drpd", 16)
+        # an int32 origin holds -1, and a big-endian one other bytes
+        with pytest.raises(ShapeMismatchError, match="pair_dtype"):
+            write_dataset(np.zeros(2, with_field("origin", origin, 2)), tmp_path / "d.drpd")
         assert not (tmp_path / "d.drpd").exists()
 
     @pytest.mark.parametrize("mv", [(0, 1e40), (0, -3.5e38), (0, math.nan), (0, math.inf),
-                                    (0, 10**40), (0, "1"), (0, True)])
+                                    (0, 10**40), (math.nan, 0), (-math.inf, 1)])
     def test_mv_that_is_no_finite_float32_rejected(self, tmp_path, mv):
-        # 1e40 used to end in a raw OverflowError, and NaN was written
+        # a float32 record turns a value beyond its range into an infinity
         pairs = self.make_pairs(2)
-        pairs[1] = SamplePair(pairs[1].x_block, pairs[1].y_block, pairs[1].origin, mv)
-        with pytest.raises(ConfigError, match=r"pair 1 mv\[1\]"):
-            write_dataset(pairs, tmp_path / "d.drpd", 16)
+        with np.errstate(over="ignore"):
+            pairs["mv"][1] = mv
+        with pytest.raises(ConfigError, match=r"pair 1 has a non-finite mv"):
+            write_dataset(pairs, tmp_path / "d.drpd")
         assert not (tmp_path / "d.drpd").exists()
+        with pytest.raises(ShapeMismatchError, match="pair_dtype"):
+            write_dataset(np.zeros(2, with_field("mv", "<f8", 2)), tmp_path / "d.drpd")
 
     def test_extreme_origin_and_mv_round_trip(self, tmp_path):
         f32_max = float(np.finfo(np.float32).max)
-        pair = self.make_pairs(1)[0]
-        pairs = [SamplePair(pair.x_block, pair.y_block, (2**32 - 1, np.uint32(0)),
-                            (f32_max, np.float32(-f32_max)))]
-        write_dataset(pairs, tmp_path / "d.drpd", 16)
+        pairs = self.make_pairs(1)
+        pairs["origin"] = (2**32 - 1, 0)
+        pairs["mv"] = (f32_max, -f32_max)
+        write_dataset(pairs, tmp_path / "d.drpd")
         (back,) = read_dataset(tmp_path / "d.drpd")
-        assert back.origin == (2**32 - 1, 0) and back.mv == (f32_max, -f32_max)
+        assert back["origin"].tolist() == [2**32 - 1, 0] and back["mv"].tolist() == [f32_max, -f32_max]
 
-    @pytest.mark.parametrize("block_size", [0, -1, 16.0, None, True])
-    def test_block_size_is_a_positive_integer(self, tmp_path, block_size):
+    @pytest.mark.parametrize("block_size", [0, -1, 16.0, None, True, MAX_BLOCK_SIZE + 1])
+    def test_block_size_is_a_positive_integer(self, block_size):
         with pytest.raises(ConfigError, match="block_size"):
-            write_dataset([], tmp_path / "d.drpd", block_size)
+            pair_dtype(block_size)
 
     def test_block_size_other_than_the_pairs_rejected(self, tmp_path):
-        with pytest.raises(ShapeMismatchError, match=r"\(16, 16\) != \(8,8\)"):
-            write_dataset(self.make_pairs(), tmp_path / "d.drpd", 8)
+        # the header's block size is the dtype's: X and Y must share it
+        with pytest.raises(ShapeMismatchError, match="pair_dtype"):
+            write_dataset(np.zeros(2, with_field("y", "u1", (8, 8))), tmp_path / "d.drpd")
+        write_dataset(self.make_pairs(2, bs=8), tmp_path / "d.drpd")
+        assert read_dataset(tmp_path / "d.drpd").dtype == pair_dtype(8)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExtractionConfig(block_size=4)
+    with pytest.raises(ConfigError, match="block_size"):
+        ExtractionConfig(block_size=MAX_BLOCK_SIZE + 1)
+    assert ExtractionConfig(block_size=MAX_BLOCK_SIZE).block_size == 32767
     with pytest.raises(ConfigError):
         ExtractionConfig(stride=0)

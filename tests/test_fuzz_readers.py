@@ -15,7 +15,7 @@ from deepref.cli import _load_curve
 from deepref.config import load_run_config
 from deepref.errors import DeepRefError, FormatError
 from deepref.fileio import write_csv
-from deepref.flow import SamplePair, read_dataset, write_dataset
+from deepref.flow import pair_dtype, read_dataset, write_dataset
 from deepref.generator import (
     ModelConfig,
     _parse_weight_file,
@@ -76,10 +76,9 @@ def samples(tmp_path_factory):
     tiny = ModelConfig(head_channels=2, branch_reduce_channels=2, branch_out_channels=2,
                        trunk_channels=2, seed=1)
     save_weights(build_network(tiny), work / "w.drpg")
-    pairs = [SamplePair(rng.integers(0, 256, (4, 4), dtype=np.uint8),
-                        rng.integers(0, 256, (4, 4), dtype=np.uint8), (4 * i, 0), (0.5, -0.25))
-             for i in range(2)]
-    write_dataset(pairs, work / "d.drpd", 4)
+    pairs = np.array([((4 * i, 0), (0.5, -0.25), *rng.integers(0, 256, (2, 4, 4)))
+                      for i in range(2)], pair_dtype(4))
+    write_dataset(pairs, work / "d.drpd")
     write_y4m([rng.integers(0, 256, (4, 6), dtype=np.uint8) for _ in range(2)], work / "s.y4m")
     write_csv([("baseline", 8, 1000.5, 38.25), ("net", 8, 900.0, 38.0)], work / "rd.csv",
               header=["scheme", "q", "bits_per_frame", "psnr_db"])

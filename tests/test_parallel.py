@@ -24,7 +24,7 @@ from deepref import generator as generator_mod
 from deepref.cli import main
 from deepref.codec import SearchConfig, generated, previous, rd_sweep
 from deepref.errors import ConfigError, DeepRefError, NonFiniteError
-from deepref.flow import SamplePair
+from deepref.flow import pair_dtype
 from deepref.generator import ModelConfig, build_network, save_weights
 from deepref.synthetic import SinusoidTexture, pan_zoom_sequence
 from deepref.training import TrainConfig, train
@@ -745,8 +745,8 @@ def small_training_setup(channels, n_pairs, block):
     model = ModelConfig(head_channels=channels, branch_reduce_channels=channels // 2,
                         branch_out_channels=channels // 2, trunk_channels=channels, seed=0)
     rng = np.random.default_rng(5)
-    pairs = [SamplePair(*rng.integers(0, 256, (2, block, block), dtype=np.uint8), (0, 0),
-                        (0.0, 0.0)) for _ in range(n_pairs)]
+    pairs = np.zeros(n_pairs, pair_dtype(block))
+    pairs["x"], pairs["y"] = rng.integers(0, 256, (2, n_pairs, block, block), dtype=np.uint8)
     return model, pairs
 
 

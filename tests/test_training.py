@@ -7,7 +7,7 @@ import pytest
 from deepref import generator as generator_mod
 from deepref import training as training_mod
 from deepref.errors import ConfigError, NonFiniteError, ShapeMismatchError
-from deepref.flow import ExtractionConfig, SamplePair, extract_pairs
+from deepref.flow import ExtractionConfig, extract_pairs, pair_dtype
 from deepref.generator import (
     ModelConfig,
     build_network,
@@ -119,6 +119,15 @@ class TestTrain:
         for (name, pa), (_, pb) in zip(net_a.layers.items(), net_b.layers.items()):
             np.testing.assert_array_equal(pa.weights, pb.weights, err_msg=name)
 
+    def test_list_of_records_trains_as_the_array(self):
+        # the benchmark's `train_pairs` hands `train` a list of records
+        pairs = shift_pairs()
+        cfg = TrainConfig(lr0=1.0, epochs=2, batch_size=3, shuffle_seed=2)
+        net_a, rep_a = train(build_network(TINY), pairs, cfg)
+        net_b, rep_b = train(build_network(TINY), list(pairs), cfg)
+        assert [e.loss for e in rep_a.epochs] == [e.loss for e in rep_b.epochs]
+        assert param_bytes(net_a) == param_bytes(net_b)
+
     def test_one_and_two_usable_cpus_bit_identical(self, usable_cpus):
         # with two, every 3x3 weight gradient is computed on the worker
         small = ModelConfig(head_channels=8, branch_reduce_channels=4, branch_out_channels=4,
@@ -175,7 +184,7 @@ class TestTrain:
         train(build_network(TINY), pairs, TrainConfig(lr0=1.0, epochs=1, batch_size=4))
         seen = np.concatenate(batches, axis=0)
         expected = np.sort(
-            np.stack([p.y_block for p in pairs]).astype(np.float32).reshape(6, -1) / 255.0,
+            pairs["y"].astype(np.float32).reshape(6, -1) / 255.0,
             axis=0,
         )
         np.testing.assert_allclose(np.sort(seen.reshape(6, -1), axis=0), expected)
@@ -272,8 +281,8 @@ class TestPeakMemory:
         model = ModelConfig(head_channels=16, branch_reduce_channels=8, branch_out_channels=8,
                             trunk_channels=16, k=0.5, seed=0, dtype="float32")
         rng = np.random.default_rng(5)
-        pairs = [SamplePair(*rng.integers(0, 256, (2, 32, 32), dtype=np.uint8), (0, 0), (0.0, 0.0))
-                 for _ in range(16)]
+        pairs = np.zeros(16, pair_dtype(32))
+        pairs["x"], pairs["y"] = rng.integers(0, 256, (2, 16, 32, 32), dtype=np.uint8)
         net = build_network(model)
         channels = (sum(p.out_ch for p in net.layers.values())
                     + 3 * 3 * model.branch_out_channels)  # + phi of each block
