@@ -2,10 +2,11 @@
 sweep -> bdrate / metrics, plus feature-map dumps and the block-size study.
 
 Every flag that sets a config field is declared once, in FLAG_TABLE, which
-names the RunConfig field(s) it sets; flags override the --config JSON, which
-overrides the defaults. `--seed` of `train` and `block-sweep` seeds weight
-init and shuffling; `--seed` of `make-clip`, which sets no config field,
-seeds the clip's texture.
+names the RunConfig field(s) it sets. `main` resolves the command's RunConfig
+once and runs the command with it: flags override the --config JSON, which
+overrides the defaults, and both set fields through `config.with_fields`.
+`--seed` of `train` and `block-sweep` seeds weight init and shuffling;
+`--seed` of `make-clip`, which sets no config field, seeds the clip's texture.
 
 Every run with a fixed --seed is bit-reproducible on the same machine. All
 file outputs are written atomically. Every refusal, argparse's own included,
@@ -15,7 +16,6 @@ prints one `error: …` line and exits 1; `--help` exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, flow, generator, metrics, synthetic, training, video_io
-from .config import SEED_FIELDS, RunConfig, load_run_config
+from .config import SEED_FIELDS, RunConfig, load_run_config, with_fields
 from .errors import ConfigError, DeepRefError, FormatError
 from .fileio import read_csv, write_csv, write_plane_pgm
 
 RD_HEADER = ["scheme", "q", "bits_per_frame", "psnr_db"]
 QUALITY_HEADER = ["frame_index", "psnr_db", "ssim"]
-MV_HEADER = ["block_x", "block_y", "ref_idx", "mv_x_q4", "mv_y_q4", "sad"]
+MV_HEADER = list(codec.MVRecord._fields)
 
 
 # Every flag that sets a config field: group -> (flag, the RunConfig fields it
@@ -41,7 +41,7 @@ FLAG_TABLE = {
                dict(required=True, help="sequence path (.y4m or raw .yuv)"))],
     "format": [
         ("--format", "input_format",
-         dict(choices=["yuv", "y4m"], help="override format detection")),
+         dict(choices=video_io.FORMATS, help="override format detection")),
         ("--width", "width", dict(type=int, help="raw .yuv width")),
         ("--height", "height", dict(type=int, help="raw .yuv height")),
     ],
@@ -75,17 +75,16 @@ FLAG_TABLE = {
 
 
 def _command(sub, name, func, *groups, help):
-    """Subcommand `name` running `func`; if it takes flag `groups`, it also
-    takes --config, and remembers which fields each flag sets."""
+    """Subcommand `name` running `func(args, cfg)`; if it takes flag `groups`,
+    it also takes --config, and remembers which fields each flag sets."""
     parser = sub.add_parser(name, help=help)
-    parser.set_defaults(func=func)
+    fields = {}
+    parser.set_defaults(func=func, config=None, config_fields=fields)
     if groups:
         parser.add_argument("--config", help="JSON run configuration; flags override it")
-        fields = {}
         for group in groups:
             for flag, targets, kwargs in FLAG_TABLE[group]:
                 fields[parser.add_argument(flag, **kwargs).dest] = targets.split()
-        parser.set_defaults(config_fields=fields)
     return parser
 
 
@@ -101,22 +100,16 @@ def _values(text: str, flag: str, form: str, kind=int, sep=",", count=None) -> l
 
 
 def _resolve(args) -> RunConfig:
-    """Defaults < --config JSON < every flag given, one replace per section."""
+    """Defaults < --config JSON < every flag given."""
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    updates = {"": {}}
+    values = {}
     for dest, targets in args.config_fields.items():
         value = getattr(args, dest)
-        if value is None:
-            continue
-        if dest == "q_set":
-            value = _values(value, "--q-set", "comma-separated integers")
-        for target in targets:
-            section, _, name = target.rpartition(".")
-            updates.setdefault(section, {})[name] = value
-    top = updates.pop("")
-    for section, fields in updates.items():
-        top[section] = dataclasses.replace(getattr(cfg, section), **fields)
-    return dataclasses.replace(cfg, **top)
+        if value is not None:
+            if dest == "q_set":
+                value = _values(value, "--q-set", "comma-separated integers")
+            values.update(dict.fromkeys(targets, value))
+    return with_fields(cfg, values)
 
 
 def _read_frames(cfg: RunConfig, path=None) -> list[np.ndarray]:
@@ -135,7 +128,7 @@ def _quality_table(tests, truths, first_index: int, path) -> tuple[list, float]:
     return rows, float(np.mean(finite)) if finite else float("inf")
 
 
-def cmd_make_clip(args) -> int:
+def cmd_make_clip(args, cfg: RunConfig) -> int:
     width, height = _values(args.size.lower(), "--size", "WxH integers", sep="x", count=2)
     velocity = _values(args.velocity, "--velocity", "two numbers x,y", float, count=2)
     texture = synthetic.acceptance_texture(args.seed)
@@ -146,8 +139,7 @@ def cmd_make_clip(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    cfg = _resolve(args)
+def cmd_extract(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     if len(frames) < 2:
         raise DeepRefError("extraction needs at least 2 frames")
@@ -159,8 +151,7 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
+def cmd_train(args, cfg: RunConfig) -> int:
     pairs = flow.read_dataset(args.dataset)
     net = generator.build_network(cfg.model)
     trained, report = training.train(net, pairs, cfg.train)
@@ -172,8 +163,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    cfg = _resolve(args)
+def cmd_infer(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     if len(frames) < 2:
         raise DeepRefError("inference needs at least 2 frames")
@@ -190,8 +180,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_dump_features(args) -> int:
-    cfg = _resolve(args)
+def cmd_dump_features(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     if not 0 <= args.frame < len(frames):
         raise DeepRefError(f"--frame {args.frame} outside sequence of {len(frames)} frames")
@@ -213,8 +202,7 @@ def _schemes(weights) -> dict:
     return schemes
 
 
-def cmd_encode(args) -> int:
-    cfg = _resolve(args)
+def cmd_encode(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     scheme = "net" if args.weights else "baseline"
     run = codec.encode_sequence(frames, _schemes(args.weights)[scheme], cfg.search, args.q)
@@ -229,8 +217,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(args)
+def cmd_sweep(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     schemes = _schemes(args.weights)
     rows = [(scheme, q, pt.bits, pt.psnr) for scheme, refs in schemes.items()
@@ -276,7 +263,7 @@ def _load_curve(path, scheme: str | None, need_scheme: bool = True):
     return points
 
 
-def cmd_bdrate(args) -> int:
+def cmd_bdrate(args, cfg: RunConfig) -> int:
     split = args.test_csv is None  # one CSV is split by its scheme column
     anchor = _load_curve(args.rd_csv, args.anchor_scheme, need_scheme=split)
     test = _load_curve(args.rd_csv if split else args.test_csv, args.test_scheme,
@@ -286,8 +273,7 @@ def cmd_bdrate(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    cfg = _resolve(args)
+def cmd_metrics(args, cfg: RunConfig) -> int:
     frames_a, frames_b = _read_frames(cfg, args.a), _read_frames(cfg, args.b)
     if len(frames_a) != len(frames_b):
         raise DeepRefError(f"frame counts differ: {len(frames_a)} vs {len(frames_b)}")
@@ -297,8 +283,7 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_block_sweep(args) -> int:
-    cfg = _resolve(args)
+def cmd_block_sweep(args, cfg: RunConfig) -> int:
     frames = _read_frames(cfg)
     sizes = _values(args.sizes, "--sizes", "comma-separated integers")
     name = Path(cfg.input_path).stem
@@ -394,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (DeepRefError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

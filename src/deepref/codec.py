@@ -274,7 +274,7 @@ def motion_search(
     cur = check_plane(cur, "frame")
     x0, y0 = origin
     bs = cfg.block_size
-    check_block(cur, x0, y0, bs, bs)
+    check_block(cur, origin, bs)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     cfg = _clamp_range(cfg, cur.shape)

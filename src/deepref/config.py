@@ -15,6 +15,7 @@ from .errors import ConfigError, check_int
 from .flow import ExtractionConfig
 from .generator import ModelConfig
 from .training import TrainConfig
+from .video_io import FORMATS
 
 DEFAULT_Q_SET = (8, 16, 32, 64)
 
@@ -22,7 +23,7 @@ DEFAULT_Q_SET = (8, 16, 32, 64)
 @dataclass
 class RunConfig:
     input_path: str | None = None
-    input_format: str | None = None  # "yuv" | "y4m" | None = by extension
+    input_format: str | None = None  # one of video_io.FORMATS, or None = by extension
     width: int | None = None
     height: int | None = None
     q_set: list[int] = field(default_factory=lambda: list(DEFAULT_Q_SET))
@@ -32,9 +33,9 @@ class RunConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        if self.input_format not in (None, "yuv", "y4m"):
-            raise ConfigError(
-                f"input_format must be \"yuv\" or \"y4m\", got {self.input_format!r}")
+        if self.input_format not in (None, *FORMATS):
+            raise ConfigError(f"input_format must be {' or '.join(map(json.dumps, FORMATS))}, "
+                              f"got {self.input_format!r}")
         for name in ("width", "height"):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), 1)
@@ -45,20 +46,7 @@ class RunConfig:
         self.q_set = list(self.q_set)
 
 
-def _build_section(cls, doc: dict, label: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
-    return cls(**doc)
-
-
-_SECTIONS = {
-    "extraction": ExtractionConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "search": SearchConfig,
-}
+_SECTIONS = ("extraction", "model", "train", "search")
 # input_path is no key: --input, which every reading subcommand requires, sets it
 _SCALARS = {"input_format", "width", "height", "q_set"}
 # the field each seeded section takes the top-level "seed" (and --seed) into
@@ -80,14 +68,33 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
 
-    kwargs = {k: doc[k] for k in _SCALARS if k in doc}
-    for name, cls in _SECTIONS.items():
+    values = {k: doc[k] for k in _SCALARS if k in doc}
+    for name in _SECTIONS:
         section = doc.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
-        section = dict(section)
         # the top-level seed feeds every stage that was not given its own seed
         if "seed" in doc and name in SEED_FIELDS:
-            section.setdefault(SEED_FIELDS[name], doc["seed"])
-        kwargs[name] = _build_section(cls, section, name)
-    return RunConfig(**kwargs)
+            values[f"{name}.{SEED_FIELDS[name]}"] = doc["seed"]
+        values.update({f"{name}.{key}": value for key, value in section.items()})
+    return with_fields(RunConfig(), values)
+
+
+def with_fields(cfg: RunConfig, values: dict) -> RunConfig:
+    """`cfg` with each field named in `values` set: "section.field" or a
+    top-level field. Each section is replaced once, so every value goes
+    through its section's checks; a field a section lacks is refused."""
+    top, sections = {}, {}
+    for name, value in values.items():
+        section, dot, key = name.partition(".")
+        if dot:
+            sections.setdefault(section, {})[key] = value
+        else:
+            top[name] = value
+    for section, fields in sections.items():
+        current = getattr(cfg, section)
+        unknown = set(fields) - {f.name for f in dataclasses.fields(current)}
+        if unknown:
+            raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
+        top[section] = dataclasses.replace(current, **fields)
+    return dataclasses.replace(cfg, **top)

@@ -66,8 +66,14 @@ def check_plane(frame, what: str, min_side: int = 1) -> np.ndarray:
     return frame
 
 
-def check_block(frame: np.ndarray, x0: int, y0: int, w: int, h: int) -> None:
-    """Raise ShapeMismatchError unless the w x h block at (x0, y0) lies in `frame`."""
-    fh, fw = frame.shape
+def check_block(frame: np.ndarray, origin, size) -> tuple[int, int]:
+    """The (w, h) of a block `size`, one side or (w, h): ConfigError unless each
+    side is an integer >= 1, ShapeMismatchError unless the block at `origin`
+    lies in `frame`."""
+    w, h = (size, size) if np.isscalar(size) else size
+    check_int("block width", w, 1, None)
+    check_int("block height", h, 1, None)
+    (x0, y0), (fh, fw) = origin, frame.shape
     if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
         raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
+    return int(w), int(h)

@@ -49,13 +49,6 @@ _MARGIN_LO = 3
 _MARGIN_HI = 4
 
 
-def _block_size(size) -> tuple[int, int]:
-    if np.isscalar(size):
-        return int(size), int(size)
-    w, h = size
-    return int(w), int(h)
-
-
 def gather_block(ref: np.ndarray, x0: int, y0: int, w: int, h: int) -> np.ndarray:
     """Copy a block with clamp (edge-replicating) addressing."""
     rows = np.clip(np.arange(y0, y0 + h), 0, ref.shape[0] - 1)
@@ -77,8 +70,7 @@ def interpolate_block(
     """
     ref = check_plane(ref, "reference")
     x0, y0 = origin
-    w, h = _block_size(size)
-    check_block(ref, x0, y0, w, h)
+    w, h = check_block(ref, origin, size)
     fx, fy = mv.x4 & 3, mv.y4 & 3
     acc = gather_block(
         ref, x0 + (mv.x4 >> 2) - _MARGIN_LO, y0 + (mv.y4 >> 2) - _MARGIN_LO,

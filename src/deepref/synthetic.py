@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import ConfigError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ def pan_zoom_sequence(
     """Frames where frame t shows the texture displaced by t*velocity and
     scaled by (1+zoom_rate)^t, i.e. frame_t(p) == frame_{t-1}(p + velocity)
     when zoom_rate is 0. Sizes and the frame count are at least 1, the
-    velocity finite and zoom_rate finite and > -1 (ConfigError otherwise)."""
+    velocity finite, zoom_rate finite and > -1, and every frame's texture
+    phases finite (ConfigError otherwise)."""
     for name, value in (("width", width), ("height", height), ("n_frames", n_frames)):
         check_int(name, value, 1)
     vx, vy = velocity
@@ -91,6 +92,17 @@ def pan_zoom_sequence(
     check_real("velocity y", vy, -math.inf)
     check_real("zoom_rate", zoom_rate, -1, open_low=True)
     tex = texture if texture is not None else SinusoidTexture.random(seed)
+    # every sine's phase is at most 2*pi*(|fx| + |fy|) times `reach`, a bound on
+    # the texture coordinates of every frame; past the float range a frame is NaN
+    last = n_frames - 1
+    try:
+        scale = max(1.0, (1.0 + zoom_rate) ** last)
+    except OverflowError:
+        scale = math.inf
+    reach = max(width, height) * (1.0 + scale) + last * max(abs(vx), abs(vy))
+    if not math.isfinite(2.0 * math.pi * reach * float(np.abs(tex.freqs).sum(1).max())):
+        raise ConfigError(f"velocity {tuple(velocity)} and zoom_rate {zoom_rate!r} take the "
+                          f"texture phases of {n_frames} frames past the float range")
     return [
         tex.render(width, height, offset=(t * vx, t * vy), scale=(1.0 + zoom_rate) ** t)
         for t in range(n_frames)

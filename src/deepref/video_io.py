@@ -12,6 +12,8 @@ from .fileio import atomic_write_bytes
 
 _Y4M_MAGIC = b"YUV4MPEG2"
 _SUPPORTED_420 = {"420", "420jpeg", "420mpeg2", "420paldv"}
+# the sequence formats `read_sequence` takes, by name
+FORMATS = ("yuv", "y4m")
 
 
 def read_sequence(path, fmt: str | None = None, width: int | None = None,
@@ -19,11 +21,9 @@ def read_sequence(path, fmt: str | None = None, width: int | None = None,
     """Load the luma planes of a raw 4:2:0 file or a .y4m file."""
     if fmt is None:
         fmt = "y4m" if os.fspath(path).lower().endswith(".y4m") else "yuv"
-    if fmt == "y4m":
-        return _read_y4m(path)
-    if fmt == "yuv":
-        return _read_raw_yuv(path, width, height)
-    raise ConfigError(f"unknown sequence format {fmt!r}; use 'yuv' or 'y4m'")
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown sequence format {fmt!r}; use {' or '.join(map(repr, FORMATS))}")
+    return _read_y4m(path) if fmt == "y4m" else _read_raw_yuv(path, width, height)
 
 
 def _check_even_dims(width: int, height: int, path) -> None:

@@ -536,6 +536,19 @@ class TestFlagTable:
         code, _, err = run(["extract", *REQUIRED["extract"], "--seed", "3"], capsys)
         assert code == 1 and err == "error: unrecognized arguments: --seed 3\n"
 
+    @pytest.mark.parametrize("flags, field, want, command", [
+        pytest.param(flags, field, want, command, id=f"{command} {flags[0]} {field}")
+        for flags, field, want, commands in FLAG_CASES for command in commands
+    ])
+    def test_config_sets_the_flags_field(self, tmp_path, flags, field, want, command):
+        # the flag's value at its field in the JSON, the top-level "seed" for --seed
+        doc = want
+        for key in reversed(["seed"] if flags[0] == "--seed" else field.split(".")):
+            doc = {key: doc}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert resolved(command, ["--config", str(path)]) == resolved(command, flags)
+
     def test_input_sets_input_path(self):
         assert resolved("extract").input_path == "c.y4m"
 

@@ -107,6 +107,10 @@ class TestLucasKanade:
         ref = smooth_noise(6, 64, 64)
         with pytest.raises(ShapeMismatchError):
             lucas_kanade_mv(ref, ref, (40, 0), 32)
+        # a side that is no integer >= 1
+        for size in (16.5, 0, -4, True, (16, 0), (8, 8.0)):
+            with pytest.raises(ConfigError, match="block (width|height) must be an integer >= 1"):
+                lucas_kanade_mv(ref, ref, (16, 16), size)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -144,6 +144,10 @@ class TestInterpolateBlock:
             interpolate_block(ref, (12, 0), (8, 8), MotionVectorQ(0, 0))
         with pytest.raises(ShapeMismatchError):
             interpolate_block(ref, (-1, 0), (8, 8), MotionVectorQ(0, 0))
+        # a side that is no integer >= 1
+        for size in (16.5, 0, -3, True, (8, 0), (8.0, 8)):
+            with pytest.raises(ConfigError, match="block (width|height) must be an integer >= 1"):
+                interpolate_block(ref, (8, 8), size, MotionVectorQ(0, 0))
 
     def test_scalar_size_means_square_block(self, rng):
         ref = rng.integers(0, 256, (20, 20)).astype(np.uint8)

@@ -52,6 +52,8 @@ def test_sample_at_arbitrary_coordinates():
     ["--size", "abc"], ["--size", "0x0"], ["--size", "33x32"], ["--velocity", "1"],
     ["--velocity", "nan,0"], ["--zoom", "nan"], ["--frames", "0"], ["--seed", "-1"],
     ["--frames", "abc"],
+    # finite motions that take the texture coordinates past the float range
+    ["--velocity", "1e308,0"], ["--zoom", "1e308"],
 ])
 def test_make_demo_clip_refuses_a_malformed_value(tmp_path, capsys, flags):
     out = tmp_path / "clip.y4m"
