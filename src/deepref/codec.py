@@ -13,11 +13,13 @@ planes (`interp.subpel_planes`), padded by search_range + 1 samples and below
 and on the right to whole blocks. Every candidate prediction is then a window
 of those planes, with the same samples `interp.interpolate_block` gives for
 one block. The search runs on bands of whole block rows, for all their blocks
-and all references together: the integer SADs one row of offsets at a time,
-then each refinement step gathers the 8 neighbours of every block's incumbent
-with one fancy index and keeps, per block, the first least (cost, |mv|_1) in
-raster order, as a scan over the candidates would. |diff| samples past the
-frame count 0. `motion_search` runs the same search on one block.
+and all references together, each band on its own view of the planes, which
+starts at the band: the integer SADs one row of offsets at a time, then each
+refinement step gathers the 8 neighbours of every block's incumbent with one
+fancy index and keeps, per block, the first least (cost, |mv|_1) in raster
+order, as a scan over the candidates would. |diff| samples past the frame
+count 0. `motion_search` runs the same search on one block, on the view of
+the planes that starts at it.
 
 A band holds as many block rows as keep the int16 |diff| of one row of
 offsets within ``SAD_BYTES`` (1 MiB), and at least one. The benchmark's
@@ -122,27 +124,27 @@ SAD_BYTES = 1 << 20
 _STEPS = np.array([(0, 0)] + [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy])
 
 
-def _integer_search(int_planes: np.ndarray, cur: np.ndarray, origin, inside,
+def _integer_search(int_planes: np.ndarray, cur: np.ndarray, inside,
                     cfg: SearchConfig) -> _Matches:
     """Full integer-pel search of every block of a band of whole block rows.
 
-    `cur` holds the band of the current frame from `origin` on, as int16,
-    padded to whole blocks; its first `inside` (rows, columns) lie in the
-    frame, and |diff| samples past them count 0. `int_planes` holds the
-    integer phase of every reference, padded by search_range + 1 and below
-    and on the right by at least the padding of `cur`, as int16. Per block,
-    the best offset has the least cost, then the least |mv|_1, then comes
-    first in raster order.
+    `cur` holds the band of the current frame, as int16, padded to whole
+    blocks; its first `inside` (rows, columns) lie in the frame, and |diff|
+    samples past them count 0. `int_planes` holds the integer phase of every
+    reference as int16, from the band's own corner on: its sample (Y, X) is
+    the reference at sample (Y, X) of the band less search_range + 1 each way,
+    and it reaches search_range + 1 samples past the rows and columns of `cur`.
+    Per block, the best offset has the least cost, then the least |mv|_1, then
+    comes first in raster order.
     """
-    x0, y0 = origin
     height, width = cur.shape
     bs = cfg.block_size
     refs, rows, cols = len(int_planes), height // bs, width // bs
     radius = cfg.search_range
     n = 2 * radius + 1
-    top, left = y0 + 1, x0 + 1  # offset -radius in a plane padded by radius + 1
+    # offset -radius starts one sample into planes padded by radius + 1
     windows = np.lib.stride_tricks.sliding_window_view(
-        int_planes[:, top : top + height + n - 1, left : left + width + n - 1],
+        int_planes[:, 1 : height + n, 1 : width + n],
         (height, width), axis=(1, 2))
     col_dtype = np.int16 if 255 * bs <= np.iinfo(np.int16).max else np.int32
     sad = np.empty((refs, n, n, rows, cols), dtype=np.int64)
@@ -169,25 +171,24 @@ def _integer_search(int_planes: np.ndarray, cur: np.ndarray, origin, inside,
         4 * (dx - radius), 4 * (dy - radius), cost[at], sad[at])))
 
 
-def _predict(windows: np.ndarray, ref_idx, x4: np.ndarray, y4: np.ndarray, origin,
+def _predict(windows: np.ndarray, ref_idx, x4: np.ndarray, y4: np.ndarray,
              cfg: SearchConfig) -> np.ndarray:
     """Predictions of the blocks of a band, shape (..., block rows, blocks per
     row, block_size, block_size).
 
     `windows` holds every block-sized window of the phase planes of every
-    reference, padded by search_range + 1. Block (i, j) of the band at
-    `origin` is predicted from reference ref_idx[..., i, j] moved by
+    reference, from the band's corner on as `_search_band` takes them. Block
+    (i, j) of the band is predicted from reference ref_idx[..., i, j] moved by
     (x4[..., i, j], y4[..., i, j]); the three broadcast together.
     """
-    x0, y0 = origin
     bs, margin = cfg.block_size, cfg.search_range + 1
     rows, cols = x4.shape[-2:]
-    top = margin + y0 + bs * np.arange(rows)[:, None] + (y4 >> 2)
-    left = margin + x0 + bs * np.arange(cols) + (x4 >> 2)
+    top = margin + bs * np.arange(rows)[:, None] + (y4 >> 2)
+    left = margin + bs * np.arange(cols) + (x4 >> 2)
     return windows[ref_idx, y4 & 3, x4 & 3, top, left]
 
 
-def _refine(windows: np.ndarray, cur: np.ndarray, origin, inside, coarse: _Matches,
+def _refine(windows: np.ndarray, cur: np.ndarray, inside, coarse: _Matches,
             cfg: SearchConfig) -> _Matches:
     """Half- then quarter-pel refinement of the integer matches of a band,
     for every reference at once, on the windows `_predict` takes; `cur` and
@@ -209,7 +210,7 @@ def _refine(windows: np.ndarray, cur: np.ndarray, origin, inside, coarse: _Match
         # (9, refs, rows, cols), the incumbent first
         x4 = best.x4 + step * _STEPS[:, 0, None, None, None]
         y4 = best.y4 + step * _STEPS[:, 1, None, None, None]
-        diff = _predict(windows, grid[0], x4[1:], y4[1:], origin, cfg) - cur_blocks
+        diff = _predict(windows, grid[0], x4[1:], y4[1:], cfg) - cur_blocks
         np.abs(diff, out=diff)
         diff[:, :, -1, :, last_rows:] = 0
         diff[:, :, :, -1, :, last_cols:] = 0
@@ -221,26 +222,26 @@ def _refine(windows: np.ndarray, cur: np.ndarray, origin, inside, coarse: _Match
     return best
 
 
-def _search_band(planes: np.ndarray, int_planes: np.ndarray, cur: np.ndarray, origin, inside,
+def _search_band(planes: np.ndarray, int_planes: np.ndarray, cur: np.ndarray, inside,
                  cfg: SearchConfig) -> tuple[np.ndarray, _Matches, np.ndarray]:
     """Best reference, match and prediction of every block of a band of whole
     block rows.
 
-    `cur` and `inside` are as `_integer_search` takes them. `planes` holds the
-    phase planes of every reference, padded by search_range + 1 and below and
-    on the right by at least the padding of `cur`; `int_planes` is their
-    integer phase as int16. Per block, the first reference with the least
-    refined cost wins. Returns the reference index and match of each block,
-    each of shape (block rows, blocks per row), and the prediction of `cur`.
+    `cur`, `inside` and `int_planes` are as `_integer_search` takes them, and
+    `planes` holds the phase planes whose integer phase `int_planes` is, from
+    the band's corner on in the same way. Per block, the first reference with
+    the least refined cost wins. Returns the reference index and match of each
+    block, each of shape (block rows, blocks per row), and the prediction of
+    `cur`.
     """
     windows = np.lib.stride_tricks.sliding_window_view(
         planes, (cfg.block_size, cfg.block_size), axis=(3, 4))
-    coarse = _integer_search(int_planes, cur, origin, inside, cfg)
-    refined = _refine(windows, cur, origin, inside, coarse, cfg)
+    coarse = _integer_search(int_planes, cur, inside, cfg)
+    refined = _refine(windows, cur, inside, coarse, cfg)
     ref_idx = np.argmin(refined.cost, axis=0)
     rows, cols = np.ogrid[: ref_idx.shape[0], : ref_idx.shape[1]]
     best = _Matches(*(field[ref_idx, rows, cols] for field in refined))
-    pred = _predict(windows, ref_idx, best.x4, best.y4, origin, cfg)
+    pred = _predict(windows, ref_idx, best.x4, best.y4, cfg)
     return ref_idx, best, pred.swapaxes(1, 2).reshape(cur.shape)
 
 
@@ -272,16 +273,13 @@ def motion_search(
     """
     ref = check_plane(ref, "reference")
     cur = check_plane(cur, "frame")
-    x0, y0 = origin
-    bs = cfg.block_size
-    check_block(cur, origin, bs)
+    x0, y0, bs, _ = check_block(cur, origin, cfg.block_size)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
     cfg = _clamp_range(cfg, cur.shape)
-    planes = subpel_planes(ref, cfg.search_range + 1)[None]
+    planes = subpel_planes(ref, cfg.search_range + 1)[None, ..., y0:, x0:]
     cur_blk = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int16)
-    _, best, _ = _search_band(planes, planes[:, 0, 0].astype(np.int16), cur_blk, origin,
-                              (bs, bs), cfg)
+    _, best, _ = _search_band(planes, planes[:, 0, 0].astype(np.int16), cur_blk, (bs, bs), cfg)
     return MotionVectorQ(int(best.x4[0, 0]), int(best.y4[0, 0])), float(best.cost[0, 0])
 
 
@@ -323,8 +321,8 @@ def encode_frame_proxy(
     pred = np.empty((ph, pw), dtype=np.uint8)
     found = []  # (ref_idx, *match) of each band
     for by in range(0, ph, band):
-        ref_idx, best, band_pred = _search_band(planes, int_planes, cur_i16[by : by + band],
-                                                (0, by), (fh - by, fw), cfg)
+        ref_idx, best, band_pred = _search_band(planes[..., by:, :], int_planes[:, by:],
+                                                cur_i16[by : by + band], (fh - by, fw), cfg)
         pred[by : by + band] = band_pred
         found.append((ref_idx, *best))
     ref_idx, x4, y4, _, sad = (np.concatenate(field).ravel() for field in zip(*found))

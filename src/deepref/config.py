@@ -61,6 +61,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     # "seed" is no field of its own: it fills the SEED_FIELDS

@@ -66,14 +66,19 @@ def check_plane(frame, what: str, min_side: int = 1) -> np.ndarray:
     return frame
 
 
-def check_block(frame: np.ndarray, origin, size) -> tuple[int, int]:
-    """The (w, h) of a block `size`, one side or (w, h): ConfigError unless each
-    side is an integer >= 1, ShapeMismatchError unless the block at `origin`
-    lies in `frame`."""
+def check_block(frame: np.ndarray, origin, size) -> tuple[int, int, int, int]:
+    """The (x0, y0, w, h) of a block at `origin` (x0, y0) of `size`, one side
+    or (w, h), as ints: ConfigError unless each coordinate is an integer and
+    each side an integer >= 1, ShapeMismatchError unless the block lies in
+    `frame`."""
+    (x0, y0), (fh, fw) = origin, frame.shape
+    for name, value in (("x", x0), ("y", y0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"block origin {name} must be an integer, got {value!r}")
     w, h = (size, size) if np.isscalar(size) else size
     check_int("block width", w, 1, None)
     check_int("block height", h, 1, None)
-    (x0, y0), (fh, fw) = origin, frame.shape
+    x0, y0, w, h = int(x0), int(y0), int(w), int(h)  # no numpy integer wraps in the sums
     if not (0 <= x0 and x0 + w <= fw and 0 <= y0 and y0 + h <= fh):
         raise ShapeMismatchError(f"block ({x0},{y0}) size {w}x{h} outside {fw}x{fh} frame")
-    return int(w), int(h)
+    return x0, y0, w, h

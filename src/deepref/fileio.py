@@ -61,7 +61,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:  # csv.Error: say, a field past the module's limit
         raise FormatError(f"{path}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: empty CSV, expected a header row")

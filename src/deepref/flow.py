@@ -154,8 +154,8 @@ def lucas_kanade_mv(ref, cur, origin, size):
     cur = np.asarray(cur, dtype=np.float64)
     if ref.shape != cur.shape:
         raise ShapeMismatchError(f"ref dims {ref.shape} != cur dims {cur.shape}")
-    w, h = check_block(ref, origin, size)
-    return _lk_blocks(_warp_planes(ref), cur, [origin], (w, h))[0]
+    x0, y0, w, h = check_block(ref, origin, size)
+    return _lk_blocks(_warp_planes(ref), cur, [(x0, y0)], (w, h))[0]
 
 
 def round_mv_topleft(mv) -> tuple[int, int]:

@@ -2,13 +2,14 @@
 
 Luma positions between integer samples are synthesized by separable filtering:
 a symmetric 8-tap filter at half-sample offsets and an asymmetric 7-tap filter
-at quarter-sample offsets (the 3/4 filter is the mirrored 1/4 filter). One
-rule: filter each fractional dimension, columns first, at full integer
-precision, take the integer samples of each integer dimension, then round once
-by 6 bits per fractional dimension (add 2^(s-1), shift right by s, s = 0, 6 or
-12) and clip to 8 bits. Frame edges are handled by sample replication.
-`interpolate_block` applies the rule to one block along one path;
-`subpel_planes` applies it to all 16 phases of a plane at once.
+at quarter-sample offsets (the 3/4 filter is the mirrored 1/4 filter); an
+integer dimension takes its samples through the identity tap. One rule:
+filter the columns, then the rows, each by its phase at full integer
+precision, then round once by 6 bits per fractional dimension (add 2^(s-1),
+shift right by s, s = 0, 6 or 12) and clip to 8 bits. Frame edges are handled
+by sample replication. `interpolate_block` applies the rule to one block along
+one path; `subpel_planes` applies it to a whole plane in one loop over the 16
+phases, through three int32 work buffers.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ LUMA_FILTERS = namedtuple("LumaFilters", "half quarter three_quarter")(
     three_quarter=(1, -5, 17, 58, -10, 4, -1),
 )
 _SHIFT = 6
-# quarter-pel phase 1..3 -> (taps, offset of the first tap)
-_PHASES = {
-    1: (LUMA_FILTERS.quarter, -3),
-    2: (LUMA_FILTERS.half, -3),
-    3: (LUMA_FILTERS.three_quarter, -2),
-}
+# quarter-pel phase 0..3 -> (taps, offset of the first tap); phase 0 takes the
+# integer samples
+_PHASES = (
+    ((1,), 0),
+    (LUMA_FILTERS.quarter, -3),
+    (LUMA_FILTERS.half, -3),
+    (LUMA_FILTERS.three_quarter, -2),
+)
 
 # widest support over all phases: 3 samples left/above, 4 right/below
 _MARGIN_LO = 3
@@ -69,18 +72,17 @@ def interpolate_block(
     reference of the rule `subpel_planes` applies to whole planes.
     """
     ref = check_plane(ref, "reference")
-    x0, y0 = origin
-    w, h = check_block(ref, origin, size)
+    x0, y0, w, h = check_block(ref, origin, size)
     fx, fy = mv.x4 & 3, mv.y4 & 3
     acc = gather_block(
         ref, x0 + (mv.x4 >> 2) - _MARGIN_LO, y0 + (mv.y4 >> 2) - _MARGIN_LO,
         w + _MARGIN_LO + _MARGIN_HI, h + _MARGIN_LO + _MARGIN_HI,
     ).astype(np.int64)
-    # the column pass, then the row pass: each filters the last axis at full
-    # precision, or takes its integer samples (one tap of 1), then transposes
-    # the block so that the next pass takes the other axis
+    # the column pass, then the row pass: each filters the last axis by its
+    # phase at full precision, then transposes the block so that the next pass
+    # takes the other axis
     for frac, n in ((fx, w), (fy, h)):
-        taps, start = _PHASES[frac] if frac else ((1,), 0)
+        taps, start = _PHASES[frac]
         first = _MARGIN_LO + start
         acc = sum(t * acc[:, first + k : first + k + n] for k, t in enumerate(taps)).T
     s = _SHIFT * (bool(fx) + bool(fy))
@@ -114,41 +116,30 @@ def subpel_planes(ref: np.ndarray, margin: int, out: np.ndarray | None = None) -
                                  f"got {out.shape} {out.dtype}")
     else:
         planes = out
-    planes[0, 0] = src[_MARGIN_LO : _MARGIN_LO + ph, _MARGIN_LO : _MARGIN_LO + pw]
     # the column pass, the row pass and one product scratch for both, each
-    # allocated once; the arithmetic is integer, so any order gives the same planes
+    # allocated once; the row pass runs through transposed views, so that both
+    # filter the last axis
     mid = np.empty((src.shape[0], pw), dtype=np.int32)
     acc = np.empty((ph, pw), dtype=np.int32)
     prod = np.empty_like(mid)
     for fx in range(4):
-        if fx == 0:
-            mid_fx = src[:, _MARGIN_LO : _MARGIN_LO + pw]
-        else:
-            taps, start = _PHASES[fx]
-            c0 = _MARGIN_LO + start
-            mid_fx = _filter_into(mid, prod, [src[:, c0 + k : c0 + k + pw]
-                                              for k in range(len(taps))], taps)
-        # fy = 0 last: it rounds the column pass in place
-        for fy in (1, 2, 3, 0):
-            if fy == 0:
-                if fx == 0:
-                    continue
-                phase, s = mid_fx[_MARGIN_LO : _MARGIN_LO + ph], _SHIFT
-            else:
-                taps, start = _PHASES[fy]
-                r0 = _MARGIN_LO + start
-                phase = _filter_into(acc, prod[:ph], [mid_fx[r0 + k : r0 + k + ph]
-                                                      for k in range(len(taps))], taps)
-                s = _SHIFT if fx == 0 else 2 * _SHIFT
-            phase += 1 << (s - 1)
-            phase >>= s
-            planes[fy, fx] = np.clip(phase, 0, 255, out=phase)
+        _filter_into(mid, prod, src, fx)
+        for fy in range(4):
+            _filter_into(acc.T, prod[:ph].T, mid.T, fy)
+            s = _SHIFT * (bool(fx) + bool(fy))
+            acc += (1 << s) >> 1
+            acc >>= s
+            planes[fy, fx] = np.clip(acc, 0, 255, out=acc)
     return planes
 
 
-def _filter_into(acc: np.ndarray, prod: np.ndarray, windows, taps) -> np.ndarray:
-    """acc = sum over k of taps[k] * windows[k], through the scratch `prod`."""
-    np.multiply(windows[0], taps[0], out=acc)
-    for window, tap in zip(windows[1:], taps[1:]):
-        acc += np.multiply(window, tap, out=prod)
-    return acc
+def _filter_into(out: np.ndarray, prod: np.ndarray, src: np.ndarray, phase: int) -> np.ndarray:
+    """out = the last axis of `src` filtered by quarter-pel `phase` at full
+    precision, through the scratch `prod`: out[..., i] is the sum over k of
+    taps[k] * src[..., i + _MARGIN_LO + start + k]."""
+    taps, start = _PHASES[phase]
+    c0, n = _MARGIN_LO + start, out.shape[-1]
+    np.multiply(src[..., c0 : c0 + n], taps[0], out=out)
+    for k, tap in enumerate(taps[1:], c0 + 1):
+        out += np.multiply(src[..., k : k + n], tap, out=prod)
+    return out

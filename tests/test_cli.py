@@ -609,9 +609,13 @@ def test_integer_beyond_int_range_rejected(capsys, clip, tiny_weights, tmp_path,
      "block_size must be an integer in [8, 32767], got 32768"),
     (["extract", "--input", "{three}", "--block-size", "46341", "--output", "{tmp}/d.drpd"],
      "block_size must be an integer in [8, 32767], got 46341"),
+    # past the csv module's field limit, and past the recursion limit of json
+    (["bdrate", "{tmp}/wide.csv"], "field larger than field limit"),
+    (["sweep", "--input", "{three}", "--weights", "{weights}", "--config", "{tmp}/deep.json",
+      "--output", "{tmp}/rd_deep.csv"], "deep.json: JSON nested too deeply"),
 ], ids=["extract one frame", "infer one frame", "dump-features frame 7 of 3",
         "bdrate one file without scheme", "encode q abc", "extract block 32768",
-        "extract block 46341"])
+        "extract block 46341", "bdrate field of 200000 bytes", "sweep config nested 100000 deep"])
 def test_input_the_command_cannot_use_ends_in_error(capsys, tiny_weights, tmp_path, argv,
                                                     message):
     frames = pan_zoom_sequence(32, 32, 3, velocity=(0.5, 0.25), seed=4)
@@ -619,12 +623,15 @@ def test_input_the_command_cannot_use_ends_in_error(capsys, tiny_weights, tmp_pa
     write_y4m(frames, tmp_path / "three.y4m")
     write_csv([[8, 8000, 41.0], [16, 6000, 36.0]], tmp_path / "rd.csv",
               header=["q", "bits_per_frame", "psnr_db"])
+    (tmp_path / "wide.csv").write_text("q,bits_per_frame,psnr_db\n8,8000," + "4" * 200_000 + "\n")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     argv = [a.format(one=tmp_path / "one.y4m", three=tmp_path / "three.y4m",
                      weights=tiny_weights, tmp=tmp_path) for a in argv]
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.y4m", "rd.csv", "three.y4m"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "one.y4m", "rd.csv",
+                                                          "three.y4m", "wide.csv"]
 
 
 # one subcommand taking each flag group

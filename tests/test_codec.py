@@ -24,7 +24,7 @@ from deepref.codec import (
 )
 from deepref.errors import ConfigError, ShapeMismatchError
 from deepref.fileio import write_plane_pgm
-from deepref.flow import ExtractionConfig, extract_pairs
+from deepref.flow import ExtractionConfig, extract_pairs, lucas_kanade_mv
 from deepref.generator import ModelConfig, build_network, dump_feature_maps, generate_reference
 from deepref.interp import MotionVectorQ, interpolate_block, subpel_planes
 from deepref.metrics import psnr
@@ -333,6 +333,38 @@ def test_malformed_plane_refused(call, make_bad, tmp_path):
     with pytest.raises(ShapeMismatchError, match=re.escape(f"got {bad.shape} {bad.dtype}")):
         call(ok, bad, tmp_path)
     assert list(tmp_path.iterdir()) == []  # nothing written either
+
+
+# every function that reads one block at an origin, called with a 32x32 plane
+BLOCK_READERS = {
+    "interpolate_block": lambda plane, origin: interpolate_block(plane, origin, 8,
+                                                                 MotionVectorQ(1, 2)),
+    "lucas_kanade_mv": lambda plane, origin: lucas_kanade_mv(plane, np.roll(plane, 1, axis=1),
+                                                             origin, 8),
+    "motion_search": lambda plane, origin: motion_search(plane, np.roll(plane, 1, axis=1),
+                                                         origin, _CFG8),
+}
+
+
+@pytest.mark.parametrize("origin, coordinate", [((8.5, 8), "x"), ((8, 8.5), "y"), ((True, 0), "x")],
+                         ids=["x 8.5", "y 8.5", "x True"])
+@pytest.mark.parametrize("call", BLOCK_READERS.values(), ids=BLOCK_READERS.keys())
+def test_origin_that_is_no_integer_refused(call, origin, coordinate):
+    value = origin["xy".index(coordinate)]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"block origin {coordinate} must be an integer, got {value!r}")):
+        call(textured(3, 32, 32), origin)
+
+
+@pytest.mark.parametrize("call", BLOCK_READERS.values(), ids=BLOCK_READERS.keys())
+def test_numpy_integer_origin_reads_the_block_of_the_int(call):
+    plane = textured(3, 32, 32)
+    want = call(plane, (8, 4))
+    for origin in ((np.int64(8), np.int32(4)), (np.uint8(8), np.int8(4))):
+        np.testing.assert_equal(call(plane, origin), want)
+    # 250 + 8 wraps to 2 in uint8 arithmetic: the bound is checked on the int
+    with pytest.raises(ShapeMismatchError, match="outside"):
+        call(plane, (np.uint8(250), np.uint8(0)))
 
 
 def naive_encode_frame(refs, cur, cfg, q):
